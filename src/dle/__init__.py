@@ -11,7 +11,7 @@ implemented formula at desk scale.
 __version__ = "0.1.0"
 
 from .baseline import SampleRun, sample_sequences
-from .engine import (Budget, BranchPolicy, EarlyStopConfig, EnumerationResult,
+from .engine import (Budget, BranchPolicy, EarlyStopConfig, EnumerationResult, Frontier,
                      early_stop_check, enumerate_leaves, greedy_rollout, select_branch)
 from .metrics import (coverage, distinct_n, expected_coverage_closed_form,
                       marginal_gain_closed_form, repetition_rate)
@@ -25,7 +25,7 @@ from .truncation import (ActiveSet, Composite, Epsilon, MinP, TopK, TopP,
 __all__ = [
     "__version__",
     "ActiveSet", "Budget", "BranchPolicy", "Composite", "EarlyStopConfig",
-    "EnumerationResult", "Epsilon", "MinP", "NgramModel", "RemoteModel",
+    "EnumerationResult", "Epsilon", "Frontier", "MinP", "NgramModel", "RemoteModel",
     "SampleRun", "TableModel", "TopK", "TopP", "Vocabulary",
     "active_set", "apply_temperature", "coverage", "distinct_n",
     "early_stop_check", "enumerate_all_leaves", "enumerate_leaves",

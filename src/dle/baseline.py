@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import ModelError
+from .errors import ConfigError, ModelError
 from .rng import substream_family
 from .truncation import TruncationRule, active_set, apply_temperature
 
@@ -73,7 +73,7 @@ def sample_sequences(model, rule: TruncationRule, prompt: Sequence[int], k: int,
                      max_seq_len: int = DEFAULT_MAX_SEQ_LEN) -> SampleRun:
     """Draw k sequences with replacement from the truncated distribution."""
     if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+        raise ConfigError(f"k must be >= 1, got {k}")
     prompt = tuple(prompt)
     stepper = _StepCache(model, rule, prompt, temperature)
     eos_id = model.vocab.eos_id

@@ -69,6 +69,16 @@ def _parse_k_range(text: str) -> list[int]:
     return list(range(start, stop + 1))
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _write_json(path: Path, payload: dict) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
@@ -403,7 +413,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--rule", required=True, help="e.g. epsilon:0.05 or top_p:0.95+top_k:10")
         p.add_argument("--prompt-file", default=None, help="one prompt per line; omitted = empty prompt")
         p.add_argument("--max-seq-len", type=int, default=512)
-        p.add_argument("--workers", type=int, default=4, help="worker pool size for multi-prompt runs")
+        p.add_argument("--workers", type=_positive_int, default=4,
+                       help="worker pool size for multi-prompt runs")
 
     p = sub.add_parser("enumerate", help="distinct-leaf enumeration")
     add_model_args(p)
@@ -418,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="i.i.d. sampling baseline")
     add_model_args(p)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_positive_int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--temperature", type=float, default=1.0)
     p.add_argument("--out", required=True)
@@ -428,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_model_args(p)
     p.add_argument("--policy", default="probfirst")
     p.add_argument("--k", required=True, help="k range, e.g. 1..32 or 8")
-    p.add_argument("--sample-seeds", type=int, default=10)
+    p.add_argument("--sample-seeds", type=_positive_int, default=10)
     p.add_argument("--temperature", type=float, default=1.0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_compare)
@@ -436,8 +447,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("coverage-curve", help="per-k coverage CSV")
     add_model_args(p)
     p.add_argument("--policy", default="probfirst")
-    p.add_argument("--k-max", type=int, required=True)
-    p.add_argument("--sample-seeds", type=int, default=10)
+    p.add_argument("--k-max", type=_positive_int, required=True)
+    p.add_argument("--sample-seeds", type=_positive_int, default=10)
     p.add_argument("--temperature", type=float, default=1.0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_coverage_curve)

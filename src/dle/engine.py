@@ -16,8 +16,10 @@ is dropped from the leaf list while its tokens remain counted.
 
 from __future__ import annotations
 
+import bisect
+import heapq
+import itertools
 import math
-import random
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -121,9 +123,6 @@ class EnumerationResult:
     degraded: bool = False
     tree: PrunedTree | None = None
 
-    def masses(self) -> list[float]:
-        return [leaf.q for leaf in self.leaves]
-
 
 def early_stop_check(new_tokens_after_branch: Sequence[int],
                      sibling_continuations: Sequence[Sequence[int]],
@@ -135,34 +134,64 @@ def early_stop_check(new_tokens_after_branch: Sequence[int],
     return any(tuple(sib[:n]) == head for sib in sibling_continuations if len(sib) >= n)
 
 
-def select_branch(frontier: Sequence[BranchPoint], policy: BranchPolicy,
-                  rng: random.Random | None = None) -> int:
-    """Index of the branch point the policy picks next."""
-    if not frontier:
-        raise EmptyFrontier("no branch points to select from")
-    if policy.kind == "randbranch":
-        if rng is None:
-            rng = substream(policy.seed, "randbranch")
-        masses = [bp.mass for bp in frontier]
-        total = sum(masses)
-        pick = rng.random() * total
-        acc = 0.0
-        for i, m in enumerate(masses):
-            acc += m
-            if pick < acc:
-                return i
-        return len(frontier) - 1
-    if policy.kind == "probfirst":
-        key = lambda i: (-frontier[i].log_mass, frontier[i].position,
-                         frontier[i].token_id, frontier[i].discovered)
-    elif policy.kind == "divfirst":
-        key = lambda i: (frontier[i].position, frontier[i].token_id, frontier[i].discovered)
-    elif policy.kind == "globalprob":
-        key = lambda i: (-frontier[i].edge_weight, frontier[i].position,
-                         frontier[i].token_id, frontier[i].discovered)
-    else:  # dfs
-        key = lambda i: (-frontier[i].position, frontier[i].token_id, frontier[i].discovered)
-    return min(range(len(frontier)), key=key)
+# Heap entry per deterministic policy: the policy's tie-break tuple, then the
+# branch point. `discovered` is unique within one enumeration, so entries never
+# compare their branch points and the heap's minimum is the linear scan's.
+_HEAP_ENTRIES = {
+    "probfirst": lambda bp: (-bp.log_mass, bp.position, bp.token_id, bp.discovered, bp),
+    "divfirst": lambda bp: (bp.position, bp.token_id, bp.discovered, bp),
+    "globalprob": lambda bp: (-bp.edge_weight, bp.position, bp.token_id, bp.discovered, bp),
+    "dfs": lambda bp: (-bp.position, bp.token_id, bp.discovered, bp),
+}
+
+
+class Frontier:
+    """Unexplored branch points, handed out in the order a policy picks them.
+
+    The deterministic policies keep a heap keyed on their tie-break tuple, so
+    a pick costs O(log F). randbranch keeps the branch points in discovery
+    order beside their masses, each exponentiated once; a pick is one
+    cumulative sum over the masses in C, O(F), which yields the same floats
+    and so the same seeded pick sequence as a left-to-right scan.
+    """
+
+    __slots__ = ("_entry", "_heap", "_points", "_masses", "_rng")
+
+    def __init__(self, policy: BranchPolicy):
+        self._entry = _HEAP_ENTRIES.get(policy.kind)
+        self._heap: list[tuple] = []
+        self._points: list[BranchPoint] = []
+        self._masses: list[float] = []
+        self._rng = substream(policy.seed, "randbranch") if self._entry is None else None
+
+    def __len__(self) -> int:
+        return len(self._heap) if self._entry is not None else len(self._points)
+
+    def extend(self, branch_points: Sequence[BranchPoint]) -> None:
+        if self._entry is not None:
+            for bp in branch_points:
+                heapq.heappush(self._heap, self._entry(bp))
+        else:
+            self._points.extend(branch_points)
+            self._masses.extend(math.exp(bp.log_mass) for bp in branch_points)
+
+    def pop(self) -> BranchPoint:
+        """Remove and return the branch point the policy picks next."""
+        if not self:
+            raise EmptyFrontier("no branch points to select from")
+        if self._entry is not None:
+            return heapq.heappop(self._heap)[-1]
+        masses = self._masses
+        pick = self._rng.random() * sum(masses)
+        idx = min(bisect.bisect_right(list(itertools.accumulate(masses)), pick),
+                  len(masses) - 1)
+        del masses[idx]
+        return self._points.pop(idx)
+
+
+def select_branch(frontier: Frontier) -> BranchPoint:
+    """Remove and return the branch point the frontier's policy picks next."""
+    return frontier.pop()
 
 
 class _RolloutOutcome:
@@ -301,11 +330,10 @@ def enumerate_leaves(model, rule: TruncationRule, prompt: Sequence[int],
     """
     tree = PrunedTree()
     stats = TokenStats()
-    frontier: list[BranchPoint] = []
+    frontier = Frontier(policy)
     leaves: list[Leaf] = []
     discovery_counter = [0]
     degraded = False
-    rng = substream(policy.seed, "randbranch") if policy.kind == "randbranch" else None
 
     def budget_allows_more() -> bool:
         if budget.max_leaves is not None and len(leaves) >= budget.max_leaves:
@@ -333,8 +361,7 @@ def enumerate_leaves(model, rule: TruncationRule, prompt: Sequence[int],
             leaves.append(outcome.leaf)
         if not budget_allows_more() or not frontier:
             break
-        idx = select_branch(frontier, policy, rng)
-        start = frontier.pop(idx).node_id
+        start = select_branch(frontier).node_id
 
     return EnumerationResult(
         leaves=leaves,

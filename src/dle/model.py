@@ -19,6 +19,7 @@ with a semaphore and retries transient failures with exponential backoff.
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 import os
@@ -27,6 +28,7 @@ import time
 import urllib.error
 import urllib.request
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -59,10 +61,16 @@ class Vocabulary:
     def size(self) -> int:
         return len(self.tokens)
 
+    @cached_property
+    def _index(self) -> dict[str, int]:
+        # Built on first lookup, so vocabularies that are never searched
+        # (RemoteModel rebuilds one per access) do not pay for it.
+        return {tok: i for i, tok in enumerate(self.tokens)}
+
     def id_of(self, token: str) -> int:
         try:
-            return self.tokens.index(token)
-        except ValueError:
+            return self._index[token]
+        except KeyError:
             raise ConfigError(f"token {token!r} not in vocabulary") from None
 
 
@@ -196,13 +204,23 @@ class NgramModel:
     ctx is the trailing (order - 1)-token window of the full prefix (prompt
     included), shortened near the start of a sequence. Every conditional is
     strictly positive, so the model never rules a token out on its own.
+
+    Counts are stored as compressed rows: ``_rows`` maps each context to a
+    row r, ``_totals[r]`` is the context's count, and the observed
+    continuations are ``_next_ids[_indptr[r]:_indptr[r + 1]]`` (ascending)
+    with their counts at the same offsets of ``_next_counts``.
     """
 
     kind = "ngram"
 
     def __init__(self, vocab: Vocabulary, order: int, alpha: float, tokenization: str,
-                 context_counts: dict[tuple[int, ...], int],
-                 pair_counts: dict[tuple[tuple[int, ...], int], int]):
+                 rows: dict[tuple[int, ...], int], totals: list[int], pairs: np.ndarray):
+        """Build from counts already keyed by row.
+
+        rows maps each context to its row index, totals[row] is the
+        context's count, and pairs is an (n, 3) integer array of
+        (row, token id, count) triples in any order.
+        """
         if order < 1:
             raise ConfigError(f"order must be >= 1, got {order}")
         if alpha <= 0.0:
@@ -211,8 +229,19 @@ class NgramModel:
         self.order = order
         self.alpha = alpha
         self.tokenization = tokenization
-        self._context_counts = context_counts
-        self._pair_counts = pair_counts
+        self._rows = rows
+        self._totals = totals
+        row_of, next_ids = pairs[:, 0], pairs[:, 1]
+        if len(pairs) and not 0 <= next_ids.min() <= next_ids.max() < vocab.size:
+            raise ConfigError("pair count for a token id outside the vocabulary")
+        key = row_of * vocab.size + next_ids
+        by_key = np.argsort(key)
+        if (np.diff(key[by_key]) == 0).any():
+            raise ConfigError("duplicate pair count")
+        self._next_ids = next_ids[by_key]
+        self._next_counts = pairs[by_key, 2]
+        self._indptr = np.zeros(len(totals) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(row_of, minlength=len(totals)), out=self._indptr[1:])
 
     def _context(self, prompt: Sequence[int], generated: Sequence[int]) -> tuple[int, ...]:
         full = tuple(prompt) + tuple(generated)
@@ -220,16 +249,14 @@ class NgramModel:
         return full[-width:] if width else ()
 
     def next_distribution(self, prompt: Sequence[int], generated: Sequence[int]) -> np.ndarray:
-        ctx = self._context(prompt, generated)
+        row = self._rows.get(self._context(prompt, generated))
+        ctx_count = 0 if row is None else self._totals[row]
         size = self.vocab.size
-        ctx_count = self._context_counts.get(ctx, 0)
         denom = ctx_count + self.alpha * size
         probs = np.full(size, self.alpha / denom)
         if ctx_count:
-            for token in range(size):
-                pair = self._pair_counts.get((ctx, token))
-                if pair:
-                    probs[token] = (pair + self.alpha) / denom
+            lo, hi = self._indptr[row:row + 2]
+            probs[self._next_ids[lo:hi]] = (self._next_counts[lo:hi] + self.alpha) / denom
         return probs
 
     def encode_prompt(self, text: str) -> tuple[int, ...]:
@@ -240,6 +267,7 @@ class NgramModel:
         return sep.join(self.vocab.tokens[t] for t in token_ids)
 
     def to_dict(self) -> dict:
+        contexts = sorted(self._rows)
         return {
             "kind": "ngram",
             "order": self.order,
@@ -247,19 +275,32 @@ class NgramModel:
             "tokenization": self.tokenization,
             "vocab": list(self.vocab.tokens),
             "eos": self.vocab.tokens[self.vocab.eos_id],
-            "context_counts": [[list(ctx), count] for ctx, count in sorted(self._context_counts.items())],
+            "context_counts": [[list(ctx), self._totals[self._rows[ctx]]] for ctx in contexts],
             "pair_counts": [[list(ctx), token, count]
-                            for (ctx, token), count in sorted(self._pair_counts.items())],
+                            for ctx in contexts
+                            for token, count in zip(*self._row(self._rows[ctx]))],
         }
+
+    def _row(self, row: int) -> tuple[list[int], list[int]]:
+        lo, hi = self._indptr[row:row + 2]
+        return self._next_ids[lo:hi].tolist(), self._next_counts[lo:hi].tolist()
 
     @classmethod
     def from_dict(cls, doc: dict) -> "NgramModel":
         tokens = tuple(doc["vocab"])
         vocab = Vocabulary(tokens=tokens, eos_id=tokens.index(doc["eos"]))
-        context_counts = {tuple(ctx): int(c) for ctx, c in doc["context_counts"]}
-        pair_counts = {(tuple(ctx), int(tok)): int(c) for ctx, tok, c in doc["pair_counts"]}
+        rows: dict[tuple[int, ...], int] = {}
+        totals: list[int] = []
+        for ctx, count in doc["context_counts"]:
+            rows[tuple(ctx)] = len(totals)
+            totals.append(int(count))
+        triples = ((rows[tuple(ctx)], tok, count) for ctx, tok, count in doc["pair_counts"])
+        try:
+            pairs = _int_triples(triples, len(doc["pair_counts"]))
+        except KeyError as exc:
+            raise ConfigError(f"pair count for context {exc.args[0]!r}, which has no count") from None
         return cls(vocab, int(doc["order"]), float(doc["alpha"]), doc["tokenization"],
-                   context_counts, pair_counts)
+                   rows, totals, pairs)
 
     @classmethod
     def from_file(cls, path: str) -> "NgramModel":
@@ -269,6 +310,11 @@ class NgramModel:
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot load ngram model from {path}: {exc}") from exc
         return cls.from_dict(doc)
+
+
+def _int_triples(triples, n: int) -> np.ndarray:
+    """An (n, 3) int64 array from an iterable of n integer triples."""
+    return np.fromiter(itertools.chain.from_iterable(triples), np.int64, 3 * n).reshape(n, 3)
 
 
 def train_ngram_model(corpus: str, order: int, alpha: float,
@@ -298,7 +344,15 @@ def train_ngram_model(corpus: str, order: int, alpha: float,
             ctx = tuple(ids[max(0, i - width):i]) if width else ()
             context_counts[ctx] = context_counts.get(ctx, 0) + 1
             pair_counts[(ctx, nxt)] = pair_counts.get((ctx, nxt), 0) + 1
-    return NgramModel(vocab, order, alpha, tokenization, context_counts, pair_counts)
+    del lines  # the token strings are not needed while the rows are built
+    # The context dict becomes the row index in place.
+    totals = list(context_counts.values())
+    for row, ctx in enumerate(context_counts):
+        context_counts[ctx] = row
+    pairs = _int_triples(((context_counts[ctx], tok, count)
+                          for (ctx, tok), count in pair_counts.items()), len(pair_counts))
+    del pair_counts  # freed before the rows are sorted, which copies the triples
+    return NgramModel(vocab, order, alpha, tokenization, context_counts, totals, pairs)
 
 
 class RemoteModel:

@@ -27,7 +27,7 @@ STOP_LENGTH_CAP = "length-cap"
 STOP_EARLY = "early-stop"
 
 
-@dataclass
+@dataclass(slots=True)
 class TreeNode:
     id: int
     parent: int | None
@@ -38,7 +38,7 @@ class TreeNode:
     children: list[int] = field(default_factory=list)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BranchPoint:
     """An unexplored alternative child recorded during a rollout."""
 

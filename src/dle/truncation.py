@@ -108,34 +108,62 @@ def greedy_token(probs: np.ndarray) -> int:
     return int(np.argmax(probs))
 
 
+def _top_k_mask(probs: np.ndarray, k: int) -> np.ndarray:
+    """Mask of the k positive tokens ranked first (probability descending, id ascending).
+
+    One partition finds the k-th largest probability; of the tokens tied on
+    it, the highest ids are dropped until k remain, so nothing is sorted.
+    """
+    if k >= len(probs):
+        return probs > 0.0
+    kth = np.partition(probs, len(probs) - k)[len(probs) - k]
+    if kth <= 0.0:
+        return probs > 0.0
+    keep = probs >= kth
+    surplus = int(np.count_nonzero(keep)) - k
+    if surplus:
+        tied = np.nonzero(probs == kth)[0]
+        keep[tied[len(tied) - surplus:]] = False
+    return keep
+
+
 def _member_ids(probs: np.ndarray, rule: TruncationRule) -> np.ndarray:
-    """Token ids satisfying the rule's criterion (no degenerate fallback)."""
-    if isinstance(rule, Composite):
-        ids = _member_ids(probs, rule.rules[0])
-        for sub in rule.rules[1:]:
-            ids = np.intersect1d(ids, _member_ids(probs, sub), assume_unique=True)
+    """Token ids satisfying the rule's criterion (no degenerate fallback), ascending.
+
+    Every rule keeps a prefix of one ranking, probability descending and then
+    token id ascending, so a composite keeps the shortest of its rules'
+    prefixes. Threshold and top-k masks narrow the pool in O(V); only top-p
+    has to rank, and it ranks only the pool. The ranked pool is a prefix of
+    the full ranking, so its cumulative sums equal the full ones bit for bit.
+    """
+    rules = rule.rules if isinstance(rule, Composite) else (rule,)
+    mask = None
+    top_ps = []
+    for sub in rules:
+        if isinstance(sub, Epsilon):
+            keep = probs >= sub.eps if sub.inclusive else probs > sub.eps
+        elif isinstance(sub, MinP):
+            keep = probs >= sub.p_min * probs.max()
+        elif isinstance(sub, TopK):
+            keep = _top_k_mask(probs, sub.k)
+        elif isinstance(sub, TopP):
+            keep = probs > 0.0
+            top_ps.append(sub.p)
+        elif isinstance(sub, Composite):
+            keep = np.zeros(len(probs), dtype=bool)
+            keep[_member_ids(probs, sub)] = True
+        else:
+            raise ConfigError(f"unknown truncation rule: {sub!r}")
+        mask = keep if mask is None else mask & keep
+    ids = np.nonzero(mask)[0]
+    if not top_ps:
         return ids
-    positive = probs > 0.0
-    if isinstance(rule, TopK):
-        # Sort by probability descending, token id ascending, keep first k.
-        order = np.lexsort((np.arange(len(probs)), -probs))
-        order = order[positive[order]]
-        return np.sort(order[: rule.k])
-    if isinstance(rule, TopP):
-        order = np.lexsort((np.arange(len(probs)), -probs))
-        order = order[positive[order]]
-        cum = np.cumsum(probs[order])
-        # First index where cumulative mass reaches the threshold is included.
-        cut = int(np.searchsorted(cum, rule.p - 1e-12, side="left"))
-        return np.sort(order[: cut + 1])
-    if isinstance(rule, MinP):
-        threshold = rule.p_min * probs.max()
-        return np.nonzero(probs >= threshold)[0]
-    if isinstance(rule, Epsilon):
-        if rule.inclusive:
-            return np.nonzero(probs >= rule.eps)[0]
-        return np.nonzero(probs > rule.eps)[0]
-    raise ConfigError(f"unknown truncation rule: {rule!r}")
+    pool = probs[ids]
+    ranked = np.lexsort((ids, -pool))
+    cum = np.cumsum(pool[ranked])
+    # First index where cumulative mass reaches the threshold is included.
+    length = min(int(np.searchsorted(cum, p - 1e-12, side="left")) + 1 for p in top_ps)
+    return np.sort(ids[ranked[:length]])
 
 
 def active_set(probs: np.ndarray, rule: TruncationRule) -> ActiveSet:

@@ -4,6 +4,7 @@ import pytest
 from scipy import stats as scipy_stats
 
 from dle.baseline import sample_sequences
+from dle.errors import ConfigError
 from dle.metrics import coverage
 from dle.model import TableModel
 from dle.oracle import enumerate_all_leaves
@@ -104,5 +105,5 @@ def test_leaf_frequencies_fit_chi_square(random_model_factory):
 
 def test_k_must_be_positive():
     model = TableModel.from_dict(TWO_LEAF_DOC)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         sample_sequences(model, Epsilon(eps=0.05), (), k=0, seed=0)

@@ -279,3 +279,20 @@ def test_console_script_is_installed():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "enumerate" in proc.stdout
+
+
+@pytest.mark.parametrize("command, flag", [
+    (["sample", "--k", "0", "--seed", "0"], "--k"),
+    (["compare", "--k", "1..2", "--sample-seeds", "0"], "--sample-seeds"),
+    (["enumerate", "--k", "2", "--workers", "0"], "--workers"),
+])
+def test_non_positive_counts_exit_2_without_traceback(command, flag, fig_tree_path, tmp_path, capsys):
+    prompts = tmp_path / "prompts.txt"
+    prompts.write_text("a\nb\n")
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--model", f"table:{fig_tree_path}", "--rule", "epsilon:0.05",
+              "--prompt-file", str(prompts), "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: argument {flag}: must be >= 1, got 0" in err.splitlines()[-1]
+    assert "Traceback" not in err

@@ -2,15 +2,19 @@ import hashlib
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dle.engine import (Budget, BranchPolicy, EarlyStopConfig, TokenStats,
+from dle.engine import (POLICIES, Budget, BranchPolicy, EarlyStopConfig, Frontier, TokenStats,
                         early_stop_check, enumerate_leaves, greedy_rollout,
                         select_branch)
 from dle.errors import ConfigError, EmptyFrontier, ModelError
 from dle.model import TableModel
 from dle.oracle import enumerate_all_leaves
+from dle.rng import substream
 from dle.tree import BranchPoint, PrunedTree
 from dle.truncation import Epsilon, MinP, TopK, TopP
+from reference import linear_select_branch
 
 FIG_RULE = Epsilon(eps=0.1, inclusive=True)
 UNLIMITED = Budget(max_leaves=10 ** 9)
@@ -93,12 +97,20 @@ def test_select_branch_matches_worked_frontier():
         return BranchPoint(node_id=node_id, position=position, token_id=token_id,
                            log_mass=math.log(mass), edge_weight=edge, discovered=disc)
 
-    frontier = [bp(1, 0, 1, 0.1, 0.1, 1), bp(2, 1, 3, 0.27, 0.3, 2),
-                bp(3, 2, 5, 0.126, 0.2, 3)]
-    assert select_branch(frontier, BranchPolicy("probfirst")) == 1
-    assert select_branch(frontier, BranchPolicy("divfirst")) == 0
-    assert select_branch(frontier, BranchPolicy("globalprob")) == 1
-    assert select_branch(frontier, BranchPolicy("dfs")) == 2
+    points = [bp(1, 0, 1, 0.1, 0.1, 1), bp(2, 1, 3, 0.27, 0.3, 2),
+              bp(3, 2, 5, 0.126, 0.2, 3)]
+
+    def first_pick(kind):
+        frontier = Frontier(BranchPolicy(kind))
+        frontier.extend(points)
+        picked = select_branch(frontier)
+        assert len(frontier) == 2
+        return points.index(picked)
+
+    assert first_pick("probfirst") == 1
+    assert first_pick("divfirst") == 0
+    assert first_pick("globalprob") == 1
+    assert first_pick("dfs") == 2
 
 
 def test_select_branch_tie_breaks_on_earlier_position():
@@ -126,7 +138,9 @@ def test_select_branch_tie_breaks_on_earlier_position():
 
 def test_empty_frontier_raises():
     with pytest.raises(EmptyFrontier):
-        select_branch([], BranchPolicy("probfirst"))
+        select_branch(Frontier(BranchPolicy("probfirst")))
+    with pytest.raises(EmptyFrontier):
+        select_branch(Frontier(BranchPolicy("randbranch", seed=0)))
 
 
 def test_policy_parsing():
@@ -344,3 +358,44 @@ def test_model_error_before_any_leaf_raises(fig_tree_model):
     flaky = FlakyModel(fig_tree_model, allowed_calls=1)
     with pytest.raises(ModelError):
         run(flaky, FIG_RULE, budget=Budget(max_leaves=4))
+
+
+# Few distinct values per field, so exact key ties are common.
+_POINT_FIELDS = st.tuples(
+    st.sampled_from([0.0, math.log(0.5), math.log(0.25), math.log(0.125), -2.5]),
+    st.integers(0, 3),
+    st.integers(0, 3),
+    st.sampled_from([0.5, 0.25, 0.1]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(POLICIES), seed=st.integers(0, 2 ** 32),
+       batches=st.lists(st.lists(_POINT_FIELDS, max_size=6), min_size=1, max_size=10))
+def test_frontier_pops_match_the_linear_scan(kind, seed, batches):
+    policy = BranchPolicy(kind, seed=seed if kind == "randbranch" else None)
+    rng = substream(seed, "randbranch") if kind == "randbranch" else None
+    frontier = Frontier(policy)
+    reference: list[BranchPoint] = []
+    discovered = 0
+    picks, expected = [], []
+
+    def pick_both():
+        picks.append(select_branch(frontier))
+        expected.append(reference.pop(linear_select_branch(reference, policy, rng)))
+
+    for batch in batches:
+        points = []
+        for log_mass, position, token_id, edge_weight in batch:
+            discovered += 1
+            points.append(BranchPoint(node_id=discovered, position=position, token_id=token_id,
+                                      log_mass=log_mass, edge_weight=edge_weight,
+                                      discovered=discovered))
+        frontier.extend(points)
+        reference.extend(points)
+        if reference:
+            pick_both()
+    while reference:
+        pick_both()
+    assert len(frontier) == 0
+    assert [bp.discovered for bp in picks] == [bp.discovered for bp in expected]

@@ -2,10 +2,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dle.errors import ConfigError, EmptyCorpus, MissingTransition, RemoteError
-from dle.model import (NgramModel, RemoteModel, TableModel, Vocabulary,
+from dle.model import (NgramModel, RemoteModel, TableModel, Vocabulary, _tokenize,
                        parse_model_spec, train_ngram_model, validate_sequence)
+from reference import dict_count_lists, dict_ngram_counts, loop_next_distribution
 
 
 def test_table_lookup_matches_document():
@@ -95,9 +98,10 @@ def test_ngram_rejects_bad_parameters():
 def test_ngram_smoothing_floor():
     model = train_ngram_model("a b a\nb b a", order=2, alpha=0.25)
     size = model.vocab.size
+    counts = {tuple(ctx): count for ctx, count in model.to_dict()["context_counts"]}
     for ctx in [(), (0,), (1,)]:
         probs = model.next_distribution(ctx, ())
-        ctx_count = model._context_counts.get(ctx[-1:] if ctx else (), 0)
+        ctx_count = counts.get(ctx[-1:], 0)
         floor = 0.25 / (ctx_count + 0.25 * size)
         assert probs.min() >= floor - 1e-15
         assert probs.sum() == pytest.approx(1.0, abs=1e-9)
@@ -112,6 +116,19 @@ def test_ngram_char_tokenization_and_round_trip(tmp_path):
     clone = NgramModel.from_file(str(path))
     assert np.array_equal(clone.next_distribution((), (0,)),
                           model.next_distribution((), (0,)))
+
+
+def test_ngram_document_with_inconsistent_counts_is_rejected():
+    doc = train_ngram_model("ab\nba", order=2, alpha=1.0, tokenization="char").to_dict()
+    orphan = dict(doc, pair_counts=doc["pair_counts"] + [[[2], 0, 1]])
+    with pytest.raises(ConfigError, match="no count"):
+        NgramModel.from_dict(orphan)
+    outside = dict(doc, pair_counts=doc["pair_counts"] + [[[0], 3, 1]])
+    with pytest.raises(ConfigError, match="outside the vocabulary"):
+        NgramModel.from_dict(outside)
+    duplicate = dict(doc, pair_counts=doc["pair_counts"] + doc["pair_counts"][:1])
+    with pytest.raises(ConfigError, match="duplicate"):
+        NgramModel.from_dict(duplicate)
 
 
 def test_ngram_calls_are_bit_identical():
@@ -237,3 +254,27 @@ def test_remote_requires_url(monkeypatch):
     monkeypatch.delenv("DLE_REMOTE_URL", raising=False)
     with pytest.raises(ConfigError):
         RemoteModel()
+
+
+_CORPORA = st.lists(st.text(alphabet="abcd ", max_size=12), min_size=1, max_size=8).map("\n".join)
+
+
+@settings(max_examples=120, deadline=None)
+@given(corpus=_CORPORA, order=st.integers(1, 4), alpha=st.sampled_from([1.0, 0.5, 0.1, 1e-3]),
+       tokenization=st.sampled_from(["char", "whitespace"]))
+def test_ngram_rows_match_the_count_dicts(corpus, order, alpha, tokenization):
+    tokenize = lambda line: _tokenize(line, tokenization)  # noqa: E731
+    assume(any(tokenize(line) for line in corpus.splitlines()))
+    model = train_ngram_model(corpus, order=order, alpha=alpha, tokenization=tokenization)
+    tokens, context_counts, pair_counts = dict_ngram_counts(corpus, order, tokenize)
+    assert model.vocab.tokens == tokens
+
+    eos = len(tokens) - 1  # never inside a context
+    for ctx in [*context_counts, (eos,) * (order - 1), (0,) * (order - 1)]:
+        expected = loop_next_distribution(context_counts, pair_counts, ctx, alpha, len(tokens))
+        assert model.next_distribution(ctx, ()).tobytes() == expected.tobytes()
+
+    doc = model.to_dict()
+    text = json.dumps(doc, sort_keys=True)
+    assert json.dumps({**doc, **dict_count_lists(context_counts, pair_counts)}, sort_keys=True) == text
+    assert json.dumps(NgramModel.from_dict(json.loads(text)).to_dict(), sort_keys=True) == text

@@ -1,13 +1,18 @@
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dle import truncation
 from dle.errors import ConfigError
 from dle.model import TableModel
 from dle.truncation import (Composite, Epsilon, MinP, TopK, TopP, active_set,
                             apply_temperature, format_rule, greedy_token,
                             parse_rule, sequence_probability)
+from reference import sorting_member_ids
 
 DIST = np.array([0.5, 0.3, 0.15, 0.05])
 
@@ -26,6 +31,13 @@ def test_top_p_includes_the_threshold_token():
     assert sorted(active.token_ids.tolist()) == [0, 1]
     assert active.weights[0] == pytest.approx(0.625)
     assert active.weights[1] == pytest.approx(0.375)
+
+
+def test_top_p_cut_tolerates_rounding_below_the_threshold():
+    probs = np.array([2.0, 1.0, 1.0, 3.0]) / 7.0
+    # The running sum 3/7 + 2/7 rounds to one ulp below the float 5/7.
+    assert np.cumsum([probs[3], probs[0]])[-1] < 5 / 7
+    assert active_set(probs, TopP(p=5 / 7)).token_ids.tolist() == [3, 0]
 
 
 def test_min_p_relative_threshold():
@@ -171,3 +183,48 @@ def test_rule_parameter_validation():
         TopK(k=0)
     with pytest.raises(ConfigError):
         Composite(rules=())
+
+
+# Small integer weights: zero probabilities, ties at the top-k boundary, and
+# cumulative sums that land exactly on a top-p threshold are all common.
+_WEIGHTS = st.lists(st.integers(0, 4), min_size=1, max_size=12).filter(any)
+
+
+def _single_rules(weights):
+    probs = np.array(weights, dtype=np.float64) / sum(weights)
+    values = sorted({float(p) for p in probs if p > 0.0})
+    # Top-p thresholds on a cut of the ranking: the cumulative sum itself, and
+    # the exact prefix mass, which can sit an ulp above it.
+    ranked = sorted(weights, reverse=True)
+    cuts = [float(c) for c in np.cumsum(np.sort(probs)[::-1]) if 0.0 < c <= 1.0]
+    cuts += [sum(ranked[:i]) / sum(weights) for i in range(1, len(ranked) + 1)]
+    unit = st.floats(1e-6, 1.0)
+    return st.one_of(
+        st.builds(TopK, k=st.integers(1, len(weights) + 1)),
+        st.builds(TopP, p=st.one_of(st.sampled_from(cuts), unit)),
+        st.builds(MinP, p_min=st.one_of(st.sampled_from([0.25, 0.5, 1.0]), unit)),
+        st.builds(Epsilon, eps=st.one_of(st.sampled_from(values), unit), inclusive=st.booleans()),
+    )
+
+
+def _rules(weights):
+    def composite(parts):
+        return st.builds(lambda rs: Composite(rules=tuple(rs)), st.lists(parts, min_size=1, max_size=3))
+
+    single = _single_rules(weights)
+    return st.one_of(single, composite(st.one_of(single, composite(single))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), weights=_WEIGHTS)
+def test_active_set_matches_the_sorting_reference(data, weights):
+    probs = np.array(weights, dtype=np.float64) / sum(weights)
+    rule = data.draw(_rules(weights))
+    new = active_set(probs, rule)
+    assert np.array_equal(truncation._member_ids(probs, rule), sorting_member_ids(probs, rule))
+    with mock.patch.object(truncation, "_member_ids", sorting_member_ids):
+        old = active_set(probs, rule)
+    assert new.token_ids.dtype == old.token_ids.dtype
+    assert new.token_ids.tolist() == old.token_ids.tolist()
+    assert new.weights.tobytes() == old.weights.tobytes()
+    assert new.raw_mass.hex() == old.raw_mass.hex()
