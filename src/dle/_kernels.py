@@ -1,30 +1,10 @@
-"""Hot numeric kernels with numba-jitted and pure-numpy implementations.
-
-The jitted path is used when numba is importable and the environment
-variable DLE_NO_NUMBA is unset/0; otherwise the numpy path runs. Both
-paths consume the same pre-drawn uniforms, so results agree to float
-round-off regardless of backend. `benchmarks/bench_kernels.py` compares
-the two.
-"""
+"""Vectorized numpy kernel for the Monte Carlo coverage oracle."""
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_DISABLED = os.environ.get("DLE_NO_NUMBA", "0") not in ("0", "")
-
-try:
-    if _DISABLED:
-        raise ImportError
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:
-    HAS_NUMBA = False
-
-BACKEND = "numba" if HAS_NUMBA else "numpy"
+BACKEND = "numpy"  # kept: the benchmark's environment record reads dle._kernels.BACKEND
 
 
 def mc_coverage_numpy(masses: np.ndarray, cum: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
@@ -40,60 +20,3 @@ def mc_coverage_numpy(masses: np.ndarray, cum: np.ndarray, uniforms: np.ndarray)
     first = np.ones(idx.shape, dtype=bool)
     first[:, 1:] = idx[:, 1:] != idx[:, :-1]
     return np.where(first, masses[idx], 0.0).sum(axis=1)
-
-
-def lcp_numpy(a: np.ndarray, b: np.ndarray) -> int:
-    """Length of the longest common prefix of two integer arrays."""
-    n = min(len(a), len(b))
-    if n == 0:
-        return 0
-    mismatch = np.nonzero(a[:n] != b[:n])[0]
-    return int(mismatch[0]) if len(mismatch) else n
-
-
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def mc_coverage_numba(masses, cum, uniforms):  # pragma: no cover - exercised via dispatch
-        trials, k = uniforms.shape
-        n = len(masses)
-        out = np.empty(trials)
-        seen = np.empty(k, np.int64)
-        for t in range(trials):
-            cov = 0.0
-            m = 0
-            for j in range(k):
-                idx = np.searchsorted(cum, uniforms[t, j], side="right")
-                if idx >= n:
-                    idx = n - 1
-                dup = False
-                for s in range(m):
-                    if seen[s] == idx:
-                        dup = True
-                        break
-                if not dup:
-                    seen[m] = idx
-                    m += 1
-                    cov += masses[idx]
-            out[t] = cov
-        return out
-
-    @njit(cache=True)
-    def lcp_numba(a, b):  # pragma: no cover - exercised via dispatch
-        n = min(len(a), len(b))
-        for i in range(n):
-            if a[i] != b[i]:
-                return i
-        return n
-
-
-def mc_coverage(masses: np.ndarray, cum: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    if HAS_NUMBA:
-        return mc_coverage_numba(masses, cum, uniforms)
-    return mc_coverage_numpy(masses, cum, uniforms)
-
-
-def lcp_length(a: np.ndarray, b: np.ndarray) -> int:
-    if HAS_NUMBA:
-        return int(lcp_numba(a, b))
-    return lcp_numpy(a, b)

@@ -10,6 +10,7 @@ With unlimited capacity and token granularity the two counts coincide.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -47,11 +48,13 @@ class CacheStats:
 
 
 class _TrieNode:
-    __slots__ = ("children", "last_access")
+    __slots__ = ("children", "last_access", "parent", "key")
 
-    def __init__(self):
+    def __init__(self, parent: "_TrieNode | None" = None, key: tuple = ()):
         self.children: dict[tuple, "_TrieNode"] = {}
         self.last_access = 0
+        self.parent = parent  # None for the root and for evicted blocks
+        self.key = key
 
 
 def theoretical_hit_count(streams: Sequence[Sequence[int]]) -> int:
@@ -89,7 +92,8 @@ class PrefixCache:
     so a match is always a multiple of the block size (partial trailing
     blocks are floored away). Capacity counts cached tokens. Eviction "none"
     stops inserting once full; "lru" evicts least-recently-used childless
-    blocks until the new insertion fits.
+    blocks until the new insertion fits. Childless blocks wait in a heap
+    keyed on their last access, as in RadixAttention's leaf LRU.
     """
 
     def __init__(self, block_size: int = 1, capacity: int | None = None,
@@ -106,6 +110,8 @@ class PrefixCache:
         self._root = _TrieNode()
         self._cached_tokens = 0
         self._clock = 0
+        # (last_access, block) for childless blocks; stale entries are dropped on pop
+        self._leaves: list[tuple[int, _TrieNode]] = []
 
     def _blocks(self, stream: Sequence[int]) -> list[tuple]:
         size = self.block_size
@@ -115,6 +121,15 @@ class PrefixCache:
     def _tick(self) -> int:
         self._clock += 1
         return self._clock
+
+    def _settle(self, node: _TrieNode) -> None:
+        """Queue `node` for eviction if it is a childless block.
+
+        Along a touched path only the last node can be childless, so this
+        runs once per match or insert.
+        """
+        if self.eviction == "lru" and node.parent is not None and not node.children:
+            heapq.heappush(self._leaves, (node.last_access, node))
 
     def match(self, stream: Sequence[int]) -> int:
         """Tokens served from cache for this stream (block-aligned)."""
@@ -127,6 +142,7 @@ class PrefixCache:
             child.last_access = self._tick()
             matched += self.block_size
             node = child
+        self._settle(node)
         return matched
 
     def insert(self, stream: Sequence[int]) -> None:
@@ -135,34 +151,35 @@ class PrefixCache:
             child = node.children.get(block)
             if child is None:
                 if self.capacity is not None and self._cached_tokens + self.block_size > self.capacity:
-                    if self.eviction != "lru" or not self._evict_one(protect=node):
-                        return
-                child = _TrieNode()
+                    if self.eviction != "lru" or not self._evict_one():
+                        break
+                child = _TrieNode(node, block)
                 node.children[block] = child
                 self._cached_tokens += self.block_size
             child.last_access = self._tick()
             node = child
+        self._settle(node)
 
-    def _evict_one(self, protect: _TrieNode) -> bool:
+    def _evict_one(self) -> bool:
         """Drop the least-recently-used childless block, if any.
 
-        Only childless blocks are evictable so cached paths stay rooted;
-        `protect` is the node currently being extended by an insertion.
+        Only childless blocks are evictable so cached paths stay rooted. A
+        heap entry is stale once its block was touched again, gained a child
+        or was evicted. The node an insertion is extending is never the
+        victim: this insertion touched it, so any entry for it is stale or,
+        if it is queued here as its last child's parent, it gains a child next.
         """
-        victim: tuple[_TrieNode, tuple, int] | None = None
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            for key, child in node.children.items():
-                if child.children:
-                    stack.append(child)
-                elif child is not protect and (victim is None or child.last_access < victim[2]):
-                    victim = (node, key, child.last_access)
-        if victim is None:
-            return False
-        del victim[0].children[victim[1]]
-        self._cached_tokens -= self.block_size
-        return True
+        while self._leaves:
+            tick, node = heapq.heappop(self._leaves)
+            if node.last_access != tick or node.children or node.parent is None:
+                continue
+            parent = node.parent
+            del parent.children[node.key]
+            node.parent = None
+            self._cached_tokens -= self.block_size
+            self._settle(parent)
+            return True
+        return False
 
     @property
     def cached_tokens(self) -> int:

@@ -97,8 +97,8 @@ def _write_manifest(out: Path, command: str, config: dict, extras: dict | None =
     _write_json(Path(str(out) + ".manifest.json"), manifest)
 
 
-def _leaf_row(model, leaf, extra: dict | None = None) -> dict:
-    row = {
+def _leaf_row(model, leaf) -> dict:
+    return {
         "tokens": list(leaf.tokens),
         "text": model.decode(leaf.tokens),
         "q": leaf.q,
@@ -108,9 +108,6 @@ def _leaf_row(model, leaf, extra: dict | None = None) -> dict:
         "stop_reason": leaf.stop_reason,
         "order": leaf.order,
     }
-    if extra:
-        row.update(extra)
-    return row
 
 
 def _write_jsonl(path: Path, rows: list[dict]) -> None:
@@ -129,6 +126,40 @@ def _read_jsonl(path: str) -> list[dict]:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
 
 
+def _run_prompts(args, command: str, model, config: dict, run_one, rows_of) -> tuple[list, bool]:
+    """Run `run_one` on every prompt, then write the rows and the manifest.
+
+    A thread pool serves multi-prompt runs only. `rows_of(prompt_ids, result)`
+    turns one result into output rows; multi-prompt rows also carry the
+    prompt's index. Returns the results and whether any of them is degraded.
+    """
+    prompt_ids = [ids for _, ids in _read_prompts(args.prompt_file, model)]
+    if len(prompt_ids) > 1:
+        with ThreadPoolExecutor(max_workers=args.workers) as pool:
+            results = list(pool.map(run_one, prompt_ids))
+    else:
+        results = [run_one(prompt_ids[0])]
+    rows = []
+    for idx, (ids, result) in enumerate(zip(prompt_ids, results)):
+        for row in rows_of(ids, result):
+            if len(prompt_ids) > 1:
+                row["prompt"] = idx
+            rows.append(row)
+    degraded = any(result.degraded for result in results)
+    out = Path(args.out)
+    _write_jsonl(out, rows)
+    _write_manifest(out, command, config, extras={
+        "degraded": degraded, "prompt_tokens": [list(ids) for ids in prompt_ids]})
+    return results, degraded
+
+
+def _degraded_exit(degraded: bool, warning: str) -> int:
+    if degraded:
+        print(f"warning: {warning}", file=sys.stderr)
+        return 3
+    return 0
+
+
 def cmd_enumerate(args) -> int:
     model = parse_model_spec(args.model)
     rule = parse_rule(args.rule)
@@ -138,106 +169,65 @@ def cmd_enumerate(args) -> int:
     budget = Budget(max_leaves=args.k, max_new_tokens=args.token_budget,
                     max_seq_len=args.max_seq_len)
     early_stop = _parse_early_stop(args.early_stop_n)
-    prompts = _read_prompts(args.prompt_file, model)
 
     def run_one(prompt_ids) -> EnumerationResult:
         return enumerate_leaves(model, rule, prompt_ids, policy, budget, early_stop,
                                 keep_tree=args.dump_tree is not None)
 
-    if len(prompts) > 1:
-        with ThreadPoolExecutor(max_workers=args.workers) as pool:
-            results = list(pool.map(run_one, [ids for _, ids in prompts]))
-    else:
-        results = [run_one(prompts[0][1])]
-
-    rows = []
-    metrics = []
-    degraded = False
-    for idx, ((_, prompt_ids), result) in enumerate(zip(prompts, results)):
-        extra = {"prompt": idx} if len(prompts) > 1 else None
-        rows.extend(_leaf_row(model, leaf, extra) for leaf in result.leaves)
-        degraded = degraded or result.degraded
-        metrics.append({
-            "prompt": idx,
-            "leaves": len(result.leaves),
-            "coverage": coverage([(lf.tokens, lf.q) for lf in result.leaves]),
-            "frontier_exhausted": result.frontier_exhausted,
-            "degraded": result.degraded,
-            "tokens": {
-                "new": result.stats.new_tokens,
-                "wasted_early_stop": result.stats.wasted_tokens,
-                "discarded_budget": result.stats.discarded_tokens,
-                "model_calls": result.stats.model_calls,
-                "early_stop_triggers": result.stats.early_stop_triggers,
-            },
-        })
-
-    out = Path(args.out)
-    _write_jsonl(out, rows)
-    _write_json(Path(str(out) + ".metrics.json"), {"prompts": metrics})
-    _write_manifest(out, "enumerate", {
+    results, degraded = _run_prompts(args, "enumerate", model, {
         "model": args.model, "rule": args.rule, "policy": args.policy,
         "k": args.k, "token_budget": args.token_budget, "max_seq_len": args.max_seq_len,
         "early_stop_n": args.early_stop_n, "prompt_file": args.prompt_file,
-    }, extras={"degraded": degraded,
-               "prompt_tokens": [list(ids) for _, ids in prompts]})
+    }, run_one, lambda _, result: [_leaf_row(model, leaf) for leaf in result.leaves])
+    metrics = [{
+        "prompt": idx,
+        "leaves": len(result.leaves),
+        "coverage": coverage([(lf.tokens, lf.q) for lf in result.leaves]),
+        "frontier_exhausted": result.frontier_exhausted,
+        "degraded": result.degraded,
+        "tokens": {
+            "new": result.stats.new_tokens,
+            "wasted_early_stop": result.stats.wasted_tokens,
+            "discarded_budget": result.stats.discarded_tokens,
+            "model_calls": result.stats.model_calls,
+            "early_stop_triggers": result.stats.early_stop_triggers,
+        },
+    } for idx, result in enumerate(results)]
+    _write_json(Path(f"{Path(args.out)}.metrics.json"), {"prompts": metrics})
     if args.dump_tree is not None:
         if len(results) == 1 and results[0].tree is not None:
             results[0].tree.dump(args.dump_tree)
         else:
             raise ConfigError("--dump-tree supports single-prompt runs only")
-    if degraded:
-        print("warning: partial results (model errors); outputs marked degraded", file=sys.stderr)
-        return 3
-    return 0
+    return _degraded_exit(degraded, "partial results (model errors); outputs marked degraded")
 
 
 def cmd_sample(args) -> int:
     model = parse_model_spec(args.model)
     rule = parse_rule(args.rule)
-    prompts = _read_prompts(args.prompt_file, model)
 
     def run_one(prompt_ids):
         return sample_sequences(model, rule, prompt_ids, args.k, args.seed,
                                 args.temperature, args.max_seq_len)
 
-    if len(prompts) > 1:
-        with ThreadPoolExecutor(max_workers=args.workers) as pool:
-            runs = list(pool.map(run_one, [ids for _, ids in prompts]))
-    else:
-        runs = [run_one(prompts[0][1])]
+    def rows_of(prompt_ids, run) -> list[dict]:
+        return [{
+            "tokens": list(tokens),
+            "text": model.decode(tokens),
+            "q": q,
+            "log_q": float("-inf") if q == 0.0 else math.log(q),
+            "new_tokens": len(tokens),
+            "reused_prefix": len(prompt_ids),
+            "stop_reason": "eos" if tokens and tokens[-1] == model.vocab.eos_id else "length-cap",
+            "order": draw,
+            "draw": draw,
+        } for draw, (tokens, q) in enumerate(run.sequences)]
 
-    rows = []
-    degraded = False
-    for idx, ((_, prompt_ids), run) in enumerate(zip(prompts, runs)):
-        degraded = degraded or run.degraded
-        for draw, (tokens, q) in enumerate(run.sequences):
-            row = {
-                "tokens": list(tokens),
-                "text": model.decode(tokens),
-                "q": q,
-                "log_q": float("-inf") if q == 0.0 else math.log(q),
-                "new_tokens": len(tokens),
-                "reused_prefix": len(prompt_ids),
-                "stop_reason": "eos" if tokens and tokens[-1] == model.vocab.eos_id else "length-cap",
-                "order": draw,
-                "draw": draw,
-            }
-            if len(prompts) > 1:
-                row["prompt"] = idx
-            rows.append(row)
-
-    out = Path(args.out)
-    _write_jsonl(out, rows)
-    _write_manifest(out, "sample", {
+    _, degraded = _run_prompts(args, "sample", model, {
         "model": args.model, "rule": args.rule, "k": args.k, "seed": args.seed,
         "temperature": args.temperature, "prompt_file": args.prompt_file,
-    }, extras={"degraded": degraded,
-               "prompt_tokens": [list(ids) for _, ids in prompts]})
-    if degraded:
-        print("warning: degraded sample run (model errors)", file=sys.stderr)
-        return 3
-    return 0
+    }, run_one, rows_of)
+    return _degraded_exit(degraded, "degraded sample run (model errors)")
 
 
 def _compare_rows(model, rule, prompt_ids, ks, policy, seeds, temperature,

@@ -50,7 +50,7 @@ class SequenceTooShort(DleError):
     """Sequence shorter than the n-gram size requested."""
 
 
-class DepthExceeded(DleError):
+class DepthExceeded(ConfigError):
     """Exhaustive enumeration hit the depth limit before end-of-sequence."""
 
 

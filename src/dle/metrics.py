@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._kernels import lcp_length
+from .cache_sim import theoretical_hit_count
 from .errors import DuplicateSequences, InvariantViolation, SequenceTooShort
 
 COVERAGE_TOL = 1e-6
@@ -130,31 +130,17 @@ def repetition_rate(generations: Sequence[Sequence[int]]) -> float:
 
     For each generation after the first, the repeated count is the longest m
     such that its first m tokens equal the first m tokens of some earlier
-    generation. Prompt tokens are excluded by contract.
+    generation: the prefix trie's hit count. Prompt tokens are excluded by
+    contract.
     """
     total = sum(len(g) for g in generations)
     if total == 0:
         return 0.0
-    arrays = [np.asarray(g, dtype=np.int64) for g in generations]
-    repeated = 0
-    for j in range(1, len(arrays)):
-        best = 0
-        for earlier in arrays[:j]:
-            best = max(best, lcp_length(arrays[j], earlier))
-        repeated += best
-    return repeated / total
+    return theoretical_hit_count(generations) / total
 
 
 def aggregate_repetition_rate(questions: Sequence[Sequence[Sequence[int]]]) -> float:
     """Token-weighted repetition rate across questions."""
-    repeated = 0
-    total = 0
-    for generations in questions:
-        arrays = [np.asarray(g, dtype=np.int64) for g in generations]
-        total += sum(len(a) for a in arrays)
-        for j in range(1, len(arrays)):
-            best = 0
-            for earlier in arrays[:j]:
-                best = max(best, lcp_length(arrays[j], earlier))
-            repeated += best
+    repeated = sum(theoretical_hit_count(gens) for gens in questions if len(gens))
+    total = sum(len(g) for gens in questions for g in gens)
     return repeated / total if total else 0.0

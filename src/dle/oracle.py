@@ -1,6 +1,6 @@
 """Brute-force ground truth for desk-scale verification.
 
-The oracle is intentionally naive — recursive exhaustive traversal, linear
+The oracle is intentionally naive — exhaustive depth-first traversal, linear
 scans, plain float products — so it cannot share bugs with the optimized
 enumeration engine it checks.
 """
@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._kernels import mc_coverage
+from ._kernels import mc_coverage_numpy
 from .errors import DepthExceeded
 from .rng import np_substream
 from .truncation import TruncationRule, active_set
@@ -32,28 +32,30 @@ class OracleLeafSet:
 
 def enumerate_all_leaves(model, rule: TruncationRule, prompt: Sequence[int] = (),
                          max_depth: int = DEFAULT_MAX_DEPTH) -> OracleLeafSet:
-    """Exhaustive depth-first traversal of every active-set child."""
+    """Exhaustive depth-first traversal of every active-set child.
+
+    The walk uses an explicit stack rather than a self-referencing closure,
+    so no reference cycle keeps the leaf list alive after the call. Children
+    are pushed in reverse, so leaves come out in depth-first discovery order.
+    """
     prompt = tuple(prompt)
     eos_id = model.vocab.eos_id
     leaves: list[tuple[tuple[int, ...], float]] = []
     node_count = 0
-
-    def walk(generated: tuple[int, ...], mass: float) -> None:
-        nonlocal node_count
+    stack: list[tuple[tuple[int, ...], float, bool]] = [((), 1.0, False)]
+    while stack:
+        generated, mass, is_leaf = stack.pop()
+        if is_leaf:
+            leaves.append((generated, mass))
+            continue
         node_count += 1
         if len(generated) >= max_depth:
-            raise DepthExceeded(f"path {generated!r} reached depth {max_depth} without eos")
-        probs = model.next_distribution(prompt, generated)
-        active = active_set(probs, rule)
-        for token, weight in zip(active.token_ids, active.weights):
-            token = int(token)
-            child_mass = mass * float(weight)
-            if token == eos_id:
-                leaves.append((generated + (token,), child_mass))
-            else:
-                walk(generated + (token,), child_mass)
-
-    walk((), 1.0)
+            raise DepthExceeded(f"path {generated!r} reached the depth limit {max_depth} without eos "
+                                "(--max-seq-len; --max-depth for oracle)")
+        active = active_set(model.next_distribution(prompt, generated), rule)
+        children = [(generated + (int(token),), mass * float(weight), int(token) == eos_id)
+                    for token, weight in zip(active.token_ids, active.weights)]
+        stack.extend(reversed(children))
     total = 0.0
     for _, q in leaves:
         total += q
@@ -85,7 +87,7 @@ def monte_carlo_coverage_from_masses(masses: Sequence[float], k: int, trials: in
     uniforms = np_substream(seed, "mc-coverage").random((trials, k))
     # Scale into the covered mass so draws always land on a leaf.
     uniforms *= cum[-1]
-    per_trial = mc_coverage(arr, cum, uniforms)
+    per_trial = mc_coverage_numpy(arr, cum, uniforms)
     mean = float(per_trial.mean())
     std_error = float(per_trial.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
     return mean, std_error

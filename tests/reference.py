@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from dle.cache_sim import PrefixCache
 from dle.engine import BranchPolicy
 from dle.rng import substream
 from dle.truncation import Composite, Epsilon, MinP, TopK, TopP
@@ -105,3 +106,59 @@ def dict_count_lists(context_counts: dict, pair_counts: dict) -> dict:
         "pair_counts": [[list(ctx), token, count]
                         for (ctx, token), count in sorted(pair_counts.items())],
     }
+
+
+def pairwise_repeated_tokens(generations) -> int:
+    """Sum over generations of the longest prefix shared with any earlier one,
+    by comparing every pair token by token."""
+    repeated = 0
+    for j in range(1, len(generations)):
+        best = 0
+        for earlier in generations[:j]:
+            n = min(len(generations[j]), len(earlier))
+            lcp = next((i for i in range(n) if generations[j][i] != earlier[i]), n)
+            best = max(best, lcp)
+        repeated += best
+    return repeated
+
+
+def pairwise_repetition_rate(generations) -> float:
+    """Repetition rate from the pairwise longest-common-prefix loop."""
+    total = sum(len(g) for g in generations)
+    return pairwise_repeated_tokens(generations) / total if total else 0.0
+
+
+class WalkingPrefixCache(PrefixCache):
+    """PrefixCache whose LRU eviction walks the whole trie for its victim."""
+
+    def insert(self, stream) -> None:
+        node = self._root
+        for block in self._blocks(stream):
+            child = node.children.get(block)
+            if child is None:
+                if self.capacity is not None and self._cached_tokens + self.block_size > self.capacity:
+                    if self.eviction != "lru" or not self._walk_evict(protect=node):
+                        return
+                child = type(node)()
+                node.children[block] = child
+                self._cached_tokens += self.block_size
+            child.last_access = self._tick()
+            node = child
+
+    def _walk_evict(self, protect) -> bool:
+        """Drop the least-recently-used childless block other than `protect`,
+        the node the insertion is extending."""
+        victim = None
+        stack = [self._root]
+        while stack:
+            node = stack.pop()
+            for key, child in node.children.items():
+                if child.children:
+                    stack.append(child)
+                elif child is not protect and (victim is None or child.last_access < victim[2]):
+                    victim = (node, key, child.last_access)
+        if victim is None:
+            return False
+        del victim[0].children[victim[1]]
+        self._cached_tokens -= self.block_size
+        return True

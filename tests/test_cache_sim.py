@@ -1,12 +1,15 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dle.cache_sim import CacheStats, PrefixCache, simulate, theoretical_hit_count
 from dle.engine import Budget, BranchPolicy, enumerate_leaves
 from dle.errors import ConfigError, InvariantViolation
 from dle.tree import flat_length, flatten
 from dle.truncation import Epsilon
+from reference import WalkingPrefixCache
 
 PROMPT = (100, 101, 102, 103, 104)
 HAND_STREAMS = [PROMPT + (1, 2, 3), PROMPT + (1, 2, 4)]  # abc / abd after a 5-token prompt
@@ -93,6 +96,48 @@ def test_lru_keeps_the_prefix_needed_next_when_streams_are_tree_ordered(fig_tree
     capacity = max(len(s) for s in streams)
     stats = simulate(streams, PrefixCache(capacity=capacity, eviction="lru"))
     assert stats.actual_hits == stats.theoretical_hits
+
+
+@st.composite
+def branching_streams(draw):
+    """Streams over a 3-token alphabet, most of them branching off an earlier one."""
+    streams = []
+    for _ in range(draw(st.integers(1, 12))):
+        stream = []
+        if streams and draw(st.integers(0, 4)):
+            base = draw(st.sampled_from(streams))
+            stream = list(base[:draw(st.integers(0, len(base)))])
+        stream += draw(st.lists(st.integers(0, 2), max_size=10))
+        streams.append(tuple(stream))
+    return streams
+
+
+@settings(max_examples=300, deadline=None)
+@given(streams=branching_streams(), block_size=st.integers(1, 4),
+       capacity=st.one_of(st.none(), st.integers(0, 40)),
+       eviction=st.sampled_from(["none", "lru"]))
+def test_heap_eviction_matches_the_trie_walk(streams, block_size, capacity, eviction):
+    cache = PrefixCache(block_size, capacity, eviction)
+    walking = WalkingPrefixCache(block_size, capacity, eviction)
+    for i, stream in enumerate(streams):
+        assert cache.match(stream) == walking.match(stream)
+        cache.insert(stream)
+        walking.insert(stream)
+        assert cache.cached_tokens == walking.cached_tokens
+        # A lone match refreshes an older path without inserting it.
+        assert cache.match(streams[i // 2]) == walking.match(streams[i // 2])
+    assert (simulate(streams, PrefixCache(block_size, capacity, eviction))
+            == simulate(streams, WalkingPrefixCache(block_size, capacity, eviction)))
+
+
+def test_lru_never_evicts_a_block_that_regained_a_child():
+    cache = PrefixCache(capacity=2, eviction="lru")
+    cache.insert((1, 2))
+    cache.insert((1, 3))  # evicts 2; block 1 is childless for a moment, then holds 3
+    cache.insert((5,))    # must evict the leaf 3, not block 1
+    assert cache.cached_tokens == 2
+    assert cache.match((1, 3)) == 1
+    assert cache.match((5,)) == 1
 
 
 def test_eviction_none_stops_inserting_when_full():

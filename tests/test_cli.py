@@ -296,3 +296,14 @@ def test_non_positive_counts_exit_2_without_traceback(command, flag, fig_tree_pa
     err = capsys.readouterr().err
     assert f"error: argument {flag}: must be >= 1, got 0" in err.splitlines()[-1]
     assert "Traceback" not in err
+
+
+def test_compare_on_a_looping_ngram_exits_2_without_traceback(tmp_path, capsys):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("the cat sat on the mat\nthe dog sat on the log\n")
+    code = main(["compare", "--model", f"ngram:{corpus}?order=2&alpha=0.01", "--rule", "top_p:0.9",
+                 "--k", "1..4", "--max-seq-len", "12", "--out", str(tmp_path / "c.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--max-seq-len" in err
+    assert "Traceback" not in err

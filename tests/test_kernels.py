@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from dle._kernels import BACKEND, HAS_NUMBA, lcp_length, lcp_numpy, mc_coverage_numpy
+from dle._kernels import BACKEND, mc_coverage_numpy
 from dle.rng import np_substream
 
 
 def test_backend_reports_a_known_name():
-    assert BACKEND in ("numba", "numpy")
+    assert BACKEND == "numpy"
 
 
 def test_mc_coverage_numpy_single_leaf():
@@ -25,37 +25,3 @@ def test_mc_coverage_numpy_two_leaves_enumerates_outcomes():
                          [0.1, 0.9]])   # one of each
     out = mc_coverage_numpy(masses, cum, uniforms)
     assert out.tolist() == pytest.approx([0.7, 0.3, 1.0])
-
-
-def test_lcp_numpy_examples():
-    assert lcp_numpy(np.array([1, 2, 3]), np.array([1, 2, 4])) == 2
-    assert lcp_numpy(np.array([1, 2]), np.array([1, 2])) == 2
-    assert lcp_numpy(np.array([5]), np.array([6])) == 0
-    assert lcp_numpy(np.array([], dtype=np.int64), np.array([1])) == 0
-
-
-@pytest.mark.skipif(not HAS_NUMBA, reason="numba unavailable or disabled")
-def test_numba_and_numpy_paths_agree():
-    from dle._kernels import lcp_numba, mc_coverage_numba
-
-    rng = np_substream(1, "parity")
-    masses = rng.dirichlet(np.ones(12))
-    cum = np.cumsum(masses)
-    uniforms = rng.random((2000, 6)) * cum[-1]
-    jit_out = mc_coverage_numba(masses, cum, uniforms)
-    np_out = mc_coverage_numpy(masses, cum, uniforms)
-    assert np.allclose(jit_out, np_out, atol=1e-12)
-
-    for _ in range(50):
-        n = int(rng.integers(0, 40))
-        a = rng.integers(0, 3, size=n)
-        b = rng.integers(0, 3, size=int(rng.integers(0, 40)))
-        assert int(lcp_numba(a, b)) == lcp_numpy(a, b)
-
-
-def test_dispatch_matches_numpy_reference():
-    rng = np_substream(2, "dispatch")
-    a = rng.integers(0, 5, size=30)
-    b = a.copy()
-    b[10:] = rng.integers(5, 9, size=20)
-    assert lcp_length(a, b) == lcp_numpy(a, b) == 10

@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dle.baseline import sample_sequences
 from dle.errors import DuplicateSequences, InvariantViolation, SequenceTooShort
@@ -12,6 +14,22 @@ from dle.metrics import (aggregate_repetition_rate, compensated_sum, coverage,
 from dle.model import TableModel
 from dle.oracle import enumerate_all_leaves
 from dle.truncation import Epsilon
+from reference import pairwise_repeated_tokens, pairwise_repetition_rate
+
+
+@st.composite
+def generation_lists(draw):
+    """Short generations over a 3-token alphabet; some repeat or cut an earlier
+    one, so empty generations and prefixes of earlier ones are common."""
+    gens = []
+    for _ in range(draw(st.integers(0, 8))):
+        gen = []
+        if gens and draw(st.booleans()):
+            base = draw(st.sampled_from(gens))
+            gen = list(base[:draw(st.integers(0, len(base)))])
+        gen += draw(st.lists(st.integers(0, 2), max_size=5))
+        gens.append(tuple(gen))
+    return gens
 
 
 def test_coverage_of_full_enumeration_is_one(fig_tree_model):
@@ -128,6 +146,16 @@ def test_aggregate_repetition_rate_is_token_weighted():
     q1 = [(1, 2, 3), (1, 2, 4)]          # 2 repeated / 6 tokens
     q2 = [(5,), (6,)]                     # 0 repeated / 2 tokens
     assert aggregate_repetition_rate([q1, q2]) == pytest.approx(2 / 8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(questions=st.lists(generation_lists(), max_size=4))
+def test_repetition_rates_match_the_pairwise_reference(questions):
+    for gens in questions:
+        assert repetition_rate(gens) == pairwise_repetition_rate(gens)
+    repeated = sum(pairwise_repeated_tokens(gens) for gens in questions)
+    total = sum(len(g) for gens in questions for g in gens)
+    assert aggregate_repetition_rate(questions) == (repeated / total if total else 0.0)
 
 
 def test_compensated_sum_tracks_error_bound():

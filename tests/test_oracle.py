@@ -1,3 +1,4 @@
+import gc
 import itertools
 
 import pytest
@@ -53,6 +54,18 @@ def test_depth_limit_raises():
         "transitions": {}, "default": {"a": 1.0}})
     with pytest.raises(DepthExceeded):
         enumerate_all_leaves(model, TopK(k=1), max_depth=10)
+
+
+def test_enumeration_leaves_no_reference_cycle(fig_tree_model):
+    enumerate_all_leaves(fig_tree_model, FIG_RULE)  # warm up lazy caches
+    gc.collect()
+    gc.disable()
+    try:
+        oracle_set = enumerate_all_leaves(fig_tree_model, FIG_RULE)
+        del oracle_set
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_top_k_by_mass_on_worked_tree(fig_tree_model):
