@@ -14,12 +14,15 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import statistics
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .aggregate import majority_vote, parse_extractor
@@ -28,7 +31,8 @@ from .cache_sim import PrefixCache, simulate
 from .engine import (Budget, BranchPolicy, EarlyStopConfig, EnumerationResult,
                      enumerate_leaves)
 from .errors import ConfigError, DleError, InvariantViolation, ModelError
-from .metrics import coverage, coverage_curve, expected_coverage_closed_form
+from .metrics import (check_coverage, compensated_prefix_sums, coverage, coverage_curve,
+                      expected_coverage_closed_form)
 from .model import parse_model_spec, train_ngram_model
 from .oracle import enumerate_all_leaves
 from .truncation import parse_rule
@@ -230,46 +234,55 @@ def cmd_sample(args) -> int:
     return _degraded_exit(degraded, "degraded sample run (model errors)")
 
 
+def _sampled_curve(run, ks) -> tuple[list[float], list[int]]:
+    """Unique-set coverage and drawn tokens of the first k draws, for each k,
+    from one pass: coverage at k is the compensated prefix sum of the masses
+    first seen in those draws, the same floats as summing their unique set."""
+    seen: set[tuple[int, ...]] = set()
+    first_masses: list[float] = []
+    unique_counts = [0]
+    tokens = [0]
+    for seq, q in run.sequences:
+        if seq not in seen:
+            seen.add(seq)
+            first_masses.append(q)
+        unique_counts.append(len(first_masses))
+        tokens.append(tokens[-1] + len(seq))
+    prefix = [0.0] + compensated_prefix_sums(first_masses).tolist()
+    heads = [min(k, len(run.sequences)) for k in ks]
+    covs = [check_coverage(prefix[unique_counts[h]]) for h in heads]
+    return covs, [tokens[h] for h in heads]
+
+
 def _compare_rows(model, rule, prompt_ids, ks, policy, seeds, temperature,
                   max_seq_len, with_tokens) -> list[dict]:
     oracle_set = enumerate_all_leaves(model, rule, prompt_ids, max_depth=max_seq_len)
-    masses = oracle_set.masses()
+    masses = np.asarray(oracle_set.masses(), dtype=np.float64)
     max_k = max(ks)
 
     result = enumerate_leaves(model, rule, prompt_ids, policy,
                               Budget(max_leaves=max_k, max_seq_len=max_seq_len))
     dle_curve = coverage_curve([(lf.tokens, lf.q) for lf in result.leaves], "dle")
-    dle_tokens = []
-    acc = 0
-    for leaf in result.leaves:
-        acc += leaf.new_tokens
-        dle_tokens.append(acc)
+    dle_tokens = list(itertools.accumulate(leaf.new_tokens for leaf in result.leaves))
 
-    sampled_cov: dict[int, list[float]] = {k: [] for k in ks}
-    sampled_tok: dict[int, list[int]] = {k: [] for k in ks}
-    for seed in range(seeds):
-        run = sample_sequences(model, rule, prompt_ids, max_k, seed, temperature, max_seq_len)
-        for k in ks:
-            head = run.sequences[:k]
-            unique: dict[tuple[int, ...], float] = {}
-            for tokens, q in head:
-                unique.setdefault(tokens, q)
-            sampled_cov[k].append(coverage(list(unique.items())))
-            sampled_tok[k].append(sum(len(t) for t, _ in head))
+    sampled = [_sampled_curve(sample_sequences(model, rule, prompt_ids, max_k, seed,
+                                               temperature, max_seq_len), ks)
+               for seed in range(seeds)]
 
     rows = []
-    for k in ks:
+    for i, k in enumerate(ks):
         idx = min(k, len(dle_curve.values)) - 1
+        covs = [cov[i] for cov, _ in sampled]
         row = {
             "k": k,
             "coverage_dle": dle_curve.values[idx] if dle_curve.values else 0.0,
             "expected_coverage_closed": expected_coverage_closed_form(masses, k),
-            "coverage_sampled_mean": statistics.fmean(sampled_cov[k]),
-            "coverage_sampled_std": statistics.pstdev(sampled_cov[k]) if seeds > 1 else 0.0,
+            "coverage_sampled_mean": statistics.fmean(covs),
+            "coverage_sampled_std": statistics.pstdev(covs) if seeds > 1 else 0.0,
         }
         if with_tokens:
             row["dle_new_tokens"] = dle_tokens[idx] if dle_tokens else 0
-            row["sampled_new_tokens"] = statistics.fmean(sampled_tok[k])
+            row["sampled_new_tokens"] = statistics.fmean(tok[i] for _, tok in sampled)
         rows.append(row)
     return rows
 

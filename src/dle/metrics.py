@@ -13,6 +13,7 @@ The gain equals expected(k+1) - expected(k) and is non-increasing in k.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -24,20 +25,31 @@ from .errors import DuplicateSequences, InvariantViolation, SequenceTooShort
 COVERAGE_TOL = 1e-6
 
 
+def compensated_prefix_sums(values: Sequence[float] | np.ndarray) -> np.ndarray:
+    """Neumaier-compensated sum of every prefix: element i sums values[:i + 1].
+
+    Bit-identical to adding the values one at a time with Neumaier's loop.
+    ``np.cumsum`` adds strictly left to right (``np.sum`` adds pairwise), so
+    the running totals are one cumulative pass, each step's rounding error
+    is elementwise, and the running compensation is a second cumulative
+    pass. Both passes start from 0.0, as the loop does, which keeps the
+    sign of zero totals.
+    """
+    v = np.asarray(values, dtype=np.float64)
+    running = np.cumsum(np.concatenate(([0.0], v)))
+    prev, total = running[:-1], running[1:]
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN here, as in the loop
+        err = np.where(np.abs(prev) >= np.abs(v), (prev - total) + v, (v - total) + prev)
+    return total + np.cumsum(np.concatenate(([0.0], err)))[1:]
+
+
 def compensated_sum(values: Iterable[float]) -> tuple[float, float]:
     """Neumaier summation: (total, accumulated round-off compensation bound)."""
-    total = 0.0
-    comp = 0.0
-    bound = 0.0
-    for v in values:
-        t = total + v
-        if abs(total) >= abs(v):
-            comp += (total - t) + v
-        else:
-            comp += (v - t) + total
-        total = t
-        bound += abs(v)
-    return total + comp, bound * np.finfo(np.float64).eps
+    v = values if isinstance(values, np.ndarray) else np.fromiter(values, np.float64)
+    if not len(v):
+        return 0.0, 0.0
+    bound = np.cumsum(np.abs(v))[-1] * np.finfo(np.float64).eps
+    return float(compensated_prefix_sums(v)[-1]), float(bound)
 
 
 @dataclass(frozen=True)
@@ -63,8 +75,16 @@ def coverage(leaves: Sequence[tuple[Sequence[int], float]]) -> float:
     if len(set(seqs)) != len(seqs):
         raise DuplicateSequences("coverage input contains duplicate sequences")
     total, _ = compensated_sum(q for _, q in leaves)
+    return check_coverage(total)
+
+
+def check_coverage(total: float) -> float:
+    """Return a coverage total, or raise InvariantViolation when it is not
+    finite or exceeds 1 beyond tolerance."""
+    if not math.isfinite(total):
+        raise InvariantViolation(f"coverage {float(total)!r} is not finite")
     if total > 1.0 + COVERAGE_TOL:
-        raise InvariantViolation(f"coverage {total!r} exceeds 1 beyond tolerance")
+        raise InvariantViolation(f"coverage {float(total)!r} exceeds 1 beyond tolerance")
     return total
 
 
@@ -77,8 +97,8 @@ def coverage_curve(leaves: Sequence[tuple[Sequence[int], float]], method: str) -
         total += q
         bound += abs(q)
         running.append(total)
-    if running and running[-1] > 1.0 + COVERAGE_TOL:
-        raise InvariantViolation(f"coverage {running[-1]!r} exceeds 1 beyond tolerance")
+    if running:
+        check_coverage(running[-1])
     return CoverageReport(
         ks=tuple(range(1, len(running) + 1)),
         values=tuple(running),
@@ -89,10 +109,13 @@ def coverage_curve(leaves: Sequence[tuple[Sequence[int], float]], method: str) -
 
 def _check_masses(masses: Sequence[float]) -> np.ndarray:
     arr = np.asarray(masses, dtype=np.float64)
+    if not np.isfinite(arr).all():
+        raise InvariantViolation("leaf masses must be finite")
     if (arr <= 0.0).any():
         raise InvariantViolation("leaf masses must be positive")
-    if arr.sum() > 1.0 + COVERAGE_TOL:
-        raise InvariantViolation(f"leaf masses sum to {arr.sum()!r} > 1")
+    total = float(arr.sum())
+    if total > 1.0 + COVERAGE_TOL:
+        raise InvariantViolation(f"leaf masses sum to {total!r} > 1")
     return arr
 
 

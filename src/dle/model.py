@@ -63,8 +63,8 @@ class Vocabulary:
 
     @cached_property
     def _index(self) -> dict[str, int]:
-        # Built on first lookup, so vocabularies that are never searched
-        # (RemoteModel rebuilds one per access) do not pay for it.
+        # Built on first lookup, so vocabularies that are never searched do
+        # not pay for it.
         return {tok: i for i, tok in enumerate(self.tokens)}
 
     def id_of(self, token: str) -> int:
@@ -75,14 +75,26 @@ class Vocabulary:
 
 
 def validate_distribution(probs: np.ndarray, vocab_size: int) -> np.ndarray:
-    """Check non-negativity, length, and unit mass within tolerance."""
-    if len(probs) != vocab_size:
-        raise ConfigError(f"distribution length {len(probs)} != vocabulary size {vocab_size}")
-    if (probs < 0.0).any():
-        raise ConfigError("distribution has negative entries")
-    total = float(probs.sum())
-    if abs(total - 1.0) > DIST_SUM_TOL:
-        raise ConfigError(f"distribution sums to {total!r}, expected 1 within {DIST_SUM_TOL}")
+    """Check length, finite non-negative entries, and unit mass within tolerance.
+
+    probs is one distribution or a 2-D stack of them, one per row. A stack is
+    checked in one pass, and the error describes the first bad row.
+    """
+    rows = np.atleast_2d(probs)
+    if rows.shape[-1] != vocab_size:
+        raise ConfigError(f"distribution length {rows.shape[-1]} != vocabulary size {vocab_size}")
+    negative = (rows < 0.0).any(axis=1)
+    non_finite = ~np.isfinite(rows).all(axis=1)
+    totals = rows.sum(axis=1)
+    bad = np.flatnonzero(negative | non_finite | (np.abs(totals - 1.0) > DIST_SUM_TOL))
+    if len(bad):
+        row = bad[0]
+        if negative[row]:
+            raise ConfigError("distribution has negative entries")
+        if non_finite[row]:
+            raise ConfigError("distribution has non-finite entries")
+        raise ConfigError(f"distribution sums to {float(totals[row])!r}, "
+                          f"expected 1 within {DIST_SUM_TOL}")
     return probs
 
 
@@ -105,15 +117,15 @@ class TableModel:
 
     kind = "table"
 
-    def __init__(self, vocab: Vocabulary,
-                 transitions: dict[tuple[int, ...], np.ndarray],
-                 default: np.ndarray | None = None):
+    def __init__(self, vocab: Vocabulary, contexts: Sequence[tuple[int, ...]],
+                 rows: np.ndarray, default: np.ndarray | None = None):
+        """rows[i] is the next-token distribution after contexts[i]. The model
+        keeps rows and default without copying and makes them read-only."""
         self.vocab = vocab
-        self._transitions = {}
-        for ctx, probs in transitions.items():
-            arr = np.asarray(probs, dtype=np.float64)
-            arr.setflags(write=False)
-            self._transitions[tuple(ctx)] = validate_distribution(arr, vocab.size)
+        rows = np.asarray(rows, dtype=np.float64)
+        validate_distribution(rows, vocab.size)
+        rows.setflags(write=False)
+        self._transitions = dict(zip(map(tuple, contexts), rows))
         if default is not None:
             default = np.asarray(default, dtype=np.float64)
             default.setflags(write=False)
@@ -145,19 +157,14 @@ class TableModel:
         if eos_token not in tokens:
             raise ConfigError(f"eos token {eos_token!r} not in vocab")
         vocab = Vocabulary(tokens=tokens, eos_id=tokens.index(eos_token))
-
-        def to_vector(weights: dict) -> np.ndarray:
-            vec = np.zeros(vocab.size)
-            for tok, p in weights.items():
-                vec[vocab.id_of(tok)] = float(p)
-            return vec
-
-        transitions = {}
+        # Keys that name the same context keep the first one's place and the
+        # last one's weights.
+        weights_of: dict[tuple[int, ...], dict] = {}
         for key, weights in raw_transitions.items():
-            ctx = tuple(vocab.id_of(tok) for tok in key.split())
-            transitions[ctx] = to_vector(weights)
-        default = to_vector(doc["default"]) if "default" in doc else None
-        return cls(vocab, transitions, default)
+            weights_of[tuple(map(vocab.id_of, key.split()))] = weights
+        rows = _weight_rows(vocab, list(weights_of.values()))
+        default = _weight_rows(vocab, [doc["default"]])[0] if "default" in doc else None
+        return cls(vocab, list(weights_of), rows, default)
 
     @classmethod
     def from_file(cls, path: str) -> "TableModel":
@@ -184,6 +191,21 @@ class TableModel:
                 self.vocab.tokens[i]: float(p) for i, p in enumerate(self._default) if p > 0.0
             }
         return doc
+
+
+def _weight_rows(vocab: Vocabulary, weights: list[dict]) -> np.ndarray:
+    """A (len(weights), V) array whose row i holds weights[i], a token -> weight map."""
+    chain = itertools.chain.from_iterable
+    cols = np.fromiter(chain(map(vocab.id_of, step) for step in weights), np.intp)
+    try:
+        values = np.fromiter(chain(step.values() for step in weights), np.float64, len(cols))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"transition weights must be numbers: {exc}") from None
+    counts = np.fromiter(map(len, weights), np.intp, len(weights))
+    rows = np.repeat(np.arange(len(weights)), counts)
+    out = np.zeros((len(weights), vocab.size))
+    out[rows, cols] = values
+    return out
 
 
 EOS_TOKEN = "<eos>"
@@ -387,12 +409,17 @@ class RemoteModel:
         self._lock = threading.Lock()
         self._tokens: list[str] = [eos_token]
         self._ids: dict[str, int] = {eos_token: 0}
+        self._vocab = Vocabulary(tokens=(eos_token,), eos_id=0)
         self._prompt_words = True
         self.last_raw_mass: float | None = None
 
     @property
     def vocab(self) -> Vocabulary:
-        return Vocabulary(tokens=tuple(self._tokens), eos_id=0)
+        # Tokens are only ever appended, so the count identifies a generation.
+        with self._lock:
+            if self._vocab.size != len(self._tokens):
+                self._vocab = Vocabulary(tokens=tuple(self._tokens), eos_id=0)
+            return self._vocab
 
     def _intern(self, token: str) -> int:
         with self._lock:

@@ -7,10 +7,15 @@ return bit-identical results.
 
 from __future__ import annotations
 
+import statistics
+
 import numpy as np
 
+from dle.baseline import sample_sequences
 from dle.cache_sim import PrefixCache
-from dle.engine import BranchPolicy
+from dle.engine import Budget, BranchPolicy, enumerate_leaves
+from dle.metrics import coverage_curve
+from dle.oracle import enumerate_all_leaves
 from dle.rng import substream
 from dle.truncation import Composite, Epsilon, MinP, TopK, TopP
 
@@ -162,3 +167,65 @@ class WalkingPrefixCache(PrefixCache):
         del victim[0].children[victim[1]]
         self._cached_tokens -= self.block_size
         return True
+
+
+def neumaier_loop_sum(values) -> tuple[float, float]:
+    """Neumaier summation one value at a time: (total, compensation bound)."""
+    total = 0.0
+    comp = 0.0
+    bound = 0.0
+    for v in values:
+        t = total + v
+        if abs(total) >= abs(v):
+            comp += (total - t) + v
+        else:
+            comp += (v - t) + total
+        total = t
+        bound += abs(v)
+    return total + comp, bound * np.finfo(np.float64).eps
+
+
+def reference_compare_rows(model, rule, prompt_ids, ks, policy, seeds, temperature,
+                           max_seq_len, with_tokens) -> list[dict]:
+    """`compare`/`coverage-curve` rows with the closed form and the sampled
+    coverage summed by the loop for every k, re-deduplicating each seed's
+    first k draws."""
+    masses = np.asarray(enumerate_all_leaves(model, rule, prompt_ids,
+                                             max_depth=max_seq_len).masses(), dtype=np.float64)
+    max_k = max(ks)
+    result = enumerate_leaves(model, rule, prompt_ids, policy,
+                              Budget(max_leaves=max_k, max_seq_len=max_seq_len))
+    dle_curve = coverage_curve([(lf.tokens, lf.q) for lf in result.leaves], "dle")
+    dle_tokens = []
+    acc = 0
+    for leaf in result.leaves:
+        acc += leaf.new_tokens
+        dle_tokens.append(acc)
+
+    sampled_cov: dict[int, list[float]] = {k: [] for k in ks}
+    sampled_tok: dict[int, list[int]] = {k: [] for k in ks}
+    for seed in range(seeds):
+        run = sample_sequences(model, rule, prompt_ids, max_k, seed, temperature, max_seq_len)
+        for k in ks:
+            head = run.sequences[:k]
+            unique: dict[tuple[int, ...], float] = {}
+            for tokens, q in head:
+                unique.setdefault(tokens, q)
+            sampled_cov[k].append(neumaier_loop_sum(unique.values())[0])
+            sampled_tok[k].append(sum(len(t) for t, _ in head))
+
+    rows = []
+    for k in ks:
+        idx = min(k, len(dle_curve.values)) - 1
+        row = {
+            "k": k,
+            "coverage_dle": dle_curve.values[idx] if dle_curve.values else 0.0,
+            "expected_coverage_closed": neumaier_loop_sum(masses * (1.0 - (1.0 - masses) ** k))[0],
+            "coverage_sampled_mean": statistics.fmean(sampled_cov[k]),
+            "coverage_sampled_std": statistics.pstdev(sampled_cov[k]) if seeds > 1 else 0.0,
+        }
+        if with_tokens:
+            row["dle_new_tokens"] = dle_tokens[idx] if dle_tokens else 0
+            row["sampled_new_tokens"] = statistics.fmean(sampled_tok[k])
+        rows.append(row)
+    return rows

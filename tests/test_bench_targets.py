@@ -5,6 +5,7 @@ A rename in the package would otherwise show only in a traced benchmark run.
 """
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -44,3 +45,24 @@ def test_tracer_installs_and_observes_the_enumeration_layers():
             "model.next_distribution", "tree.expand_node", "tree.path_tokens"} <= names
     frontier_sizes = [s.observed for s in tracer.spans if s.name == "engine.select_branch"]
     assert frontier_sizes and all(isinstance(size, int) for size in frontier_sizes)
+
+
+def test_tracer_observes_each_closed_form_call_of_compare(tmp_path):
+    from dle import cli
+
+    table = tmp_path / "table.json"
+    table.write_text(json.dumps({
+        "vocab": ["a", "b", "<eos>"], "eos": "<eos>",
+        "transitions": {"": {"a": 0.7, "b": 0.3}, "a": {"<eos>": 1.0}, "b": {"<eos>": 1.0}}}))
+    tracer = load_tracer().Tracer()
+    tracer.install()
+    try:
+        code = cli.main(["compare", "--model", f"table:{table}", "--rule", "epsilon:0.05",
+                         "--k", "2..5", "--sample-seeds", "2", "--out", str(tmp_path / "c.csv")])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    names = [span.name for span in tracer.spans]
+    assert names.count("metrics.expected_coverage_closed_form") == 4
+    assert names.count("oracle.enumerate_all_leaves") == 1
+    assert names.count("baseline.sample_sequences") == 2

@@ -4,8 +4,14 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dle.cli import main
+from conftest import make_random_table_model
+from dle.cli import _compare_rows, main
+from dle.engine import BranchPolicy
+from dle.truncation import parse_rule
+from reference import reference_compare_rows
 
 TWO_LEAF_DOC = {
     "vocab": ["a", "b", "<eos>"], "eos": "<eos>",
@@ -307,3 +313,41 @@ def test_compare_on_a_looping_ngram_exits_2_without_traceback(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "--max-seq-len" in err
     assert "Traceback" not in err
+
+
+@settings(max_examples=60, deadline=None)
+@given(model_seed=st.integers(0, 10_000),
+       rule=st.sampled_from(["epsilon:0.05", "top_k:2", "top_p:0.9", "min_p:0.3"]),
+       policy=st.sampled_from(["probfirst", "divfirst", "randbranch:3"]),
+       k_lo=st.integers(1, 12), k_span=st.integers(0, 12),
+       seeds=st.integers(1, 3), temperature=st.sampled_from([1.0, 0.6, 1.7]),
+       with_tokens=st.booleans())
+def test_compare_rows_match_the_per_k_reference(model_seed, rule, policy, k_lo, k_span, seeds,
+                                                temperature, with_tokens):
+    # with_tokens=True gives compare's rows, False coverage-curve's.
+    model = make_random_table_model(model_seed)
+    args = (model, parse_rule(rule), (), list(range(k_lo, k_lo + k_span + 1)),
+            BranchPolicy.parse(policy), seeds, temperature, 8, with_tokens)
+    rows = _compare_rows(*args)
+    expected = reference_compare_rows(*args)
+    assert rows == expected
+    assert [{key: str(v) for key, v in row.items()} for row in rows] == \
+        [{key: str(v) for key, v in row.items()} for row in expected]
+
+
+@pytest.mark.parametrize("command", [
+    ["enumerate", "--rule", "top_k:3", "--k", "5"],
+    ["compare", "--rule", "top_k:3", "--k", "1..3"],
+])
+def test_non_finite_table_weights_exit_2_without_traceback(command, tmp_path, capsys):
+    # JSON's NaN literal used to pass validation and silently drop branch "a".
+    table = tmp_path / "nan.json"
+    table.write_text('{"vocab": ["a", "b", "<eos>"], "eos": "<eos>", "transitions": '
+                     '{"": {"a": NaN, "b": 0.5, "<eos>": 0.5}, "a": {"<eos>": 1.0}, '
+                     '"b": {"<eos>": 1.0}}}')
+    out = tmp_path / "out"
+    code = main([*command, "--model", f"table:{table}", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == "error: distribution has non-finite entries\n"
+    assert not out.exists()

@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 
 from dle.baseline import sample_sequences
 from dle.errors import DuplicateSequences, InvariantViolation, SequenceTooShort
-from dle.metrics import (aggregate_repetition_rate, compensated_sum, coverage,
-                         coverage_curve, distinct_n, expected_coverage_closed_form,
+from dle.metrics import (aggregate_repetition_rate, compensated_prefix_sums, compensated_sum,
+                         coverage, coverage_curve, distinct_n, expected_coverage_closed_form,
                          marginal_gain_closed_form, repetition_rate)
 from dle.model import TableModel
 from dle.oracle import enumerate_all_leaves
 from dle.truncation import Epsilon
-from reference import pairwise_repeated_tokens, pairwise_repetition_rate
+from reference import neumaier_loop_sum, pairwise_repeated_tokens, pairwise_repetition_rate
 
 
 @st.composite
@@ -163,6 +163,77 @@ def test_compensated_sum_tracks_error_bound():
     total, bound = compensated_sum(values)
     assert total == 1.0
     assert bound > 0.0
+
+
+def same_float(a, b) -> bool:
+    """Equal values with equal signs, so 0.0 and -0.0 differ."""
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+@st.composite
+def summands(draw):
+    """Values of mixed magnitude and sign, signed zeros, and exact negatives of
+    earlier values, so partial sums cancel exactly."""
+    values = []
+    for _ in range(draw(st.integers(0, 40))):
+        kind = draw(st.sampled_from(["scaled", "zero", "negate", "plain"]))
+        if kind == "scaled":
+            values.append(draw(st.floats(-1.0, 1.0)) * 2.0 ** draw(st.integers(-80, 80)))
+        elif kind == "zero":
+            values.append(draw(st.sampled_from([0.0, -0.0])))
+        elif kind == "negate" and values:
+            values.append(-draw(st.sampled_from(values)))
+        else:
+            values.append(draw(st.floats(-1e300, 1e300)))
+    return values
+
+
+@settings(max_examples=500, deadline=None)
+@given(values=summands())
+def test_compensated_sums_match_the_loop_bit_for_bit(values):
+    total, bound = compensated_sum(values)
+    ref_total, ref_bound = neumaier_loop_sum(values)
+    assert same_float(total, ref_total) and same_float(bound, ref_bound)
+    prefixes = compensated_prefix_sums(values)
+    assert len(prefixes) == len(values)
+    for i, prefix in enumerate(prefixes.tolist()):
+        assert same_float(prefix, neumaier_loop_sum(values[:i + 1])[0])
+
+
+@pytest.mark.parametrize("values", [
+    [], [-0.0], [-0.0, -0.0], [0.0, -0.0], [1.0, -1.0], [-1.0, 1.0, -0.0],
+    [1e16, 1.0, -1e16], [1.0, 1e100, 1.0, -1e100], [0.1] * 10, [3.0, -1e-30, -3.0],
+])
+def test_compensated_sum_examples_match_the_loop(values):
+    for given_as in (values, np.array(values, dtype=np.float64), (v for v in values)):
+        total, bound = compensated_sum(given_as)
+        ref_total, ref_bound = neumaier_loop_sum(values)
+        assert same_float(total, ref_total) and same_float(bound, ref_bound)
+    assert compensated_prefix_sums(np.array(values)).tolist() == \
+        compensated_prefix_sums(values).tolist()
+
+
+def test_empty_sums_are_zero():
+    assert compensated_prefix_sums([]).shape == (0,)
+    assert compensated_sum(iter(())) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_masses_are_rejected(bad):
+    with pytest.raises(InvariantViolation, match="finite"):
+        expected_coverage_closed_form([0.5, bad], 3)
+    with pytest.raises(InvariantViolation, match="finite"):
+        marginal_gain_closed_form([bad, 0.25], 1)
+    with pytest.raises(InvariantViolation, match="not finite"):
+        coverage([((0,), 0.5), ((1,), bad)])
+    with pytest.raises(InvariantViolation, match="not finite"):
+        coverage_curve([((0,), bad)], "dle")
+
+
+def test_mass_sum_message_prints_a_plain_float():
+    with pytest.raises(InvariantViolation) as excinfo:
+        expected_coverage_closed_form(np.array([0.75, 0.75]), 1)
+    assert str(excinfo.value) == "leaf masses sum to 1.5 > 1"
 
 
 def test_monte_carlo_via_baseline_matches_closed_form():

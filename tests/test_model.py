@@ -44,6 +44,46 @@ def test_table_rejects_bad_distributions():
         TableModel.from_dict({**base, "transitions": {"": {"zzz": 1.0}}})
 
 
+@pytest.mark.parametrize("rows, message", [
+    ({"": {"a": 0.5, "b": 0.5}, "a": {"a": float("nan"), "<eos>": 1.0}, "b": {"b": 1.2, "a": -0.2}},
+     "distribution has non-finite entries"),
+    ({"": {"a": 0.5, "b": 0.5}, "a": {"a": float("inf")}}, "distribution has non-finite entries"),
+    ({"": {"a": 0.5, "b": 0.5}, "a": {"b": 1.2, "a": -0.2}, "b": {"a": float("nan")}},
+     "distribution has negative entries"),
+    ({"": {"a": 0.5, "b": 0.5}, "b": {"a": float("-inf"), "b": 1.0}},
+     "distribution has negative entries"),
+    ({"": {"a": 0.5, "b": 0.5}, "a": {"a": 0.9, "b": 0.2}, "b": {"b": -1.0}},
+     "distribution sums to 1.1, expected 1 within 1e-09"),
+])
+def test_table_reports_the_first_bad_row(rows, message):
+    doc = {"vocab": ["a", "b", "<eos>"], "eos": "<eos>", "transitions": rows}
+    with pytest.raises(ConfigError) as excinfo:
+        TableModel.from_dict(doc)
+    assert str(excinfo.value) == message
+
+
+def test_table_rejects_a_bad_default_and_non_numeric_weights():
+    base = {"vocab": ["a", "<eos>"], "eos": "<eos>", "transitions": {"": {"a": 1.0}}}
+    with pytest.raises(ConfigError, match="non-finite"):
+        TableModel.from_dict({**base, "default": {"a": float("nan"), "<eos>": 1.0}})
+    with pytest.raises(ConfigError, match="must be numbers"):
+        TableModel.from_dict({**base, "transitions": {"": {"a": "lots"}}})
+
+
+def test_table_rows_are_read_only(fig_tree_model):
+    probs = fig_tree_model.next_distribution((), ())
+    with pytest.raises(ValueError):
+        probs[0] = 0.5
+
+
+def test_table_contexts_spelled_twice_keep_the_last_weights():
+    doc = {"vocab": ["a", "b", "<eos>"], "eos": "<eos>",
+           "transitions": {"a": {"<eos>": 1.0}, "": {"a": 1.0}, " a ": {"b": 1.0}}}
+    model = TableModel.from_dict(doc)
+    assert model.next_distribution((), (0,)).tolist() == [0.0, 1.0, 0.0]
+    assert list(model.to_dict()["transitions"]) == ["a", ""]
+
+
 def test_table_calls_are_bit_identical():
     doc = {"vocab": ["a", "b", "<eos>"], "eos": "<eos>",
            "transitions": {"": {"a": 0.7, "b": 0.3}}}
@@ -163,6 +203,21 @@ def test_remote_renormalizes_returned_logprobs(stub_server):
     assert probs[y_id] == pytest.approx(expected[1])
     assert probs.sum() == pytest.approx(1.0)
     assert model.last_raw_mass == pytest.approx(raw.sum())
+
+
+def test_remote_vocab_is_rebuilt_only_when_a_token_is_interned(stub_server):
+    stub_server.configure({"": {"x": -0.1, "y": -2.3}})
+    model = RemoteModel(base_url=stub_server.url, top_n=5)
+    first = model.vocab
+    assert model.vocab is first and first.tokens == ("<eos>",)
+    model.next_distribution((), ())
+    grown = model.vocab
+    assert grown is not first and grown.tokens == ("<eos>", "x", "y")
+    assert model.vocab is grown
+    model.next_distribution((), ())  # interns nothing new
+    assert model.vocab is grown
+    model.encode_prompt("z")
+    assert model.vocab.tokens == ("<eos>", "x", "y", "z")
 
 
 def test_remote_top_one_is_point_mass(stub_server):
