@@ -10,6 +10,7 @@ independent of execution order.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -37,10 +38,11 @@ class SampleRun:
 
 
 class _StepCache:
-    """Memoized (token ids, cumulative weights) per context for one run.
+    """Memoized (token ids, log weights, cumulative weights) per context for one run.
 
-    Valid because table and n-gram models are pure functions of the prefix;
-    the model is still queried exactly once per distinct context.
+    Keyed on `model.context(prompt, generated)`, the part of the prefix the
+    model's next distribution depends on, so the model is queried once per
+    distinct context.
     """
 
     def __init__(self, model, rule: TruncationRule, prompt: tuple[int, ...], temperature: float):
@@ -48,23 +50,17 @@ class _StepCache:
         self.rule = rule
         self.prompt = prompt
         self.temperature = temperature
-        self.cache: dict[tuple[int, ...], tuple[list[int], list[float], list[float]]] = {}
+        self.cache: dict = {}
 
     def step(self, generated: tuple[int, ...]):
-        entry = self.cache.get(generated)
+        key = self.model.context(self.prompt, generated)
+        entry = self.cache.get(key)
         if entry is None:
             probs = self.model.next_distribution(self.prompt, generated)
             probs = apply_temperature(probs, self.temperature)
-            active = active_set(probs, self.rule)
-            ids = [int(t) for t in active.token_ids]
-            log_weights = [math.log(float(w)) for w in active.weights]
-            cum = []
-            acc = 0.0
-            for w in active.weights:
-                acc += float(w)
-                cum.append(acc)
-            entry = (ids, log_weights, cum)
-            self.cache[generated] = entry
+            ids, weights, log_weights = active_set(probs, self.rule).edges
+            entry = (ids, log_weights, list(itertools.accumulate(weights)))
+            self.cache[key] = entry
         return entry
 
 

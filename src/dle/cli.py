@@ -73,13 +73,29 @@ def _parse_k_range(text: str) -> list[int]:
     return list(range(start, stop + 1))
 
 
-def _positive_int(text: str) -> int:
+def _count(text: str, minimum: int = 1) -> int:
+    """An integer argument >= minimum."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    if value < minimum:
+        raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+    return value
+
+
+def _capacity(text: str) -> int | None:
+    """Cache capacity in tokens: 'inf' (unbounded, None) or an integer >= 0."""
+    return None if text == "inf" else _count(text, minimum=0)
+
+
+def _temperature(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not value >= 0.0:
+        raise argparse.ArgumentTypeError(f"must be a number >= 0, got {text}")
     return value
 
 
@@ -345,8 +361,7 @@ def cmd_cache_sim(args) -> int:
     if not streams:
         raise ConfigError(f"no sequences found in {args.infile}")
 
-    capacity = None if args.capacity == "inf" else int(args.capacity)
-    cache = PrefixCache(block_size=args.block, capacity=capacity, eviction=args.evict)
+    cache = PrefixCache(block_size=args.block, capacity=args.capacity, eviction=args.evict)
     stats = simulate(streams, cache)
     payload = stats.to_dict()
     if args.out:
@@ -416,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--rule", required=True, help="e.g. epsilon:0.05 or top_p:0.95+top_k:10")
         p.add_argument("--prompt-file", default=None, help="one prompt per line; omitted = empty prompt")
         p.add_argument("--max-seq-len", type=int, default=512)
-        p.add_argument("--workers", type=_positive_int, default=4,
+        p.add_argument("--workers", type=_count, default=4,
                        help="worker pool size for multi-prompt runs")
 
     p = sub.add_parser("enumerate", help="distinct-leaf enumeration")
@@ -432,9 +447,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="i.i.d. sampling baseline")
     add_model_args(p)
-    p.add_argument("--k", type=_positive_int, required=True)
+    p.add_argument("--k", type=_count, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--temperature", type=float, default=1.0)
+    p.add_argument("--temperature", type=_temperature, default=1.0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sample)
 
@@ -442,23 +457,24 @@ def build_parser() -> argparse.ArgumentParser:
     add_model_args(p)
     p.add_argument("--policy", default="probfirst")
     p.add_argument("--k", required=True, help="k range, e.g. 1..32 or 8")
-    p.add_argument("--sample-seeds", type=_positive_int, default=10)
-    p.add_argument("--temperature", type=float, default=1.0)
+    p.add_argument("--sample-seeds", type=_count, default=10)
+    p.add_argument("--temperature", type=_temperature, default=1.0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("coverage-curve", help="per-k coverage CSV")
     add_model_args(p)
     p.add_argument("--policy", default="probfirst")
-    p.add_argument("--k-max", type=_positive_int, required=True)
-    p.add_argument("--sample-seeds", type=_positive_int, default=10)
-    p.add_argument("--temperature", type=float, default=1.0)
+    p.add_argument("--k-max", type=_count, required=True)
+    p.add_argument("--sample-seeds", type=_count, default=10)
+    p.add_argument("--temperature", type=_temperature, default=1.0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_coverage_curve)
 
     p = sub.add_parser("cache-sim", help="prefix-cache replay over a leaves file")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--capacity", default="inf", help="max cached tokens, or 'inf'")
+    p.add_argument("--capacity", type=_capacity, default="inf",
+                   help="max cached tokens, or 'inf'")
     p.add_argument("--block", type=int, default=1, help="tokens per cache block")
     p.add_argument("--evict", default="none", choices=["none", "lru"])
     p.add_argument("--out", default=None)

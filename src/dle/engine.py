@@ -106,7 +106,7 @@ class TokenStats:
     new_tokens: int = 0            # tokens on completed leaves
     wasted_tokens: int = 0         # tokens on early-stopped branches
     discarded_tokens: int = 0      # tokens on budget-cut rollouts
-    model_calls: int = 0
+    model_calls: int = 0           # decoding steps, memoized ones included
     rollouts: int = 0
     early_stop_triggers: int = 0
 
@@ -209,17 +209,24 @@ def greedy_rollout(model, rule: TruncationRule, tree: PrunedTree, start_node: in
                    early_stop: EarlyStopConfig | None,
                    sibling_continuations: Sequence[Sequence[int]] = (),
                    discovery_counter: list[int] | None = None,
-                   order: int = 0) -> _RolloutOutcome:
+                   order: int = 0,
+                   steps: dict | None = None) -> _RolloutOutcome:
     """Greedy generation from start_node until termination.
 
     Follows the highest-weight child at every step (ties to the lowest token
     id) and records a branch point for every non-followed alternative. Stops
     at end-of-sequence, at the length cap, when the token budget runs out,
     or when the early-stop check fires against a sibling continuation.
+
+    `steps` maps `model.context(prompt, prefix)` to the active set computed
+    for it; a step whose context is already there skips the model and the
+    truncation rule. Failed model calls are never stored.
     """
     stats.rollouts += 1
     if discovery_counter is None:
         discovery_counter = [0]
+    if steps is None:
+        steps = {}
     node_id = start_node
     prefix = list(tree.path_tokens(start_node))
     inherited = len(prefix)
@@ -257,14 +264,17 @@ def greedy_rollout(model, rule: TruncationRule, tree: PrunedTree, start_node: in
             stats.discarded_tokens += len(appended)
             return _RolloutOutcome(None, branch_points, budget_cut=True)
 
-        try:
-            probs = model.next_distribution(tuple(prompt), tuple(prefix))
-        except ModelError:
-            tree.mark_path(node_id, start_node, FAILED)
-            stats.discarded_tokens += len(appended)
-            raise
+        context = model.context(prompt, prefix)
+        active = steps.get(context)
+        if active is None:
+            try:
+                probs = model.next_distribution(tuple(prompt), tuple(prefix))
+            except ModelError:
+                tree.mark_path(node_id, start_node, FAILED)
+                stats.discarded_tokens += len(appended)
+                raise
+            active = steps[context] = active_set(probs, rule)
         stats.model_calls += 1
-        active = active_set(probs, rule)
         children = tree.expand_node(node_id, active)
         position = len(prefix)
         for child_id in children[1:]:
@@ -333,6 +343,7 @@ def enumerate_leaves(model, rule: TruncationRule, prompt: Sequence[int],
     frontier = Frontier(policy)
     leaves: list[Leaf] = []
     discovery_counter = [0]
+    steps: dict = {}  # context -> active set, for this prompt only
     degraded = False
 
     def budget_allows_more() -> bool:
@@ -350,7 +361,7 @@ def enumerate_leaves(model, rule: TruncationRule, prompt: Sequence[int],
         try:
             outcome = greedy_rollout(model, rule, tree, start, prompt, budget, stats,
                                      early_stop, siblings, discovery_counter,
-                                     order=len(leaves))
+                                     order=len(leaves), steps=steps)
         except ModelError:
             if not leaves:
                 raise

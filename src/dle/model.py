@@ -1,6 +1,9 @@
 """Pluggable conditional next-token probability sources.
 
-Three backends share one protocol, ``next_distribution(prompt, generated)``:
+Three backends share one protocol: ``next_distribution(prompt, generated)``,
+and ``context(prompt, generated)``, the hashable part of the prefix that the
+next distribution depends on. Two prefixes with equal contexts get the same
+distribution, so callers may reuse a step computed for either:
 
 * TableModel — explicit transition table loaded from JSON. Transition keys
   are space-joined token strings of the generated prefix (prompt excluded),
@@ -132,6 +135,10 @@ class TableModel:
             validate_distribution(default, vocab.size)
         self._default = default
 
+    def context(self, prompt: Sequence[int], generated: Sequence[int]) -> tuple[int, ...]:
+        """The generated tokens: transitions do not depend on the prompt."""
+        return tuple(generated)
+
     def next_distribution(self, prompt: Sequence[int], generated: Sequence[int]) -> np.ndarray:
         probs = self._transitions.get(tuple(generated))
         if probs is None:
@@ -148,12 +155,10 @@ class TableModel:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "TableModel":
-        try:
-            tokens = tuple(doc["vocab"])
-            eos_token = doc["eos"]
-            raw_transitions = doc["transitions"]
-        except KeyError as exc:
-            raise ConfigError(f"table model document missing key {exc}") from exc
+        what = "table model"
+        tokens = tuple(_field(doc, "vocab", "an array of strings", what))
+        eos_token = _field(doc, "eos", "a string", what)
+        raw_transitions = _field(doc, "transitions", "an object", what)
         if eos_token not in tokens:
             raise ConfigError(f"eos token {eos_token!r} not in vocab")
         vocab = Vocabulary(tokens=tokens, eos_id=tokens.index(eos_token))
@@ -161,9 +166,13 @@ class TableModel:
         # last one's weights.
         weights_of: dict[tuple[int, ...], dict] = {}
         for key, weights in raw_transitions.items():
+            if not isinstance(weights, dict):
+                raise ConfigError(f"{what} transition {key!r} must be an object")
             weights_of[tuple(map(vocab.id_of, key.split()))] = weights
         rows = _weight_rows(vocab, list(weights_of.values()))
-        default = _weight_rows(vocab, [doc["default"]])[0] if "default" in doc else None
+        default = None
+        if "default" in doc:
+            default = _weight_rows(vocab, [_field(doc, "default", "an object", what)])[0]
         return cls(vocab, list(weights_of), rows, default)
 
     @classmethod
@@ -191,6 +200,31 @@ class TableModel:
                 self.vocab.tokens[i]: float(p) for i, p in enumerate(self._default) if p > 0.0
             }
         return doc
+
+
+_JSON_KINDS = {
+    "an object": lambda v: isinstance(v, dict),
+    "an array": lambda v: isinstance(v, list),
+    "an array of strings": lambda v: isinstance(v, list) and all(isinstance(t, str) for t in v),
+    "a string": lambda v: isinstance(v, str),
+    "an integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "a number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+}
+
+
+def _field(doc, name: str, kind: str, what: str):
+    """doc[name], checked to be of a `_JSON_KINDS` kind.
+
+    A document that is not a JSON object, a missing key or a value of the
+    wrong kind raises ConfigError naming the field.
+    """
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{what} document must be a JSON object")
+    if name not in doc:
+        raise ConfigError(f"{what} document missing key {name!r}")
+    if not _JSON_KINDS[kind](doc[name]):
+        raise ConfigError(f"{what} field {name!r} must be {kind}")
+    return doc[name]
 
 
 def _weight_rows(vocab: Vocabulary, weights: list[dict]) -> np.ndarray:
@@ -265,13 +299,16 @@ class NgramModel:
         self._indptr = np.zeros(len(totals) + 1, dtype=np.int64)
         np.cumsum(np.bincount(row_of, minlength=len(totals)), out=self._indptr[1:])
 
-    def _context(self, prompt: Sequence[int], generated: Sequence[int]) -> tuple[int, ...]:
-        full = tuple(prompt) + tuple(generated)
-        width = self.order - 1
-        return full[-width:] if width else ()
+    def context(self, prompt: Sequence[int], generated: Sequence[int]) -> tuple[int, ...]:
+        """The trailing (order - 1)-token window of prompt + generated, read
+        from the tail in O(order)."""
+        width, tail = self.order - 1, len(generated)
+        if tail >= width:
+            return tuple(generated[tail - width:])
+        return tuple(prompt[max(0, len(prompt) - width + tail):]) + tuple(generated)
 
     def next_distribution(self, prompt: Sequence[int], generated: Sequence[int]) -> np.ndarray:
-        row = self._rows.get(self._context(prompt, generated))
+        row = self._rows.get(self.context(prompt, generated))
         ctx_count = 0 if row is None else self._totals[row]
         size = self.vocab.size
         denom = ctx_count + self.alpha * size
@@ -309,20 +346,35 @@ class NgramModel:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "NgramModel":
-        tokens = tuple(doc["vocab"])
-        vocab = Vocabulary(tokens=tokens, eos_id=tokens.index(doc["eos"]))
+        what = "n-gram model"
+        tokens = tuple(_field(doc, "vocab", "an array of strings", what))
+        eos_token = _field(doc, "eos", "a string", what)
+        if eos_token not in tokens:
+            raise ConfigError(f"eos token {eos_token!r} not in vocab")
+        vocab = Vocabulary(tokens=tokens, eos_id=tokens.index(eos_token))
+        order = _field(doc, "order", "an integer", what)
+        alpha = _field(doc, "alpha", "a number", what)
+        tokenization = _field(doc, "tokenization", "a string", what)
+        context_counts = _field(doc, "context_counts", "an array", what)
+        pair_counts = _field(doc, "pair_counts", "an array", what)
         rows: dict[tuple[int, ...], int] = {}
         totals: list[int] = []
-        for ctx, count in doc["context_counts"]:
-            rows[tuple(ctx)] = len(totals)
-            totals.append(int(count))
-        triples = ((rows[tuple(ctx)], tok, count) for ctx, tok, count in doc["pair_counts"])
         try:
-            pairs = _int_triples(triples, len(doc["pair_counts"]))
+            for ctx, count in context_counts:
+                rows[tuple(ctx)] = len(totals)
+                totals.append(int(count))
+        except (TypeError, ValueError):
+            raise ConfigError(f"{what} field 'context_counts' must hold [context, count] "
+                              "pairs") from None
+        triples = ((rows[tuple(ctx)], tok, count) for ctx, tok, count in pair_counts)
+        try:
+            pairs = _int_triples(triples, len(pair_counts))
         except KeyError as exc:
             raise ConfigError(f"pair count for context {exc.args[0]!r}, which has no count") from None
-        return cls(vocab, int(doc["order"]), float(doc["alpha"]), doc["tokenization"],
-                   rows, totals, pairs)
+        except (TypeError, ValueError):
+            raise ConfigError(f"{what} field 'pair_counts' must hold [context, token id, count] "
+                              "triples") from None
+        return cls(vocab, order, float(alpha), tokenization, rows, totals, pairs)
 
     @classmethod
     def from_file(cls, path: str) -> "NgramModel":
@@ -435,6 +487,10 @@ class RemoteModel:
 
     def decode(self, token_ids: Sequence[int]) -> str:
         return "".join(self._tokens[t] for t in token_ids)
+
+    def context(self, prompt: Sequence[int], generated: Sequence[int]) -> tuple:
+        """The whole prefix: the endpoint may condition on all of it."""
+        return tuple(prompt), tuple(generated)
 
     def _request_text(self, prompt: Sequence[int], generated: Sequence[int]) -> str:
         prompt_text = " ".join(self._tokens[t] for t in prompt)

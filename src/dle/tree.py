@@ -110,10 +110,12 @@ class PrunedTree:
         if len(active) <= 1:
             children = [self.add_child(node_id, int(active.token_ids[0]), 1.0)]
         else:
-            children = [
-                self.add_child(node_id, int(tok), float(w))
-                for tok, w in zip(active.token_ids, active.weights)
-            ]
+            nodes, base = self.nodes, node.log_mass
+            first = len(nodes)
+            for token, weight, log_weight in zip(*active.edges):
+                nodes.append(TreeNode(len(nodes), node_id, token, weight, base + log_weight))
+            children = list(range(first, len(nodes)))
+            node.children.extend(children)
         node.status = EXPANDED
         return children
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence, Union
 
 import numpy as np
@@ -97,6 +98,13 @@ class ActiveSet:
     def __len__(self) -> int:
         return len(self.token_ids)
 
+    @cached_property
+    def edges(self) -> tuple[list[int], list[float], list[float]]:
+        """Token ids, weights and log weights as Python lists, in canonical
+        order, built once per active set so a reused set skips the conversion."""
+        weights = self.weights.tolist()
+        return self.token_ids.tolist(), weights, list(map(math.log, weights))
+
     def weight_of(self, token_id: int) -> float:
         """Renormalized weight of token_id, or 0.0 if outside the set."""
         hits = np.nonzero(self.token_ids == token_id)[0]
@@ -132,30 +140,40 @@ def _member_ids(probs: np.ndarray, rule: TruncationRule) -> np.ndarray:
 
     Every rule keeps a prefix of one ranking, probability descending and then
     token id ascending, so a composite keeps the shortest of its rules'
-    prefixes. Threshold and top-k masks narrow the pool in O(V); only top-p
-    has to rank, and it ranks only the pool. The ranked pool is a prefix of
-    the full ranking, so its cumulative sums equal the full ones bit for bit.
+    prefixes. Threshold masks narrow the pool first, in O(V); top-k then cuts
+    only that pool, and the full vector is partitioned only when no threshold
+    narrowed it. Only top-p has to rank, and it ranks only the pool. The
+    ranked pool is a prefix of the full ranking, so its cumulative sums equal
+    the full ones bit for bit.
     """
     rules = rule.rules if isinstance(rule, Composite) else (rule,)
     mask = None
+    top_k = None
     top_ps = []
     for sub in rules:
         if isinstance(sub, Epsilon):
             keep = probs >= sub.eps if sub.inclusive else probs > sub.eps
         elif isinstance(sub, MinP):
             keep = probs >= sub.p_min * probs.max()
-        elif isinstance(sub, TopK):
-            keep = _top_k_mask(probs, sub.k)
-        elif isinstance(sub, TopP):
-            keep = probs > 0.0
-            top_ps.append(sub.p)
         elif isinstance(sub, Composite):
             keep = np.zeros(len(probs), dtype=bool)
             keep[_member_ids(probs, sub)] = True
+        elif isinstance(sub, TopK):
+            top_k = sub.k if top_k is None else min(top_k, sub.k)
+            continue
+        elif isinstance(sub, TopP):
+            top_ps.append(sub.p)
+            continue
         else:
             raise ConfigError(f"unknown truncation rule: {sub!r}")
         mask = keep if mask is None else mask & keep
-    ids = np.nonzero(mask)[0]
+    if mask is None:
+        ids = np.nonzero(probs > 0.0 if top_k is None else _top_k_mask(probs, top_k))[0]
+    else:
+        # Threshold rules keep positive probabilities only.
+        ids = np.nonzero(mask)[0]
+        if top_k is not None and len(ids) > top_k:
+            ids = ids[_top_k_mask(probs[ids], top_k)]
     if not top_ps:
         return ids
     pool = probs[ids]
@@ -199,7 +217,7 @@ def apply_temperature(probs: np.ndarray, temperature: float) -> np.ndarray:
     T=1 returns the input unchanged; T=0 is the greedy limit (point mass on
     the argmax). Applied before truncation.
     """
-    if temperature < 0.0:
+    if not temperature >= 0.0:  # NaN fails every comparison
         raise ConfigError(f"temperature must be >= 0, got {temperature}")
     if temperature == 1.0:
         return probs

@@ -20,6 +20,24 @@ from dle.rng import substream
 from dle.truncation import Composite, Epsilon, MinP, TopK, TopP
 
 
+class UnmemoizedModel:
+    """Model proxy whose context is a fresh object on every call.
+
+    No per-context step memo ever hits on it, so each decoding step queries
+    the model and the truncation rule, as before the memo existed.
+    """
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.vocab = inner.vocab
+
+    def context(self, prompt, generated):
+        return object()
+
+    def next_distribution(self, prompt, generated):
+        return self.inner.next_distribution(prompt, generated)
+
+
 def linear_select_branch(frontier, policy: BranchPolicy, rng=None) -> int:
     """Index of the branch point the policy picks next, by one scan of the list."""
     if policy.kind == "randbranch":

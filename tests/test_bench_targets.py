@@ -2,6 +2,8 @@
 
 `e2ebench/tracer.py` wraps package functions by module and attribute name.
 A rename in the package would otherwise show only in a traced benchmark run.
+The per-context step memo must call the model and the truncation rule through
+those names, once per distinct context, or the traced counts mean nothing.
 """
 
 import importlib.util
@@ -66,3 +68,25 @@ def test_tracer_observes_each_closed_form_call_of_compare(tmp_path):
     assert names.count("metrics.expected_coverage_closed_form") == 4
     assert names.count("oracle.enumerate_all_leaves") == 1
     assert names.count("baseline.sample_sequences") == 2
+
+
+def test_step_memo_calls_the_traced_names_once_per_context():
+    from dle import engine
+
+    tracer = load_tracer().Tracer()
+    model = train_ngram_model("a b c a\na c b\nb a c c\nc a b\n", order=2, alpha=0.5)
+    tracer.install()
+    try:
+        result = engine.enumerate_leaves(model, Composite(rules=(TopP(p=0.9), TopK(k=3))), (),
+                                         BranchPolicy("probfirst"),
+                                         Budget(max_leaves=12, max_seq_len=6), keep_tree=True)
+    finally:
+        tracer.uninstall()
+    tree = result.tree
+    expanded = [node.id for node in tree.nodes if node.children]
+    contexts = {model.context((), tree.path_tokens(node_id)) for node_id in expanded}
+    assert len(contexts) < len(expanded) == result.stats.model_calls
+    names = [span.name for span in tracer.spans]
+    assert names.count("model.next_distribution") == len(contexts)
+    assert names.count("truncation.active_set") == len(contexts)
+    assert names.count("tree.expand_node") == len(expanded)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import make_random_table_model
 from dle.cli import _compare_rows, main
 from dle.engine import BranchPolicy
+from dle.model import train_ngram_model
 from dle.truncation import parse_rule
 from reference import reference_compare_rows
 
@@ -351,3 +352,60 @@ def test_non_finite_table_weights_exit_2_without_traceback(command, tmp_path, ca
     err = capsys.readouterr().err
     assert err == "error: distribution has non-finite entries\n"
     assert not out.exists()
+
+
+def _ngram_doc_without(field):
+    doc = train_ngram_model("a b\nb a\n", order=2, alpha=1.0).to_dict()
+    del doc[field]
+    return doc
+
+
+@pytest.mark.parametrize("kind, doc, message", [
+    ("table", {"vocab": ["a", "<eos>"], "eos": "<eos>", "transitions": []},
+     "table model field 'transitions' must be an object"),
+    ("table", [1, 2], "table model document must be a JSON object"),
+    ("table", {"vocab": 5, "eos": "<eos>", "transitions": {}},
+     "table model field 'vocab' must be an array of strings"),
+    ("table", {"vocab": ["a", "<eos>"], "eos": "<eos>", "transitions": {"": [1.0]}},
+     "table model transition '' must be an object"),
+    ("ngram", _ngram_doc_without("context_counts"),
+     "n-gram model document missing key 'context_counts'"),
+    ("ngram", dict(_ngram_doc_without("kind"), context_counts=[[0, 1]]),
+     "n-gram model field 'context_counts' must hold [context, count] pairs"),
+])
+def test_malformed_model_documents_exit_2_without_traceback(kind, doc, message, tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    code = main(["enumerate", "--model", f"{kind}:{path}", "--rule", "top_k:2", "--k", "2",
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n"
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, flag, value, message", [
+    (["cache-sim"], "--capacity", "abc", "expected an integer, got 'abc'"),
+    (["cache-sim"], "--capacity", "-1", "must be >= 0, got -1"),
+    (["sample", "--k", "3"], "--temperature", "nan", "must be a number >= 0, got nan"),
+    (["compare", "--k", "1..3"], "--temperature", "nan", "must be a number >= 0, got nan"),
+    (["coverage-curve", "--k-max", "3"], "--temperature", "nan",
+     "must be a number >= 0, got nan"),
+])
+def test_out_of_range_values_exit_2_without_traceback(command, flag, value, message,
+                                                       two_leaf_path, tmp_path, capsys):
+    if command[0] == "cache-sim":
+        leaves = tmp_path / "leaves.jsonl"
+        leaves.write_text('{"tokens": [0, 2]}\n')
+        source = ["--in", str(leaves)]
+    else:
+        source = ["--model", f"table:{two_leaf_path}", "--rule", "top_k:2"]
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([*command, *source, flag, value, "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: argument {flag}: {message}" in err.splitlines()[-1]
+    assert "Traceback" not in err
+    assert not out.exists()
+

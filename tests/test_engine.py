@@ -1,20 +1,23 @@
 import hashlib
+import json
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import make_random_table_model
+from dle.baseline import sample_sequences
 from dle.engine import (POLICIES, Budget, BranchPolicy, EarlyStopConfig, Frontier, TokenStats,
                         early_stop_check, enumerate_leaves, greedy_rollout,
                         select_branch)
 from dle.errors import ConfigError, EmptyFrontier, ModelError
-from dle.model import TableModel
+from dle.model import TableModel, train_ngram_model
 from dle.oracle import enumerate_all_leaves
 from dle.rng import substream
 from dle.tree import BranchPoint, PrunedTree
-from dle.truncation import Epsilon, MinP, TopK, TopP
-from reference import linear_select_branch
+from dle.truncation import Epsilon, MinP, TopK, TopP, parse_rule
+from reference import UnmemoizedModel, linear_select_branch
 
 FIG_RULE = Epsilon(eps=0.1, inclusive=True)
 UNLIMITED = Budget(max_leaves=10 ** 9)
@@ -338,6 +341,9 @@ class FlakyModel:
     def vocab(self):
         return self.inner.vocab
 
+    def context(self, prompt, generated):
+        return self.inner.context(prompt, generated)
+
     def next_distribution(self, prompt, generated):
         self.calls += 1
         if self.calls > self.allowed_calls:
@@ -399,3 +405,86 @@ def test_frontier_pops_match_the_linear_scan(kind, seed, batches):
         pick_both()
     assert len(frontier) == 0
     assert [bp.discovered for bp in picks] == [bp.discovered for bp in expected]
+
+
+class FailingContextModel:
+    """Delegates to a model, raising ModelError for one context."""
+
+    def __init__(self, inner, bad_context):
+        self.inner = inner
+        self.vocab = inner.vocab
+        self.bad_context = bad_context
+
+    def context(self, prompt, generated):
+        return self.inner.context(prompt, generated)
+
+    def next_distribution(self, prompt, generated):
+        if self.inner.context(prompt, generated) == self.bad_context:
+            raise ModelError("injected failure")
+        return self.inner.next_distribution(prompt, generated)
+
+
+def enumeration_outcome(model, rule, prompt, policy, budget, early_stop):
+    """Everything an enumeration reports, the dumped tree included, or
+    "raised" when a model error propagates."""
+    try:
+        result = enumerate_leaves(model, rule, prompt, policy, budget, early_stop, keep_tree=True)
+    except ModelError:
+        return "raised"
+    return (result.leaves, result.stats, result.frontier_exhausted, result.degraded,
+            json.dumps(result.tree.to_dict(), sort_keys=True))
+
+
+@st.composite
+def _memo_models(draw):
+    if draw(st.booleans()):
+        return make_random_table_model(draw(st.integers(0, 10_000)))
+    letters = "abcd"[:draw(st.integers(1, 4))]
+    lines = draw(st.lists(st.text(letters, min_size=1, max_size=6), min_size=1, max_size=6))
+    return train_ngram_model("\n".join(lines), order=draw(st.integers(1, 3)),
+                             alpha=draw(st.sampled_from([0.01, 0.5, 1.0])), tokenization="char")
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data(), model=_memo_models(),
+       rule=st.sampled_from(["epsilon:0.05", "top_k:2", "top_p:0.9", "min_p:0.3",
+                             "top_p:0.8+top_k:3", "min_p:0.1+top_k:2"]),
+       policy=st.sampled_from(["probfirst", "divfirst", "randbranch:7", "globalprob", "dfs"]),
+       max_leaves=st.one_of(st.none(), st.integers(1, 25)), max_new_tokens=st.integers(1, 80),
+       max_seq_len=st.integers(1, 8), early_stop_n=st.one_of(st.none(), st.integers(1, 3)),
+       temperature=st.sampled_from([1.0, 0.6]), k=st.integers(1, 12), seed=st.integers(0, 99))
+def test_step_memo_changes_no_output(data, model, rule, policy, max_leaves, max_new_tokens,
+                                     max_seq_len, early_stop_n, temperature, k, seed):
+    prompt = tuple(data.draw(st.lists(st.integers(0, model.vocab.size - 1), max_size=2)))
+    rule, policy = parse_rule(rule), BranchPolicy.parse(policy)
+    budget = Budget(max_leaves=max_leaves,
+                    max_new_tokens=None if data.draw(st.booleans()) and max_leaves else max_new_tokens,
+                    max_seq_len=max_seq_len)
+    early_stop = None if early_stop_n is None else EarlyStopConfig(n=early_stop_n)
+    args = (rule, prompt, policy, budget, early_stop)
+    memoized = enumeration_outcome(model, *args)
+    assert memoized == enumeration_outcome(UnmemoizedModel(model), *args)
+    draws = sample_sequences(model, rule, prompt, k, seed, temperature, max_seq_len)
+    reference = sample_sequences(UnmemoizedModel(model), rule, prompt, k, seed, temperature,
+                                 max_seq_len)
+    assert (draws.sequences, draws.degraded) == (reference.sequences, reference.degraded)
+
+    # A model error on one context the run reaches gives the same result, or
+    # the same propagated error, with and without the memo.
+    tree = enumerate_leaves(model, *args, keep_tree=True).tree
+    contexts = sorted({repr(model.context(prompt, tree.path_tokens(node.id))): node.id
+                       for node in tree.nodes if node.children}.items())
+    _, node_id = data.draw(st.sampled_from(contexts))
+    failing = FailingContextModel(model, model.context(prompt, tree.path_tokens(node_id)))
+    assert enumeration_outcome(failing, *args) == enumeration_outcome(UnmemoizedModel(failing), *args)
+
+
+def test_model_error_on_one_context_degrades_alike_with_and_without_the_memo(fig_tree_model):
+    # The rollout from root alternative "b" is the only one that needs context (b,).
+    failing = FailingContextModel(fig_tree_model, (1,))
+    args = (FIG_RULE, (), BranchPolicy("probfirst"), Budget(max_leaves=4), None)
+    outcome = enumeration_outcome(failing, *args)
+    assert outcome == enumeration_outcome(UnmemoizedModel(failing), *args)
+    leaves, _, _, degraded, _ = outcome
+    assert degraded
+    assert [round(leaf.q, 9) for leaf in leaves] == [0.504, 0.27, 0.126]

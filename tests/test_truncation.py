@@ -149,6 +149,12 @@ def test_leaf_probabilities_sum_to_one_via_oracle(fig_tree_model):
     assert total == pytest.approx(1.0, abs=1e-6)
 
 
+def test_apply_temperature_rejects_nan_and_negative_temperatures():
+    for bad in (float("nan"), -0.5):
+        with pytest.raises(ConfigError, match="temperature must be >= 0"):
+            apply_temperature(np.array([0.6, 0.4]), bad)
+
+
 def test_apply_temperature_identity_and_greedy_limit():
     probs = np.array([0.6, 0.3, 0.1])
     assert apply_temperature(probs, 1.0) is probs
@@ -186,8 +192,14 @@ def test_rule_parameter_validation():
 
 
 # Small integer weights: zero probabilities, ties at the top-k boundary, and
-# cumulative sums that land exactly on a top-p threshold are all common.
-_WEIGHTS = st.lists(st.integers(0, 4), min_size=1, max_size=12).filter(any)
+# cumulative sums that land exactly on a top-p threshold are all common. The
+# second kind looks like a smoothed n-gram row: a few peaks over many tokens
+# tied at one floor weight, which a top-k cut can fall inside.
+_WEIGHTS = st.one_of(
+    st.lists(st.integers(0, 4), min_size=1, max_size=12).filter(any),
+    st.tuples(st.lists(st.integers(2, 9), max_size=4), st.integers(2, 60), st.integers(0, 5))
+    .flatmap(lambda t: st.permutations(t[0] + [1] * t[1] + [0] * t[2])),
+)
 
 
 def _single_rules(weights):
@@ -207,15 +219,35 @@ def _single_rules(weights):
     )
 
 
+def _threshold_top_k(weights):
+    """A min_p or epsilon rule plus top_k, with k one below, at, one above or
+    anywhere up to the number of tokens the threshold keeps."""
+    probs = np.array(weights, dtype=np.float64) / sum(weights)
+    values = sorted({float(p) for p in probs if p > 0.0})
+    threshold = st.one_of(
+        st.builds(MinP, p_min=st.sampled_from([v / values[-1] for v in values])),
+        st.builds(Epsilon, eps=st.sampled_from(values), inclusive=st.booleans()))
+
+    def with_top_k(rule):
+        pool = len(sorting_member_ids(probs, rule))
+        ks = st.one_of(st.sampled_from(sorted({max(1, pool - 1), max(1, pool), pool + 1})),
+                       st.integers(1, pool + 1))
+        return st.builds(lambda k, first: Composite(
+            rules=(rule, TopK(k=k)) if first else (TopK(k=k), rule)), ks, st.booleans())
+
+    return threshold.flatmap(with_top_k)
+
+
 def _rules(weights):
     def composite(parts):
         return st.builds(lambda rs: Composite(rules=tuple(rs)), st.lists(parts, min_size=1, max_size=3))
 
     single = _single_rules(weights)
-    return st.one_of(single, composite(st.one_of(single, composite(single))))
+    return st.one_of(single, composite(st.one_of(single, composite(single))),
+                     _threshold_top_k(weights))
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=500, deadline=None)
 @given(data=st.data(), weights=_WEIGHTS)
 def test_active_set_matches_the_sorting_reference(data, weights):
     probs = np.array(weights, dtype=np.float64) / sum(weights)
