@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 
 from .baseline import SampleRun, sample_sequences
 from .engine import (Budget, BranchPolicy, EarlyStopConfig, EnumerationResult, Frontier,
-                     early_stop_check, enumerate_leaves, greedy_rollout, select_branch)
+                     enumerate_leaves, greedy_rollout, select_branch)
 from .metrics import (coverage, distinct_n, expected_coverage_closed_form,
                       marginal_gain_closed_form, repetition_rate)
 from .model import (NgramModel, RemoteModel, TableModel, Vocabulary,
@@ -28,7 +28,7 @@ __all__ = [
     "EnumerationResult", "Epsilon", "Frontier", "MinP", "NgramModel", "RemoteModel",
     "SampleRun", "TableModel", "TopK", "TopP", "Vocabulary",
     "active_set", "apply_temperature", "coverage", "distinct_n",
-    "early_stop_check", "enumerate_all_leaves", "enumerate_leaves",
+    "enumerate_all_leaves", "enumerate_leaves",
     "expected_coverage_closed_form", "greedy_rollout", "greedy_token",
     "marginal_gain_closed_form", "monte_carlo_expected_coverage",
     "parse_model_spec", "parse_rule", "repetition_rate", "sample_sequences",

@@ -70,6 +70,8 @@ def sample_sequences(model, rule: TruncationRule, prompt: Sequence[int], k: int,
     """Draw k sequences with replacement from the truncated distribution."""
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
+    if max_seq_len < 1:
+        raise ConfigError(f"max_seq_len must be >= 1, got {max_seq_len}")
     prompt = tuple(prompt)
     stepper = _StepCache(model, rule, prompt, temperature)
     eos_id = model.vocab.eos_id

@@ -99,9 +99,18 @@ def _temperature(text: str) -> float:
     return value
 
 
+def _open_out(path: Path, **kwargs):
+    """Open an output file for writing, creating its directory; a path that
+    cannot be created or written is a configuration error."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        return open(path, "w", encoding="utf-8", **kwargs)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
 def _write_json(path: Path, payload: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
+    with _open_out(path) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -131,8 +140,7 @@ def _leaf_row(model, leaf) -> dict:
 
 
 def _write_jsonl(path: Path, rows: list[dict]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
+    with _open_out(path) as fh:
         for row in rows:
             fh.write(json.dumps(row, sort_keys=True))
             fh.write("\n")
@@ -216,7 +224,7 @@ def cmd_enumerate(args) -> int:
     _write_json(Path(f"{Path(args.out)}.metrics.json"), {"prompts": metrics})
     if args.dump_tree is not None:
         if len(results) == 1 and results[0].tree is not None:
-            results[0].tree.dump(args.dump_tree)
+            _write_json(Path(args.dump_tree), results[0].tree.to_dict())
         else:
             raise ConfigError("--dump-tree supports single-prompt runs only")
     return _degraded_exit(degraded, "partial results (model errors); outputs marked degraded")
@@ -304,8 +312,7 @@ def _compare_rows(model, rule, prompt_ids, ks, policy, seeds, temperature,
 
 
 def _write_csv(path: Path, rows: list[dict]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with _open_out(path, newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
         writer.writeheader()
         writer.writerows(rows)
@@ -430,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--model", required=True, help="table:PATH | ngram:PATH[?opts] | remote[:opts]")
         p.add_argument("--rule", required=True, help="e.g. epsilon:0.05 or top_p:0.95+top_k:10")
         p.add_argument("--prompt-file", default=None, help="one prompt per line; omitted = empty prompt")
-        p.add_argument("--max-seq-len", type=int, default=512)
+        p.add_argument("--max-seq-len", type=_count, default=512)
         p.add_argument("--workers", type=_count, default=4,
                        help="worker pool size for multi-prompt runs")
 
@@ -497,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="exhaustive enumeration (debugging)")
     add_model_args(p)
-    p.add_argument("--max-depth", type=int, default=64)
+    p.add_argument("--max-depth", type=_count, default=64)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_oracle)
 

@@ -16,12 +16,12 @@ is dropped from the leaf list while its tokens remain counted.
 
 from __future__ import annotations
 
-import bisect
 import heapq
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 from .errors import ConfigError, EmptyFrontier, ModelError
 from .rng import substream
@@ -124,16 +124,6 @@ class EnumerationResult:
     tree: PrunedTree | None = None
 
 
-def early_stop_check(new_tokens_after_branch: Sequence[int],
-                     sibling_continuations: Sequence[Sequence[int]],
-                     n: int) -> bool:
-    """True when the first n post-branch tokens equal a recorded sibling suffix."""
-    if len(new_tokens_after_branch) < n:
-        return False
-    head = tuple(new_tokens_after_branch[:n])
-    return any(tuple(sib[:n]) == head for sib in sibling_continuations if len(sib) >= n)
-
-
 # Heap entry per deterministic policy: the policy's tie-break tuple, then the
 # branch point. `discovered` is unique within one enumeration, so entries never
 # compare their branch points and the heap's minimum is the linear scan's.
@@ -150,30 +140,36 @@ class Frontier:
 
     The deterministic policies keep a heap keyed on their tie-break tuple, so
     a pick costs O(log F). randbranch keeps the branch points in discovery
-    order beside their masses, each exponentiated once; a pick is one
-    cumulative sum over the masses in C, O(F), which yields the same floats
-    and so the same seeded pick sequence as a left-to-right scan.
+    order beside a float64 array of their masses, each exponentiated once. A
+    pick zeroes its entry and leaves it in place until half the array is
+    dead, then the live entries are compacted. One pick is one cumulative sum
+    in C, O(F): it adds the masses in discovery order, and the dead zeros
+    change no partial sum, so the floats, and the seeded picks, are those of
+    a left-to-right scan over the live masses.
     """
 
-    __slots__ = ("_entry", "_heap", "_points", "_masses", "_rng")
+    __slots__ = ("_entry", "_heap", "_points", "_masses", "_live", "_rng")
 
     def __init__(self, policy: BranchPolicy):
         self._entry = _HEAP_ENTRIES.get(policy.kind)
         self._heap: list[tuple] = []
-        self._points: list[BranchPoint] = []
-        self._masses: list[float] = []
+        self._points: list[BranchPoint | None] = []  # None marks a picked entry
+        self._masses = np.empty(0)
+        self._live = 0
         self._rng = substream(policy.seed, "randbranch") if self._entry is None else None
 
     def __len__(self) -> int:
-        return len(self._heap) if self._entry is not None else len(self._points)
+        return len(self._heap) if self._entry is not None else self._live
 
     def extend(self, branch_points: Sequence[BranchPoint]) -> None:
         if self._entry is not None:
             for bp in branch_points:
                 heapq.heappush(self._heap, self._entry(bp))
-        else:
+        elif branch_points:
             self._points.extend(branch_points)
-            self._masses.extend(math.exp(bp.log_mass) for bp in branch_points)
+            self._masses = np.concatenate(
+                (self._masses, [math.exp(bp.log_mass) for bp in branch_points]))
+            self._live += len(branch_points)
 
     def pop(self) -> BranchPoint:
         """Remove and return the branch point the policy picks next."""
@@ -181,12 +177,25 @@ class Frontier:
             raise EmptyFrontier("no branch points to select from")
         if self._entry is not None:
             return heapq.heappop(self._heap)[-1]
-        masses = self._masses
-        pick = self._rng.random() * sum(masses)
-        idx = min(bisect.bisect_right(list(itertools.accumulate(masses)), pick),
-                  len(masses) - 1)
-        del masses[idx]
-        return self._points.pop(idx)
+        points, masses = self._points, self._masses
+        cumulative = np.cumsum(masses)
+        pick = self._rng.random() * cumulative[-1]
+        idx = int(np.searchsorted(cumulative, pick, side="right"))
+        if idx == len(points):
+            # The pick rounded up to the total (every live mass underflowed
+            # to 0.0, or the total is subnormal): the last live entry.
+            idx -= 1
+            while points[idx] is None:
+                idx -= 1
+        picked = points[idx]
+        points[idx] = None
+        masses[idx] = 0.0
+        self._live -= 1
+        if 2 * self._live < len(points):
+            keep = [i for i, bp in enumerate(points) if bp is not None]
+            self._points = [points[i] for i in keep]
+            self._masses = masses[keep]
+        return picked
 
 
 def select_branch(frontier: Frontier) -> BranchPoint:
@@ -207,7 +216,7 @@ class _RolloutOutcome:
 def greedy_rollout(model, rule: TruncationRule, tree: PrunedTree, start_node: int,
                    prompt: Sequence[int], budget: Budget, stats: TokenStats,
                    early_stop: EarlyStopConfig | None,
-                   sibling_continuations: Sequence[Sequence[int]] = (),
+                   sibling_leaves: Sequence[tuple[int, ...]] = (),
                    discovery_counter: list[int] | None = None,
                    order: int = 0,
                    steps: dict | None = None) -> _RolloutOutcome:
@@ -216,7 +225,10 @@ def greedy_rollout(model, rule: TruncationRule, tree: PrunedTree, start_node: in
     Follows the highest-weight child at every step (ties to the lowest token
     id) and records a branch point for every non-followed alternative. Stops
     at end-of-sequence, at the length cap, when the token budget runs out,
-    or when the early-stop check fires against a sibling continuation.
+    or when its first n tokens after the branch point equal those of a
+    sibling leaf. `sibling_leaves` holds the tokens of completed leaves that
+    share every token before the branch position and have at least n tokens
+    after it; their continuation is read in place, after the branch position.
 
     `steps` maps `model.context(prompt, prefix)` to the active set computed
     for it; a step whose context is already there skips the model and the
@@ -234,7 +246,7 @@ def greedy_rollout(model, rule: TruncationRule, tree: PrunedTree, start_node: in
     branch_points: list[BranchPoint] = []
     eos_id = model.vocab.eos_id
     check_merges = early_stop is not None and early_stop.enabled and start_node != tree.root
-    candidates = [tuple(s) for s in sibling_continuations] if check_merges else []
+    candidates = sibling_leaves
 
     def make_leaf(stop_reason: str) -> Leaf:
         node = tree.node(node_id)
@@ -297,34 +309,42 @@ def greedy_rollout(model, rule: TruncationRule, tree: PrunedTree, start_node: in
         if token == eos_id:
             return _RolloutOutcome(make_leaf(STOP_EOS), branch_points)
 
-        if check_merges and len(appended) <= early_stop.n:
-            m = len(appended)
-            candidates = [c for c in candidates if len(c) >= m and c[m - 1] == token]
+        # After m tokens the candidates are the siblings whose m tokens after
+        # the branch point match; any left at m == n is a duplicate head.
+        if check_merges:
+            candidates = [c for c in candidates if c[position] == token]
             if not candidates:
                 check_merges = False
-            elif early_stop_check(appended, candidates, early_stop.n):
+            elif len(appended) == early_stop.n:
                 tree.mark_path(node_id, start_node, PRUNED_EARLY_STOP)
                 stats.wasted_tokens += len(appended)
                 stats.early_stop_triggers += 1
                 return _RolloutOutcome(None, branch_points, stopped_early=True)
 
 
-def _sibling_continuations(leaves: Sequence[Leaf], tree: PrunedTree,
-                           branch_node: int, n: int) -> list[tuple[int, ...]]:
-    """Post-branch suffixes of completed leaves sharing the branch prefix.
+def _index_leaf(siblings: dict[int, list[tuple[int, ...]]], tree: PrunedTree,
+                leaf: Leaf, n: int) -> None:
+    """File a completed leaf under each ancestor whose branches it can stop.
 
-    A leaf qualifies when it agrees with the branch point on every token
-    before the branch position and has at least n tokens after it; its
-    comparison suffix skips the leaf's own token at the branch position.
+    A branch at position p compares its first n tokens with those of the
+    leaves through its parent, the depth-p node, that have n tokens after
+    position p. So the leaf is appended, in completion order, under each
+    ancestor at depth p <= len(tokens) - 1 - n that has more than one child,
+    since only such a node parents branch points. A node's children are
+    fixed once it is expanded. One walk costs O(len(tokens)).
     """
-    path = tree.path_tokens(branch_node)
-    position = len(path) - 1
-    shared = path[:position]
-    out = []
-    for leaf in leaves:
-        if len(leaf.tokens) >= position + 1 + n and leaf.tokens[:position] == shared:
-            out.append(leaf.tokens[position + 1:position + 1 + n])
-    return out
+    if len(leaf.tokens) <= n:
+        return
+    nodes = tree.nodes
+    node = nodes[leaf.node_id]
+    for _ in range(n + 1):
+        node = nodes[node.parent]
+    while True:
+        if len(node.children) > 1:
+            siblings.setdefault(node.id, []).append(leaf.tokens)
+        if node.parent is None:
+            return
+        node = nodes[node.parent]
 
 
 def enumerate_leaves(model, rule: TruncationRule, prompt: Sequence[int],
@@ -344,6 +364,8 @@ def enumerate_leaves(model, rule: TruncationRule, prompt: Sequence[int],
     leaves: list[Leaf] = []
     discovery_counter = [0]
     steps: dict = {}  # context -> active set, for this prompt only
+    merge_n = early_stop.n if early_stop is not None and early_stop.enabled else None
+    siblings: dict[int, list[tuple[int, ...]]] = {}  # parent node id -> leaf tokens
     degraded = False
 
     def budget_allows_more() -> bool:
@@ -355,12 +377,12 @@ def enumerate_leaves(model, rule: TruncationRule, prompt: Sequence[int],
 
     start = tree.root
     while True:
-        siblings = ()
-        if early_stop is not None and early_stop.enabled and start != tree.root:
-            siblings = _sibling_continuations(leaves, tree, start, early_stop.n)
+        candidates = ()
+        if merge_n is not None and start != tree.root:
+            candidates = siblings.get(tree.node(start).parent, ())
         try:
             outcome = greedy_rollout(model, rule, tree, start, prompt, budget, stats,
-                                     early_stop, siblings, discovery_counter,
+                                     early_stop, candidates, discovery_counter,
                                      order=len(leaves), steps=steps)
         except ModelError:
             if not leaves:
@@ -370,6 +392,8 @@ def enumerate_leaves(model, rule: TruncationRule, prompt: Sequence[int],
         frontier.extend(outcome.branch_points)
         if outcome.leaf is not None:
             leaves.append(outcome.leaf)
+            if merge_n is not None:
+                _index_leaf(siblings, tree, outcome.leaf, merge_n)
         if not budget_allows_more() or not frontier:
             break
         start = select_branch(frontier).node_id

@@ -25,6 +25,7 @@ from __future__ import annotations
 import itertools
 import json
 import logging
+import math
 import os
 import threading
 import time
@@ -277,10 +278,7 @@ class NgramModel:
         context's count, and pairs is an (n, 3) integer array of
         (row, token id, count) triples in any order.
         """
-        if order < 1:
-            raise ConfigError(f"order must be >= 1, got {order}")
-        if alpha <= 0.0:
-            raise ConfigError(f"alpha must be > 0, got {alpha}")
+        _check_order_alpha(order, alpha)
         self.vocab = vocab
         self.order = order
         self.alpha = alpha
@@ -386,6 +384,13 @@ class NgramModel:
         return cls.from_dict(doc)
 
 
+def _check_order_alpha(order: int, alpha: float) -> None:
+    if order < 1:
+        raise ConfigError(f"order must be >= 1, got {order}")
+    if not 0.0 < alpha < math.inf:  # also false for NaN
+        raise ConfigError(f"alpha must be a finite number > 0, got {alpha}")
+
+
 def _int_triples(triples, n: int) -> np.ndarray:
     """An (n, 3) int64 array from an iterable of n integer triples."""
     return np.fromiter(itertools.chain.from_iterable(triples), np.int64, 3 * n).reshape(n, 3)
@@ -394,10 +399,7 @@ def _int_triples(triples, n: int) -> np.ndarray:
 def train_ngram_model(corpus: str, order: int, alpha: float,
                       tokenization: str = "whitespace") -> NgramModel:
     """Train an add-alpha n-gram model from text, one sequence per line."""
-    if order < 1:
-        raise ConfigError(f"order must be >= 1, got {order}")
-    if alpha <= 0.0:
-        raise ConfigError(f"alpha must be > 0, got {alpha}")
+    _check_order_alpha(order, alpha)
     lines = [_tokenize(line, tokenization) for line in corpus.splitlines()]
     lines = [toks for toks in lines if toks]
     if not lines:
@@ -576,15 +578,15 @@ def parse_model_spec(spec: str) -> Model:
             raise ConfigError(f"cannot read corpus {path}: {exc}") from exc
         return train_ngram_model(
             corpus,
-            order=int(options.get("order", 1)),
-            alpha=float(options.get("alpha", 1.0)),
+            order=_number(options, "order", int, 1),
+            alpha=_number(options, "alpha", float, 1.0),
             tokenization=options.get("tokenize", "whitespace"),
         )
     if kind == "remote":
         options = _parse_options(rest, sep=",")
         kwargs = {}
         if "top_n" in options:
-            kwargs["top_n"] = int(options["top_n"])
+            kwargs["top_n"] = _number(options, "top_n", int)
         if "eos" in options:
             kwargs["eos_token"] = options["eos"]
         if "url" in options:
@@ -601,3 +603,14 @@ def _parse_options(text: str, sep: str) -> dict[str, str]:
             raise ConfigError(f"bad option {item!r}, expected key=value")
         options[key.strip()] = value.strip()
     return options
+
+
+def _number(options: dict[str, str], key: str, kind: type, default=None):
+    """Option `key` converted by `kind` (int or float), or the default when absent."""
+    if key not in options:
+        return default
+    try:
+        return kind(options[key])
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"model option {key} must be {noun}, got {options[key]!r}") from None

@@ -8,7 +8,6 @@ boundaries.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -159,11 +158,6 @@ class PrunedTree:
                 for n in self.nodes
             ]
         }
-
-    def dump(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
 
 def flatten(prompt: Sequence[int], leaves: Sequence[Leaf]) -> list[tuple[int, ...]]:

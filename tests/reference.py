@@ -7,16 +7,20 @@ return bit-identical results.
 
 from __future__ import annotations
 
+import itertools
 import statistics
 
 import numpy as np
 
+from dle import engine
 from dle.baseline import sample_sequences
 from dle.cache_sim import PrefixCache
-from dle.engine import Budget, BranchPolicy, enumerate_leaves
+from dle.engine import (Budget, BranchPolicy, EnumerationResult, Frontier, TokenStats,
+                        enumerate_leaves)
 from dle.metrics import coverage_curve
 from dle.oracle import enumerate_all_leaves
 from dle.rng import substream
+from dle.tree import PrunedTree
 from dle.truncation import Composite, Epsilon, MinP, TopK, TopP
 
 
@@ -43,12 +47,9 @@ def linear_select_branch(frontier, policy: BranchPolicy, rng=None) -> int:
     if policy.kind == "randbranch":
         if rng is None:
             rng = substream(policy.seed, "randbranch")
-        masses = [bp.mass for bp in frontier]
-        total = sum(masses)
-        pick = rng.random() * total
-        acc = 0.0
-        for i, m in enumerate(masses):
-            acc += m
+        prefix_sums = list(itertools.accumulate(bp.mass for bp in frontier))
+        pick = rng.random() * prefix_sums[-1]
+        for i, acc in enumerate(prefix_sums):
             if pick < acc:
                 return i
         return len(frontier) - 1
@@ -63,6 +64,59 @@ def linear_select_branch(frontier, policy: BranchPolicy, rng=None) -> int:
     else:  # dfs
         key = lambda i: (-frontier[i].position, frontier[i].token_id, frontier[i].discovered)
     return min(range(len(frontier)), key=key)
+
+
+def early_stop_check(new_tokens_after_branch, sibling_continuations, n: int) -> bool:
+    """True when the first n post-branch tokens equal a recorded sibling suffix."""
+    if len(new_tokens_after_branch) < n:
+        return False
+    head = tuple(new_tokens_after_branch[:n])
+    return any(tuple(sib[:n]) == head for sib in sibling_continuations if len(sib) >= n)
+
+
+def scan_sibling_leaves(leaves, tree, branch_node: int, n: int) -> list[tuple[int, ...]]:
+    """Tokens of the completed leaves a branch compares its head with, by
+    scanning every leaf: those that agree with the branch point on every
+    token before the branch position and have at least n tokens after it.
+    The comparison suffix starts after the leaf's own token at the branch
+    position."""
+    path = tree.path_tokens(branch_node)
+    position = len(path) - 1
+    shared = path[:position]
+    return [leaf.tokens for leaf in leaves
+            if len(leaf.tokens) >= position + 1 + n and leaf.tokens[:position] == shared]
+
+
+def scan_enumerate_leaves(model, rule, prompt, policy, budget, early_stop=None,
+                          keep_tree=False) -> EnumerationResult:
+    """`enumerate_leaves`, for a model that never raises, with each round's
+    early-stop candidates found by scanning every completed leaf. The
+    rollouts go through `engine.greedy_rollout`, looked up at call time."""
+    tree = PrunedTree()
+    stats = TokenStats()
+    frontier = Frontier(policy)
+    leaves = []
+    discovery_counter = [0]
+    steps: dict = {}
+    start = tree.root
+    while True:
+        siblings = ()
+        if early_stop is not None and early_stop.enabled and start != tree.root:
+            siblings = scan_sibling_leaves(leaves, tree, start, early_stop.n)
+        outcome = engine.greedy_rollout(model, rule, tree, start, prompt, budget, stats,
+                                        early_stop, siblings, discovery_counter,
+                                        order=len(leaves), steps=steps)
+        frontier.extend(outcome.branch_points)
+        if outcome.leaf is not None:
+            leaves.append(outcome.leaf)
+        if ((budget.max_leaves is not None and len(leaves) >= budget.max_leaves)
+                or (budget.max_new_tokens is not None
+                    and stats.generated_tokens >= budget.max_new_tokens)
+                or not frontier):
+            break
+        start = frontier.pop().node_id
+    return EnumerationResult(leaves=leaves, frontier_exhausted=not frontier, stats=stats,
+                             tree=tree if keep_tree else None)
 
 
 def sorting_member_ids(probs: np.ndarray, rule) -> np.ndarray:

@@ -107,3 +107,5 @@ def test_k_must_be_positive():
     model = TableModel.from_dict(TWO_LEAF_DOC)
     with pytest.raises(ConfigError):
         sample_sequences(model, Epsilon(eps=0.05), (), k=0, seed=0)
+    with pytest.raises(ConfigError, match="max_seq_len must be >= 1, got 0"):
+        sample_sequences(model, Epsilon(eps=0.05), (), k=2, seed=0, max_seq_len=0)

@@ -10,6 +10,7 @@ import importlib.util
 import json
 import sys
 from pathlib import Path
+from unittest import mock
 
 from dle.engine import Budget, BranchPolicy
 from dle.model import train_ngram_model
@@ -90,3 +91,32 @@ def test_step_memo_calls_the_traced_names_once_per_context():
     assert names.count("model.next_distribution") == len(contexts)
     assert names.count("truncation.active_set") == len(contexts)
     assert names.count("tree.expand_node") == len(expanded)
+
+
+def test_randbranch_select_spans_observe_the_live_frontier_size():
+    # `engine.frontier_max` is the largest size these spans observe. A
+    # randbranch frontier keeps picked entries in its mass array until half
+    # are dead, so its length must count live branch points only.
+    from dle import engine
+
+    added = []
+    extend = engine.Frontier.extend
+
+    def counting_extend(frontier, branch_points):
+        added.append((added[-1] if added else 0) + len(branch_points))
+        return extend(frontier, branch_points)
+
+    tracer = load_tracer().Tracer()
+    model = train_ngram_model("a b c a\na c b\nb a c c\nc a b\n", order=2, alpha=0.5)
+    tracer.install()
+    try:
+        with mock.patch.object(engine.Frontier, "extend", counting_extend):
+            result = engine.enumerate_leaves(model, TopK(k=3), (), BranchPolicy("randbranch", 5),
+                                             Budget(max_leaves=10 ** 6, max_seq_len=5))
+    finally:
+        tracer.uninstall()
+    assert result.frontier_exhausted
+    observed = [s.observed for s in tracer.spans if s.name == "engine.select_branch"]
+    # Pick i follows the (i + 1)-th extend and leaves what was added minus i + 1 picks.
+    assert observed == [total - picks for picks, total in enumerate(added[:len(observed)], 1)]
+    assert observed[-1] == 0 and len(observed) > 100

@@ -372,6 +372,8 @@ def _ngram_doc_without(field):
      "n-gram model document missing key 'context_counts'"),
     ("ngram", dict(_ngram_doc_without("kind"), context_counts=[[0, 1]]),
      "n-gram model field 'context_counts' must hold [context, count] pairs"),
+    ("ngram", dict(_ngram_doc_without("kind"), alpha=float("nan")),
+     "alpha must be a finite number > 0, got nan"),
 ])
 def test_malformed_model_documents_exit_2_without_traceback(kind, doc, message, tmp_path, capsys):
     path = tmp_path / "model.json"
@@ -391,6 +393,10 @@ def test_malformed_model_documents_exit_2_without_traceback(kind, doc, message, 
     (["compare", "--k", "1..3"], "--temperature", "nan", "must be a number >= 0, got nan"),
     (["coverage-curve", "--k-max", "3"], "--temperature", "nan",
      "must be a number >= 0, got nan"),
+    (["sample", "--k", "3"], "--max-seq-len", "0", "must be >= 1, got 0"),
+    (["enumerate", "--k", "3"], "--max-seq-len", "-2", "must be >= 1, got -2"),
+    (["compare", "--k", "1..3"], "--max-seq-len", "x", "expected an integer, got 'x'"),
+    (["oracle"], "--max-depth", "0", "must be >= 1, got 0"),
 ])
 def test_out_of_range_values_exit_2_without_traceback(command, flag, value, message,
                                                        two_leaf_path, tmp_path, capsys):
@@ -409,3 +415,51 @@ def test_out_of_range_values_exit_2_without_traceback(command, flag, value, mess
     assert "Traceback" not in err
     assert not out.exists()
 
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("ngram:{corpus}?order=abc", "model option order must be an integer, got 'abc'"),
+    ("ngram:{corpus}?alpha=x", "model option alpha must be a number, got 'x'"),
+    ("remote:top_n=x", "model option top_n must be an integer, got 'x'"),
+    ("ngram:{corpus}?alpha=nan", "alpha must be a finite number > 0, got nan"),
+    ("ngram:{corpus}?alpha=inf", "alpha must be a finite number > 0, got inf"),
+])
+def test_bad_model_spec_options_exit_2_without_traceback(spec, message, tmp_path, capsys):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("a b\nb a\n")
+    out = tmp_path / "out"
+    code = main(["enumerate", "--model", spec.format(corpus=corpus), "--rule", "top_k:2",
+                 "--k", "3", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("alpha", ["nan", "inf"])
+def test_ngram_train_rejects_a_non_finite_alpha(alpha, tmp_path, capsys):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("a b\nb a\n")
+    out = tmp_path / "model.json"
+    code = main(["ngram-train", "--corpus", str(corpus), "--alpha", alpha, "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: alpha must be a finite number > 0, got {alpha}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["enumerate", "--rule", "top_k:2", "--k", "2", "--out", "{blocked}"],
+    ["compare", "--rule", "top_k:2", "--k", "1..2", "--out", "{blocked}"],
+    ["oracle", "--rule", "top_k:2", "--out", "{blocked}"],
+    ["enumerate", "--rule", "top_k:2", "--k", "2", "--out", "{ok}", "--dump-tree", "{blocked}"],
+])
+def test_unwritable_output_directory_exits_2_without_traceback(command, two_leaf_path, tmp_path,
+                                                               capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    blocked = blocker / "sub" / "out"
+    argv = [arg.format(blocked=blocked, ok=tmp_path / "ok") for arg in command]
+    code = main([*argv, "--model", f"table:{two_leaf_path}"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {blocked}: ")
+    assert "Traceback" not in err

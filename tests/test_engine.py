@@ -1,23 +1,25 @@
 import hashlib
 import json
 import math
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_random_table_model
+from dle import engine
 from dle.baseline import sample_sequences
 from dle.engine import (POLICIES, Budget, BranchPolicy, EarlyStopConfig, Frontier, TokenStats,
-                        early_stop_check, enumerate_leaves, greedy_rollout,
-                        select_branch)
+                        enumerate_leaves, greedy_rollout, select_branch)
 from dle.errors import ConfigError, EmptyFrontier, ModelError
 from dle.model import TableModel, train_ngram_model
 from dle.oracle import enumerate_all_leaves
 from dle.rng import substream
 from dle.tree import BranchPoint, PrunedTree
 from dle.truncation import Epsilon, MinP, TopK, TopP, parse_rule
-from reference import UnmemoizedModel, linear_select_branch
+from reference import (UnmemoizedModel, early_stop_check, linear_select_branch,
+                       scan_enumerate_leaves)
 
 FIG_RULE = Epsilon(eps=0.1, inclusive=True)
 UNLIMITED = Budget(max_leaves=10 ** 9)
@@ -366,9 +368,12 @@ def test_model_error_before_any_leaf_raises(fig_tree_model):
         run(flaky, FIG_RULE, budget=Budget(max_leaves=4))
 
 
-# Few distinct values per field, so exact key ties are common.
+# Few distinct values per field, so exact key ties are common. Log masses of
+# -745 and below exponentiate to 0.0 and -740 to a subnormal: a frontier of
+# only those makes the randbranch pick round up to its total, past the end.
 _POINT_FIELDS = st.tuples(
-    st.sampled_from([0.0, math.log(0.5), math.log(0.25), math.log(0.125), -2.5]),
+    st.one_of(st.sampled_from([0.0, math.log(0.5), math.log(0.25), math.log(0.125), -2.5]),
+              st.sampled_from([-740.0, -800.0, -1e4])),
     st.integers(0, 3),
     st.integers(0, 3),
     st.sampled_from([0.5, 0.25, 0.1]),
@@ -376,9 +381,16 @@ _POINT_FIELDS = st.tuples(
 
 
 @settings(max_examples=150, deadline=None)
+# The point picked first is the only positive one and sits at the end; then
+# every live mass is 0.0 and the picks run past the end to the last live point.
+@example(kind="randbranch", seed=0,
+         batches=[([(-800.0, 0, 0, 0.5), (-800.0, 0, 1, 0.5), (0.0, 0, 2, 0.5)], 3)])
 @given(kind=st.sampled_from(POLICIES), seed=st.integers(0, 2 ** 32),
-       batches=st.lists(st.lists(_POINT_FIELDS, max_size=6), min_size=1, max_size=10))
+       batches=st.lists(st.tuples(st.lists(_POINT_FIELDS, max_size=40), st.integers(0, 12)),
+                        min_size=1, max_size=12))
 def test_frontier_pops_match_the_linear_scan(kind, seed, batches):
+    # Each batch is followed by up to 12 picks, so randbranch frontiers
+    # compact (half their entries picked) at many sizes and mid-run.
     policy = BranchPolicy(kind, seed=seed if kind == "randbranch" else None)
     rng = substream(seed, "randbranch") if kind == "randbranch" else None
     frontier = Frontier(policy)
@@ -390,7 +402,7 @@ def test_frontier_pops_match_the_linear_scan(kind, seed, batches):
         picks.append(select_branch(frontier))
         expected.append(reference.pop(linear_select_branch(reference, policy, rng)))
 
-    for batch in batches:
+    for batch, picks_after in batches:
         points = []
         for log_mass, position, token_id, edge_weight in batch:
             discovered += 1
@@ -399,8 +411,9 @@ def test_frontier_pops_match_the_linear_scan(kind, seed, batches):
                                       discovered=discovered))
         frontier.extend(points)
         reference.extend(points)
-        if reference:
+        for _ in range(min(picks_after, len(reference))):
             pick_both()
+            assert len(frontier) == len(reference)
     while reference:
         pick_both()
     assert len(frontier) == 0
@@ -477,6 +490,53 @@ def test_step_memo_changes_no_output(data, model, rule, policy, max_leaves, max_
     _, node_id = data.draw(st.sampled_from(contexts))
     failing = FailingContextModel(model, model.context(prompt, tree.path_tokens(node_id)))
     assert enumeration_outcome(failing, *args) == enumeration_outcome(UnmemoizedModel(failing), *args)
+
+
+@settings(max_examples=150, deadline=None)
+@given(model=_memo_models(),
+       rule=st.sampled_from(["epsilon:0.05", "top_k:2", "top_p:0.9", "min_p:0.3", "top_k:3"]),
+       policy=st.sampled_from(["probfirst", "divfirst", "randbranch:7", "globalprob", "dfs"]),
+       max_leaves=st.integers(1, 40), max_new_tokens=st.one_of(st.none(), st.integers(1, 100)),
+       max_seq_len=st.integers(1, 10), n=st.integers(1, 3), prompt_len=st.integers(0, 2))
+def test_sibling_index_matches_the_leaf_scan(model, rule, policy, max_leaves, max_new_tokens,
+                                             max_seq_len, n, prompt_len):
+    prompt = tuple(range(min(prompt_len, model.vocab.size)))
+    budget = Budget(max_leaves=max_leaves, max_new_tokens=max_new_tokens, max_seq_len=max_seq_len)
+    args = (model, parse_rule(rule), prompt, BranchPolicy.parse(policy), budget,
+            EarlyStopConfig(n=n))
+    rounds = []
+    rollout = engine.greedy_rollout
+
+    def recording_rollout(*call, **kwargs):
+        outcome = rollout(*call, **kwargs)
+        rounds.append((call[3], list(call[8]), outcome.stopped_early))
+        return outcome
+
+    with mock.patch.object(engine, "greedy_rollout", recording_rollout):
+        indexed = enumerate_leaves(*args, keep_tree=True)
+        index_rounds, rounds = rounds, []
+        scanned = scan_enumerate_leaves(*args, keep_tree=True)
+    assert (indexed.leaves, indexed.stats, indexed.frontier_exhausted) == \
+        (scanned.leaves, scanned.stats, scanned.frontier_exhausted)
+    assert indexed.tree.to_dict() == scanned.tree.to_dict()
+    # Every branch got the scan's candidates, in leaf order, and stopped alike.
+    assert index_rounds == rounds
+    tree = indexed.tree
+    for start, candidates, stopped_early in index_rounds:
+        if start == tree.root:
+            continue
+        # A branch stops early exactly when its first n tokens after the
+        # branch point (the greedy path below it) equal a sibling's, unless
+        # the last of them is eos, which completes the leaf first.
+        position = len(tree.path_tokens(start)) - 1
+        head, node = [], tree.node(start)
+        while node.children and len(head) < n:
+            node = tree.node(node.children[0])
+            head.append(node.token)
+        suffixes = [c[position + 1:] for c in candidates]
+        assert stopped_early == (early_stop_check(head, suffixes, n)
+                                 and model.vocab.eos_id not in head)
+    assert indexed.stats.early_stop_triggers == sum(r[2] for r in index_rounds)
 
 
 def test_model_error_on_one_context_degrades_alike_with_and_without_the_memo(fig_tree_model):

@@ -127,8 +127,9 @@ def test_ngram_unseen_context_is_uniform():
 
 
 def test_ngram_rejects_bad_parameters():
-    with pytest.raises(ConfigError):
-        train_ngram_model("a b", order=1, alpha=0.0)
+    for alpha in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ConfigError, match="alpha must be a finite number > 0"):
+            train_ngram_model("a b", order=1, alpha=alpha)
     with pytest.raises(ConfigError):
         train_ngram_model("a b", order=0, alpha=1.0)
     with pytest.raises(EmptyCorpus):

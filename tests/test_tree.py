@@ -103,13 +103,11 @@ def test_flatten_immediate_eos():
     assert streams == [(0, 1, 9)]
 
 
-def test_dump_format(tmp_path):
+def test_dump_format():
     tree = PrunedTree()
     node = tree.add_child(tree.root, token=1, edge_weight=0.25)
     tree.node(node).status = LEAF
-    path = tmp_path / "tree.json"
-    tree.dump(str(path))
-    doc = json.loads(path.read_text())
+    doc = json.loads(json.dumps(tree.to_dict()))
     assert {n["id"] for n in doc["nodes"]} == {0, 1}
     entry = doc["nodes"][1]
     assert entry["parent"] == 0
