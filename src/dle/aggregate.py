@@ -66,9 +66,6 @@ class VoteResult:
     weights: dict[str, float]      # per-label total vote weight
     total_mass: dict[str, float]   # per-label summed sequence probability
 
-    def tally(self) -> list[tuple[str, float]]:
-        return sorted(self.weights.items(), key=lambda item: (-item[1], item[0]))
-
 
 def majority_vote(labeled: Sequence[tuple[str, float]], weighting: str = "uniform") -> VoteResult:
     """Vote over (label, sequence probability) pairs.
@@ -79,7 +76,7 @@ def majority_vote(labeled: Sequence[tuple[str, float]], weighting: str = "unifor
     """
     if not labeled:
         raise ConfigError("majority_vote needs at least one labeled sequence")
-    if weighting not in ("uniform", "probability", "prob"):
+    if weighting not in ("uniform", "prob"):
         raise ConfigError(f"unknown weighting {weighting!r}")
     use_mass = weighting != "uniform"
 
@@ -94,8 +91,3 @@ def majority_vote(labeled: Sequence[tuple[str, float]], weighting: str = "unifor
     if contenders:
         winner = min(contenders, key=lambda lb: (-weights[lb], -total_mass[lb], lb))
     return VoteResult(winner=winner, weights=weights, total_mass=total_mass)
-
-
-def pass_at_k(labels: Sequence[str], accepted: set[str]) -> bool:
-    """True when any label is in the accepted set."""
-    return any(label in accepted for label in labels)

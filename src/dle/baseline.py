@@ -25,16 +25,7 @@ DEFAULT_MAX_SEQ_LEN = 512
 @dataclass
 class SampleRun:
     sequences: list[tuple[tuple[int, ...], float]]  # (tokens, sequence probability)
-    seed: int
-    temperature: float
-    rule: TruncationRule
     degraded: bool = False
-
-    def unique_sequences(self) -> list[tuple[tuple[int, ...], float]]:
-        seen: dict[tuple[int, ...], float] = {}
-        for tokens, q in self.sequences:
-            seen.setdefault(tokens, q)
-        return list(seen.items())
 
 
 class _StepCache:
@@ -101,5 +92,4 @@ def sample_sequences(model, rule: TruncationRule, prompt: Sequence[int], k: int,
             continue
         sequences.append((tokens, math.exp(log_q)))
 
-    return SampleRun(sequences=sequences, seed=seed, temperature=temperature,
-                     rule=rule, degraded=degraded)
+    return SampleRun(sequences=sequences, degraded=degraded)

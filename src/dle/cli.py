@@ -38,25 +38,18 @@ from .oracle import enumerate_all_leaves
 from .truncation import parse_rule
 
 
-def _read_prompts(path: str | None, model) -> list[tuple[str, tuple[int, ...]]]:
+def _read_prompts(path: str | None, model) -> list[tuple[int, ...]]:
+    """Token ids of each non-blank line of the prompt file; one empty prompt
+    when there is no file or it holds only blank lines."""
     if path is None:
-        return [("", ())]
+        return [()]
     try:
         with open(path, encoding="utf-8") as fh:
             lines = [line.rstrip("\n") for line in fh]
     except OSError as exc:
         raise ConfigError(f"cannot read prompt file {path}: {exc}") from exc
     lines = [line for line in lines if line.strip()] or [""]
-    return [(line, model.encode_prompt(line)) for line in lines]
-
-
-def _parse_early_stop(text: str) -> EarlyStopConfig | None:
-    if text == "off":
-        return None
-    try:
-        return EarlyStopConfig(enabled=True, n=int(text))
-    except ValueError as exc:
-        raise ConfigError(f"--early-stop-n expects an integer or 'off', got {text!r}") from exc
+    return [model.encode_prompt(line) for line in lines]
 
 
 def _parse_k_range(text: str) -> list[int]:
@@ -89,6 +82,14 @@ def _capacity(text: str) -> int | None:
     return None if text == "inf" else _count(text, minimum=0)
 
 
+def _early_stop_n(text: str) -> str:
+    """Early-stop merge length: 'off' or an integer >= 1, kept as given for
+    the manifest."""
+    if text != "off":
+        _count(text)
+    return text
+
+
 def _temperature(text: str) -> float:
     try:
         value = float(text)
@@ -113,6 +114,14 @@ def _write_json(path: Path, payload: dict) -> None:
     with _open_out(path) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _emit_json(out: str | None, payload: dict) -> None:
+    """Write the payload to `out`, or print it when no output file is given."""
+    if out:
+        _write_json(Path(out), payload)
+    else:
+        print(json.dumps(payload, indent=2, sort_keys=True))
 
 
 def _write_manifest(out: Path, command: str, config: dict, extras: dict | None = None) -> None:
@@ -146,22 +155,39 @@ def _write_jsonl(path: Path, rows: list[dict]) -> None:
             fh.write("\n")
 
 
-def _read_jsonl(path: str) -> list[dict]:
+def _read_jsonl(path: str) -> list[tuple[int, dict]]:
+    """(line number, row) for each non-blank line of a JSONL file."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return [json.loads(line) for line in fh if line.strip()]
+            return [(lineno, json.loads(line)) for lineno, line in enumerate(fh, 1)
+                    if line.strip()]
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
 
 
-def _run_prompts(args, command: str, model, config: dict, run_one, rows_of) -> tuple[list, bool]:
+def _column(path: str, rows: list[tuple[int, dict]], key: str, convert) -> list:
+    """`convert(row[key])` for each row of `_read_jsonl(path)`. A row that is
+    not an object, lacks the key or holds a value `convert` rejects is a
+    configuration error naming the file, the line and the key."""
+    values = []
+    for lineno, row in rows:
+        if not isinstance(row, dict) or key not in row:
+            raise ConfigError(f"{path} line {lineno}: missing key {key!r}")
+        try:
+            values.append(convert(row[key]))
+        except (TypeError, ValueError):
+            raise ConfigError(f"{path} line {lineno}: bad {key!r} value {row[key]!r}") from None
+    return values
+
+
+def _run_prompts(args, prompt_ids: list[tuple[int, ...]], command: str, config: dict,
+                 run_one, rows_of) -> tuple[list, bool]:
     """Run `run_one` on every prompt, then write the rows and the manifest.
 
     A thread pool serves multi-prompt runs only. `rows_of(prompt_ids, result)`
     turns one result into output rows; multi-prompt rows also carry the
     prompt's index. Returns the results and whether any of them is degraded.
     """
-    prompt_ids = [ids for _, ids in _read_prompts(args.prompt_file, model)]
     if len(prompt_ids) > 1:
         with ThreadPoolExecutor(max_workers=args.workers) as pool:
             results = list(pool.map(run_one, prompt_ids))
@@ -196,13 +222,16 @@ def cmd_enumerate(args) -> int:
         raise ConfigError("enumerate needs --k and/or --token-budget")
     budget = Budget(max_leaves=args.k, max_new_tokens=args.token_budget,
                     max_seq_len=args.max_seq_len)
-    early_stop = _parse_early_stop(args.early_stop_n)
+    early_stop = None if args.early_stop_n == "off" else EarlyStopConfig(int(args.early_stop_n))
+    prompt_ids = _read_prompts(args.prompt_file, model)
+    if args.dump_tree is not None and len(prompt_ids) > 1:
+        raise ConfigError("--dump-tree supports single-prompt runs only")
 
     def run_one(prompt_ids) -> EnumerationResult:
         return enumerate_leaves(model, rule, prompt_ids, policy, budget, early_stop,
                                 keep_tree=args.dump_tree is not None)
 
-    results, degraded = _run_prompts(args, "enumerate", model, {
+    results, degraded = _run_prompts(args, prompt_ids, "enumerate", {
         "model": args.model, "rule": args.rule, "policy": args.policy,
         "k": args.k, "token_budget": args.token_budget, "max_seq_len": args.max_seq_len,
         "early_stop_n": args.early_stop_n, "prompt_file": args.prompt_file,
@@ -223,10 +252,7 @@ def cmd_enumerate(args) -> int:
     } for idx, result in enumerate(results)]
     _write_json(Path(f"{Path(args.out)}.metrics.json"), {"prompts": metrics})
     if args.dump_tree is not None:
-        if len(results) == 1 and results[0].tree is not None:
-            _write_json(Path(args.dump_tree), results[0].tree.to_dict())
-        else:
-            raise ConfigError("--dump-tree supports single-prompt runs only")
+        _write_json(Path(args.dump_tree), results[0].tree.to_dict())
     return _degraded_exit(degraded, "partial results (model errors); outputs marked degraded")
 
 
@@ -251,7 +277,7 @@ def cmd_sample(args) -> int:
             "draw": draw,
         } for draw, (tokens, q) in enumerate(run.sequences)]
 
-    _, degraded = _run_prompts(args, "sample", model, {
+    _, degraded = _run_prompts(args, _read_prompts(args.prompt_file, model), "sample", {
         "model": args.model, "rule": args.rule, "k": args.k, "seed": args.seed,
         "temperature": args.temperature, "prompt_file": args.prompt_file,
     }, run_one, rows_of)
@@ -286,7 +312,7 @@ def _compare_rows(model, rule, prompt_ids, ks, policy, seeds, temperature,
 
     result = enumerate_leaves(model, rule, prompt_ids, policy,
                               Budget(max_leaves=max_k, max_seq_len=max_seq_len))
-    dle_curve = coverage_curve([(lf.tokens, lf.q) for lf in result.leaves], "dle")
+    dle_curve = coverage_curve([(lf.tokens, lf.q) for lf in result.leaves])
     dle_tokens = list(itertools.accumulate(leaf.new_tokens for leaf in result.leaves))
 
     sampled = [_sampled_curve(sample_sequences(model, rule, prompt_ids, max_k, seed,
@@ -295,11 +321,11 @@ def _compare_rows(model, rule, prompt_ids, ks, policy, seeds, temperature,
 
     rows = []
     for i, k in enumerate(ks):
-        idx = min(k, len(dle_curve.values)) - 1
+        idx = min(k, len(dle_curve)) - 1
         covs = [cov[i] for cov, _ in sampled]
         row = {
             "k": k,
-            "coverage_dle": dle_curve.values[idx] if dle_curve.values else 0.0,
+            "coverage_dle": dle_curve[idx] if dle_curve else 0.0,
             "expected_coverage_closed": expected_coverage_closed_form(masses, k),
             "coverage_sampled_mean": statistics.fmean(covs),
             "coverage_sampled_std": statistics.pstdev(covs) if seeds > 1 else 0.0,
@@ -319,41 +345,31 @@ def _write_csv(path: Path, rows: list[dict]) -> None:
 
 
 def cmd_compare(args) -> int:
+    """`compare` (a k range, with token accounting) and `coverage-curve`
+    (k = 1..k_max, coverage only)."""
     model = parse_model_spec(args.model)
     rule = parse_rule(args.rule)
     policy = BranchPolicy.parse(args.policy)
-    prompts = _read_prompts(args.prompt_file, model)
-    ks = _parse_k_range(args.k)
-    rows = _compare_rows(model, rule, prompts[0][1], ks, policy, args.sample_seeds,
-                         args.temperature, args.max_seq_len, with_tokens=True)
+    prompt_ids = _read_prompts(args.prompt_file, model)[0]
+    with_tokens = args.command == "compare"
+    ks = _parse_k_range(args.k) if with_tokens else list(range(1, args.k_max + 1))
+    rows = _compare_rows(model, rule, prompt_ids, ks, policy, args.sample_seeds,
+                         args.temperature, args.max_seq_len, with_tokens)
     out = Path(args.out)
     _write_csv(out, rows)
-    _write_manifest(out, "compare", {
-        "model": args.model, "rule": args.rule, "policy": args.policy, "k": args.k,
-        "sample_seeds": args.sample_seeds, "temperature": args.temperature,
-    })
-    return 0
-
-
-def cmd_coverage_curve(args) -> int:
-    model = parse_model_spec(args.model)
-    rule = parse_rule(args.rule)
-    policy = BranchPolicy.parse(args.policy)
-    prompts = _read_prompts(args.prompt_file, model)
-    ks = list(range(1, args.k_max + 1))
-    rows = _compare_rows(model, rule, prompts[0][1], ks, policy, args.sample_seeds,
-                         args.temperature, args.max_seq_len, with_tokens=False)
-    out = Path(args.out)
-    _write_csv(out, rows)
-    _write_manifest(out, "coverage-curve", {
-        "model": args.model, "rule": args.rule, "policy": args.policy,
-        "k_max": args.k_max, "sample_seeds": args.sample_seeds,
-    })
+    config = {"model": args.model, "rule": args.rule, "policy": args.policy,
+              "sample_seeds": args.sample_seeds}
+    if with_tokens:
+        config.update(k=args.k, temperature=args.temperature)
+    else:
+        config["k_max"] = args.k_max
+    _write_manifest(out, args.command, config)
     return 0
 
 
 def cmd_cache_sim(args) -> int:
     rows = _read_jsonl(args.infile)
+    tokens = _column(args.infile, rows, "tokens", tuple)
     manifest_path = Path(args.infile + ".manifest.json")
     prompt_tokens: dict[int, list[int]] = {}
     if manifest_path.exists():
@@ -361,20 +377,13 @@ def cmd_cache_sim(args) -> int:
             manifest = json.load(fh)
         for idx, ids in enumerate(manifest.get("prompt_tokens", [])):
             prompt_tokens[idx] = list(ids)
-    streams = []
-    for row in rows:
-        prompt = prompt_tokens.get(row.get("prompt", 0), [])
-        streams.append(tuple(prompt) + tuple(row["tokens"]))
+    streams = [tuple(prompt_tokens.get(row.get("prompt", 0), [])) + generated
+               for (_, row), generated in zip(rows, tokens)]
     if not streams:
         raise ConfigError(f"no sequences found in {args.infile}")
 
     cache = PrefixCache(block_size=args.block, capacity=args.capacity, eviction=args.evict)
-    stats = simulate(streams, cache)
-    payload = stats.to_dict()
-    if args.out:
-        _write_json(Path(args.out), payload)
-    else:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+    _emit_json(args.out, simulate(streams, cache).to_dict())
     return 0
 
 
@@ -383,18 +392,16 @@ def cmd_vote(args) -> int:
     if not rows:
         raise ConfigError(f"no sequences found in {args.infile}")
     extractor = parse_extractor(args.extract)
-    labeled = [(extractor(row["text"]), float(row["q"])) for row in rows]
-    result = majority_vote(labeled, weighting=args.weighting)
-    payload = {
+    texts = _column(args.infile, rows, "text", str)
+    masses = _column(args.infile, rows, "q", float)
+    result = majority_vote([(extractor(text), q) for text, q in zip(texts, masses)],
+                           weighting=args.weighting)
+    _emit_json(args.out, {
         "winner": result.winner,
         "weights": result.weights,
         "total_mass": result.total_mass,
         "weighting": args.weighting,
-    }
-    if args.out:
-        _write_json(Path(args.out), payload)
-    else:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+    })
     return 0
 
 
@@ -414,18 +421,14 @@ def cmd_ngram_train(args) -> int:
 def cmd_oracle(args) -> int:
     model = parse_model_spec(args.model)
     rule = parse_rule(args.rule)
-    prompts = _read_prompts(args.prompt_file, model)
-    oracle_set = enumerate_all_leaves(model, rule, prompts[0][1], max_depth=args.max_depth)
-    payload = {
+    prompt_ids = _read_prompts(args.prompt_file, model)[0]
+    oracle_set = enumerate_all_leaves(model, rule, prompt_ids, max_depth=args.max_depth)
+    _emit_json(args.out, {
         "leaves": [{"tokens": list(tokens), "text": model.decode(tokens), "q": q}
                    for tokens, q in oracle_set.leaves],
         "total_mass": oracle_set.total_mass,
         "node_count": oracle_set.node_count,
-    }
-    if args.out:
-        _write_json(Path(args.out), payload)
-    else:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+    })
     return 0
 
 
@@ -447,7 +450,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="probfirst|divfirst|randbranch:SEED|globalprob|dfs")
     p.add_argument("--k", type=int, default=None, help="maximum number of leaves")
     p.add_argument("--token-budget", type=int, default=None, help="maximum generated tokens")
-    p.add_argument("--early-stop-n", default="10", help="merge length n, or 'off'")
+    p.add_argument("--early-stop-n", type=_early_stop_n, default="10",
+                   help="merge length n, or 'off'")
     p.add_argument("--out", required=True)
     p.add_argument("--dump-tree", default=None, help="write the decoding tree as JSON")
     p.set_defaults(func=cmd_enumerate)
@@ -476,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sample-seeds", type=_count, default=10)
     p.add_argument("--temperature", type=_temperature, default=1.0)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_coverage_curve)
+    p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("cache-sim", help="prefix-cache replay over a leaves file")
     p.add_argument("--in", dest="infile", required=True)

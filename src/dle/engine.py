@@ -93,7 +93,6 @@ class Budget:
 class EarlyStopConfig:
     """Halt a branch whose first n post-branch tokens duplicate a sibling's."""
 
-    enabled: bool = True
     n: int = 10
 
     def __post_init__(self):
@@ -204,13 +203,12 @@ def select_branch(frontier: Frontier) -> BranchPoint:
 
 
 class _RolloutOutcome:
-    __slots__ = ("leaf", "branch_points", "stopped_early", "budget_cut")
+    __slots__ = ("leaf", "branch_points", "stopped_early")
 
-    def __init__(self, leaf, branch_points, stopped_early=False, budget_cut=False):
+    def __init__(self, leaf, branch_points, stopped_early=False):
         self.leaf = leaf
         self.branch_points = branch_points
         self.stopped_early = stopped_early
-        self.budget_cut = budget_cut
 
 
 def greedy_rollout(model, rule: TruncationRule, tree: PrunedTree, start_node: int,
@@ -245,7 +243,7 @@ def greedy_rollout(model, rule: TruncationRule, tree: PrunedTree, start_node: in
     appended: list[int] = []
     branch_points: list[BranchPoint] = []
     eos_id = model.vocab.eos_id
-    check_merges = early_stop is not None and early_stop.enabled and start_node != tree.root
+    check_merges = early_stop is not None and start_node != tree.root
     candidates = sibling_leaves
 
     def make_leaf(stop_reason: str) -> Leaf:
@@ -274,7 +272,7 @@ def greedy_rollout(model, rule: TruncationRule, tree: PrunedTree, start_node: in
         spent = stats.generated_tokens + len(appended)
         if budget.max_new_tokens is not None and spent >= budget.max_new_tokens:
             stats.discarded_tokens += len(appended)
-            return _RolloutOutcome(None, branch_points, budget_cut=True)
+            return _RolloutOutcome(None, branch_points)
 
         context = model.context(prompt, prefix)
         active = steps.get(context)
@@ -364,7 +362,7 @@ def enumerate_leaves(model, rule: TruncationRule, prompt: Sequence[int],
     leaves: list[Leaf] = []
     discovery_counter = [0]
     steps: dict = {}  # context -> active set, for this prompt only
-    merge_n = early_stop.n if early_stop is not None and early_stop.enabled else None
+    merge_n = early_stop.n if early_stop is not None else None
     siblings: dict[int, list[tuple[int, ...]]] = {}  # parent node id -> leaf tokens
     degraded = False
 

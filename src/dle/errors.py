@@ -46,10 +46,6 @@ class DuplicateSequences(DleError):
     """Coverage input contained duplicate sequences."""
 
 
-class SequenceTooShort(DleError):
-    """Sequence shorter than the n-gram size requested."""
-
-
 class DepthExceeded(ConfigError):
     """Exhaustive enumeration hit the depth limit before end-of-sequence."""
 

@@ -1,26 +1,22 @@
-"""Coverage, closed-form expected coverage, diversity, and repetition metrics.
+"""Coverage, closed-form expected coverage, and repetition metrics.
 
 Coverage of a set of distinct sequences is the total probability mass the
-set captures under the truncated sequence distribution. The closed forms
-give the expectation of unique-set coverage under i.i.d. sampling with
-replacement and its per-draw marginal gain:
+set captures under the truncated sequence distribution. The closed form
+gives the expectation of unique-set coverage under i.i.d. sampling with
+replacement:
 
-    expected(k)      = sum_x q_x * (1 - (1 - q_x)^k)
-    marginal_gain(k) = sum_x q_x^2 * (1 - q_x)^k
-
-The gain equals expected(k+1) - expected(k) and is non-increasing in k.
+    expected(k) = sum_x q_x * (1 - (1 - q_x)^k)
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .cache_sim import theoretical_hit_count
-from .errors import DuplicateSequences, InvariantViolation, SequenceTooShort
+from .errors import DuplicateSequences, InvariantViolation
 
 COVERAGE_TOL = 1e-6
 
@@ -43,25 +39,10 @@ def compensated_prefix_sums(values: Sequence[float] | np.ndarray) -> np.ndarray:
     return total + np.cumsum(np.concatenate(([0.0], err)))[1:]
 
 
-def compensated_sum(values: Iterable[float]) -> tuple[float, float]:
-    """Neumaier summation: (total, accumulated round-off compensation bound)."""
+def compensated_sum(values: Iterable[float]) -> float:
+    """Neumaier-compensated sum of the values."""
     v = values if isinstance(values, np.ndarray) else np.fromiter(values, np.float64)
-    if not len(v):
-        return 0.0, 0.0
-    bound = np.cumsum(np.abs(v))[-1] * np.finfo(np.float64).eps
-    return float(compensated_prefix_sums(v)[-1]), float(bound)
-
-
-@dataclass(frozen=True)
-class CoverageReport:
-    ks: tuple[int, ...]
-    values: tuple[float, ...]      # coverage at each k, non-decreasing
-    method: str
-    error_bound: float = 0.0
-
-    @property
-    def final(self) -> float:
-        return self.values[-1] if self.values else 0.0
+    return float(compensated_prefix_sums(v)[-1]) if len(v) else 0.0
 
 
 def coverage(leaves: Sequence[tuple[Sequence[int], float]]) -> float:
@@ -74,8 +55,7 @@ def coverage(leaves: Sequence[tuple[Sequence[int], float]]) -> float:
     seqs = [tuple(tokens) for tokens, _ in leaves]
     if len(set(seqs)) != len(seqs):
         raise DuplicateSequences("coverage input contains duplicate sequences")
-    total, _ = compensated_sum(q for _, q in leaves)
-    return check_coverage(total)
+    return check_coverage(compensated_sum(q for _, q in leaves))
 
 
 def check_coverage(total: float) -> float:
@@ -88,23 +68,16 @@ def check_coverage(total: float) -> float:
     return total
 
 
-def coverage_curve(leaves: Sequence[tuple[Sequence[int], float]], method: str) -> CoverageReport:
+def coverage_curve(leaves: Sequence[tuple[Sequence[int], float]]) -> list[float]:
     """Running coverage of the first j leaves, j = 1..len(leaves)."""
     running = []
     total = 0.0
-    bound = 0.0
     for _, q in leaves:
         total += q
-        bound += abs(q)
         running.append(total)
     if running:
         check_coverage(running[-1])
-    return CoverageReport(
-        ks=tuple(range(1, len(running) + 1)),
-        values=tuple(running),
-        method=method,
-        error_bound=bound * float(np.finfo(np.float64).eps),
-    )
+    return running
 
 
 def _check_masses(masses: Sequence[float]) -> np.ndarray:
@@ -124,27 +97,7 @@ def expected_coverage_closed_form(masses: Sequence[float], k: int) -> float:
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     arr = _check_masses(masses)
-    total, _ = compensated_sum(arr * (1.0 - (1.0 - arr) ** k))
-    return total
-
-
-def marginal_gain_closed_form(masses: Sequence[float], k: int) -> float:
-    """Expected coverage gain of draw k+1; non-increasing in k."""
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    arr = _check_masses(masses)
-    total, _ = compensated_sum(arr * arr * (1.0 - arr) ** k)
-    return total
-
-
-def distinct_n(tokens: Sequence[int], n: int) -> float:
-    """Fraction of unique n-grams among all n-grams of the sequence."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if len(tokens) < n:
-        raise SequenceTooShort(f"sequence of length {len(tokens)} has no {n}-grams")
-    grams = [tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1)]
-    return len(set(grams)) / len(grams)
+    return compensated_sum(arr * (1.0 - (1.0 - arr) ** k))
 
 
 def repetition_rate(generations: Sequence[Sequence[int]]) -> float:
@@ -160,10 +113,3 @@ def repetition_rate(generations: Sequence[Sequence[int]]) -> float:
     if total == 0:
         return 0.0
     return theoretical_hit_count(generations) / total
-
-
-def aggregate_repetition_rate(questions: Sequence[Sequence[Sequence[int]]]) -> float:
-    """Token-weighted repetition rate across questions."""
-    repeated = sum(theoretical_hit_count(gens) for gens in questions if len(gens))
-    total = sum(len(g) for gens in questions for g in gens)
-    return repeated / total if total else 0.0

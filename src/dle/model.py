@@ -12,8 +12,8 @@ distribution, so callers may reuse a step computed for either:
   training sequence per line, end-of-sequence appended once per line.
 * RemoteModel — adapter for HTTP endpoints that serve per-token
   log-probabilities. The returned top-N tokens are treated as the entire
-  support and renormalized; the raw mass of the set is recorded so callers
-  can detect when N is too small.
+  support and renormalized; a warning is logged when their raw mass is too
+  small to trust threshold rules.
 
 Table and n-gram models are immutable after construction and safe for
 concurrent read-only queries. The remote client bounds in-flight requests
@@ -102,15 +102,6 @@ def validate_distribution(probs: np.ndarray, vocab_size: int) -> np.ndarray:
     return probs
 
 
-def validate_sequence(token_ids: Sequence[int], vocab: Vocabulary) -> None:
-    """Ids in range; at most one eos and only at the final position."""
-    for i, tok in enumerate(token_ids):
-        if not 0 <= tok < vocab.size:
-            raise ConfigError(f"token id {tok} outside vocabulary")
-        if tok == vocab.eos_id and i != len(token_ids) - 1:
-            raise ConfigError("eos token before final position")
-
-
 class TableModel:
     """Explicit transition table over a fixed vocabulary.
 
@@ -118,8 +109,6 @@ class TableModel:
     with no entry falls back to the default distribution when one is
     configured, otherwise the lookup raises MissingTransition.
     """
-
-    kind = "table"
 
     def __init__(self, vocab: Vocabulary, contexts: Sequence[tuple[int, ...]],
                  rows: np.ndarray, default: np.ndarray | None = None):
@@ -163,8 +152,7 @@ class TableModel:
         if eos_token not in tokens:
             raise ConfigError(f"eos token {eos_token!r} not in vocab")
         vocab = Vocabulary(tokens=tokens, eos_id=tokens.index(eos_token))
-        # Keys that name the same context keep the first one's place and the
-        # last one's weights.
+        # Keys that name the same context keep the last one's weights.
         weights_of: dict[tuple[int, ...], dict] = {}
         for key, weights in raw_transitions.items():
             if not isinstance(weights, dict):
@@ -184,23 +172,6 @@ class TableModel:
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot load table model from {path}: {exc}") from exc
         return cls.from_dict(doc)
-
-    def to_dict(self) -> dict:
-        doc = {
-            "vocab": list(self.vocab.tokens),
-            "eos": self.vocab.tokens[self.vocab.eos_id],
-            "transitions": {
-                " ".join(self.vocab.tokens[t] for t in ctx): {
-                    self.vocab.tokens[i]: float(p) for i, p in enumerate(vec) if p > 0.0
-                }
-                for ctx, vec in self._transitions.items()
-            },
-        }
-        if self._default is not None:
-            doc["default"] = {
-                self.vocab.tokens[i]: float(p) for i, p in enumerate(self._default) if p > 0.0
-            }
-        return doc
 
 
 _JSON_KINDS = {
@@ -267,8 +238,6 @@ class NgramModel:
     continuations are ``_next_ids[_indptr[r]:_indptr[r + 1]]`` (ascending)
     with their counts at the same offsets of ``_next_counts``.
     """
-
-    kind = "ngram"
 
     def __init__(self, vocab: Vocabulary, order: int, alpha: float, tokenization: str,
                  rows: dict[tuple[int, ...], int], totals: list[int], pairs: np.ndarray):
@@ -441,8 +410,6 @@ class RemoteModel:
     given explicitly.
     """
 
-    kind = "remote"
-
     def __init__(self, base_url: str | None = None, api_key: str | None = None,
                  top_n: int = 20, eos_token: str = EOS_TOKEN,
                  max_retries: int = 3, backoff: float = 0.1, timeout: float = 10.0,
@@ -464,8 +431,6 @@ class RemoteModel:
         self._tokens: list[str] = [eos_token]
         self._ids: dict[str, int] = {eos_token: 0}
         self._vocab = Vocabulary(tokens=(eos_token,), eos_id=0)
-        self._prompt_words = True
-        self.last_raw_mass: float | None = None
 
     @property
     def vocab(self) -> Vocabulary:
@@ -539,7 +504,6 @@ class RemoteModel:
         ids = [self._intern(tok) for tok in top.keys()]
         raw = np.exp(np.fromiter(top.values(), dtype=np.float64))
         raw_mass = float(raw.sum())
-        self.last_raw_mass = raw_mass
         if raw_mass < self.low_mass_warn:
             log.warning("top-%d tokens cover only %.3f raw probability mass; "
                         "truncation thresholds may be unreliable", self.top_n, raw_mass)

@@ -1,7 +1,8 @@
-"""Brute-force ground truth for desk-scale verification.
+"""Brute-force ground truth: every leaf of the pruned tree.
 
-The oracle is intentionally naive — exhaustive depth-first traversal, linear
-scans, plain float products — so it cannot share bugs with the optimized
+It is the `oracle` command's output and the source of `compare`'s leaf
+masses. The walk is intentionally naive — exhaustive depth-first traversal,
+plain float products — so it cannot share bugs with the optimized
 enumeration engine it checks.
 """
 
@@ -10,11 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
-from ._kernels import mc_coverage_numpy
 from .errors import DepthExceeded
-from .rng import np_substream
 from .truncation import TruncationRule, active_set
 
 DEFAULT_MAX_DEPTH = 64
@@ -60,42 +57,3 @@ def enumerate_all_leaves(model, rule: TruncationRule, prompt: Sequence[int] = ()
     for _, q in leaves:
         total += q
     return OracleLeafSet(leaves=tuple(leaves), total_mass=total, node_count=node_count)
-
-
-def top_k_by_mass(oracle_set: OracleLeafSet, k: int) -> list[tuple[tuple[int, ...], float]]:
-    """The k largest-mass leaves; ties keep first-discovered order."""
-    if k > len(oracle_set.leaves):
-        raise ValueError(f"k={k} exceeds leaf count {len(oracle_set.leaves)}")
-    indexed = sorted(range(len(oracle_set.leaves)),
-                     key=lambda i: (-oracle_set.leaves[i][1], i))
-    return [oracle_set.leaves[i] for i in indexed[:k]]
-
-
-def monte_carlo_coverage_from_masses(masses: Sequence[float], k: int, trials: int,
-                                     seed: int) -> tuple[float, float]:
-    """Monte Carlo estimate of expected unique-set coverage of k draws.
-
-    Each trial draws k leaves i.i.d. from the leaf-mass categorical — the
-    distribution a step-wise sampler induces over terminated sequences —
-    deduplicates, and sums the distinct masses. Returns (mean, standard
-    error of the mean).
-    """
-    if trials < 100:
-        raise ValueError(f"trials must be >= 100, got {trials}")
-    arr = np.asarray(masses, dtype=np.float64)
-    cum = np.cumsum(arr)
-    uniforms = np_substream(seed, "mc-coverage").random((trials, k))
-    # Scale into the covered mass so draws always land on a leaf.
-    uniforms *= cum[-1]
-    per_trial = mc_coverage_numpy(arr, cum, uniforms)
-    mean = float(per_trial.mean())
-    std_error = float(per_trial.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
-    return mean, std_error
-
-
-def monte_carlo_expected_coverage(model, rule: TruncationRule, k: int, trials: int,
-                                  seed: int, prompt: Sequence[int] = (),
-                                  max_depth: int = DEFAULT_MAX_DEPTH) -> tuple[float, float]:
-    """Monte Carlo expected coverage for a model/rule pair."""
-    oracle_set = enumerate_all_leaves(model, rule, prompt, max_depth)
-    return monte_carlo_coverage_from_masses(oracle_set.masses(), k, trials, seed)

@@ -2,16 +2,14 @@
 
 Every random decision in the package flows from one top-level seed expanded
 into named substreams, so each component (baseline draws, random branch
-selection, Monte Carlo trials) is reproducible in isolation and independent
-of execution order. Python's built-in hash() is salted per process, so the
-mixing uses 64-bit FNV-1a, which is stable across runs and platforms.
+selection) is reproducible in isolation and independent of execution order.
+Python's built-in hash() is salted per process, so the mixing uses 64-bit
+FNV-1a, which is stable across runs and platforms.
 """
 
 from __future__ import annotations
 
 import random
-
-import numpy as np
 
 _FNV_OFFSET64 = 0xCBF29CE484222325
 _FNV_PRIME64 = 0x100000001B3
@@ -68,8 +66,3 @@ def substream_family(seed: int, *parts: int | str | bytes):
         return random.Random((h ^ (h >> 33)) & _MASK64)
 
     return make
-
-
-def np_substream(seed: int, *parts: int | str | bytes) -> np.random.Generator:
-    """A numpy Generator deterministically derived from (seed, *parts)."""
-    return np.random.default_rng(mix(seed, *parts))

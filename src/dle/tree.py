@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 from .errors import ExpandingExpandedNode
 from .truncation import ActiveSet
@@ -23,7 +22,6 @@ FAILED = "failed"
 
 STOP_EOS = "eos"
 STOP_LENGTH_CAP = "length-cap"
-STOP_EARLY = "early-stop"
 
 
 @dataclass(slots=True)
@@ -47,10 +45,6 @@ class BranchPoint:
     log_mass: float
     edge_weight: float
     discovered: int              # monotonically increasing counter; final tie-breaker
-
-    @property
-    def mass(self) -> float:
-        return math.exp(self.log_mass)
 
 
 @dataclass(frozen=True)
@@ -127,14 +121,6 @@ class PrunedTree:
             node = self.nodes[node.parent]
         return tuple(reversed(out))
 
-    def depth(self, node_id: int) -> int:
-        depth = 0
-        node = self.nodes[node_id]
-        while node.parent is not None:
-            depth += 1
-            node = self.nodes[node.parent]
-        return depth
-
     def mark_path(self, node_id: int, stop_node_id: int, status: str) -> None:
         """Set status on nodes from node_id up to stop_node_id, inclusive."""
         node = self.nodes[node_id]
@@ -158,13 +144,3 @@ class PrunedTree:
                 for n in self.nodes
             ]
         }
-
-
-def flatten(prompt: Sequence[int], leaves: Sequence[Leaf]) -> list[tuple[int, ...]]:
-    """One token stream per leaf: prompt followed by the generated tokens."""
-    prompt = tuple(prompt)
-    return [prompt + leaf.tokens for leaf in leaves]
-
-
-def flat_length(streams: Sequence[Sequence[int]]) -> int:
-    return sum(len(s) for s in streams)

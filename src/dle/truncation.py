@@ -17,13 +17,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 
 from .errors import ConfigError
-
-SUM_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -104,11 +102,6 @@ class ActiveSet:
         order, built once per active set so a reused set skips the conversion."""
         weights = self.weights.tolist()
         return self.token_ids.tolist(), weights, list(map(math.log, weights))
-
-    def weight_of(self, token_id: int) -> float:
-        """Renormalized weight of token_id, or 0.0 if outside the set."""
-        hits = np.nonzero(self.token_ids == token_id)[0]
-        return float(self.weights[hits[0]]) if len(hits) else 0.0
 
 
 def greedy_token(probs: np.ndarray) -> int:
@@ -234,25 +227,6 @@ def apply_temperature(probs: np.ndarray, temperature: float) -> np.ndarray:
     return out
 
 
-def sequence_probability(model, rule: TruncationRule, prompt: Sequence[int],
-                         completion: Sequence[int]) -> float:
-    """Probability of a completion under the truncated step distribution.
-
-    Product of the renormalized per-step weights, computed in log space.
-    Returns 0.0 as soon as any step's token falls outside the active set.
-    """
-    log_q = 0.0
-    generated: list[int] = []
-    for token in completion:
-        probs = model.next_distribution(tuple(prompt), tuple(generated))
-        weight = active_set(probs, rule).weight_of(int(token))
-        if weight == 0.0:
-            return 0.0
-        log_q += math.log(weight)
-        generated.append(int(token))
-    return math.exp(log_q)
-
-
 def parse_rule(text: str) -> TruncationRule:
     """Parse rule syntax like ``epsilon:0.05`` or ``top_p:0.95+top_k:10``."""
     parts = [p.strip() for p in text.split("+") if p.strip()]
@@ -282,17 +256,3 @@ def _parse_single(part: str) -> TruncationRule:
     except ValueError as exc:
         raise ConfigError(f"bad numeric value in rule {part!r}") from exc
     raise ConfigError(f"unknown rule name {name!r}")
-
-
-def format_rule(rule: TruncationRule) -> str:
-    if isinstance(rule, TopK):
-        return f"top_k:{rule.k}"
-    if isinstance(rule, TopP):
-        return f"top_p:{rule.p}"
-    if isinstance(rule, MinP):
-        return f"min_p:{rule.p_min}"
-    if isinstance(rule, Epsilon):
-        return f"{'epsilon_ge' if rule.inclusive else 'epsilon'}:{rule.eps}"
-    if isinstance(rule, Composite):
-        return "+".join(format_rule(r) for r in rule.rules)
-    raise ConfigError(f"unknown truncation rule: {rule!r}")

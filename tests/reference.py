@@ -1,13 +1,17 @@
-"""Naive predecessors of the package's hot paths, kept as test references.
+"""Test references: naive predecessors of the package's hot paths, and the
+independent checkers its formulas are verified against.
 
-Each function is the straightforward algorithm the package used before its
-optimized form replaced it. Property tests require the optimized code to
-return bit-identical results.
+Each predecessor is the straightforward algorithm the package used before
+its optimized form replaced it; property tests require the optimized code to
+return bit-identical results. The checkers (Monte Carlo coverage, top-k by
+mass, sequence probability, marginal gain) compute the same quantities by a
+different route than the package does.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import statistics
 
 import numpy as np
@@ -17,11 +21,11 @@ from dle.baseline import sample_sequences
 from dle.cache_sim import PrefixCache
 from dle.engine import (Budget, BranchPolicy, EnumerationResult, Frontier, TokenStats,
                         enumerate_leaves)
-from dle.metrics import coverage_curve
+from dle.metrics import _check_masses, compensated_sum, coverage_curve
 from dle.oracle import enumerate_all_leaves
-from dle.rng import substream
+from dle.rng import mix, substream
 from dle.tree import PrunedTree
-from dle.truncation import Composite, Epsilon, MinP, TopK, TopP
+from dle.truncation import Composite, Epsilon, MinP, TopK, TopP, active_set
 
 
 class UnmemoizedModel:
@@ -47,7 +51,7 @@ def linear_select_branch(frontier, policy: BranchPolicy, rng=None) -> int:
     if policy.kind == "randbranch":
         if rng is None:
             rng = substream(policy.seed, "randbranch")
-        prefix_sums = list(itertools.accumulate(bp.mass for bp in frontier))
+        prefix_sums = list(itertools.accumulate(math.exp(bp.log_mass) for bp in frontier))
         pick = rng.random() * prefix_sums[-1]
         for i, acc in enumerate(prefix_sums):
             if pick < acc:
@@ -101,7 +105,7 @@ def scan_enumerate_leaves(model, rule, prompt, policy, budget, early_stop=None,
     start = tree.root
     while True:
         siblings = ()
-        if early_stop is not None and early_stop.enabled and start != tree.root:
+        if early_stop is not None and start != tree.root:
             siblings = scan_sibling_leaves(leaves, tree, start, early_stop.n)
         outcome = engine.greedy_rollout(model, rule, tree, start, prompt, budget, stats,
                                         early_stop, siblings, discovery_counter,
@@ -241,11 +245,10 @@ class WalkingPrefixCache(PrefixCache):
         return True
 
 
-def neumaier_loop_sum(values) -> tuple[float, float]:
-    """Neumaier summation one value at a time: (total, compensation bound)."""
+def neumaier_loop_sum(values) -> float:
+    """Neumaier summation one value at a time."""
     total = 0.0
     comp = 0.0
-    bound = 0.0
     for v in values:
         t = total + v
         if abs(total) >= abs(v):
@@ -253,8 +256,7 @@ def neumaier_loop_sum(values) -> tuple[float, float]:
         else:
             comp += (v - t) + total
         total = t
-        bound += abs(v)
-    return total + comp, bound * np.finfo(np.float64).eps
+    return total + comp
 
 
 def reference_compare_rows(model, rule, prompt_ids, ks, policy, seeds, temperature,
@@ -267,7 +269,7 @@ def reference_compare_rows(model, rule, prompt_ids, ks, policy, seeds, temperatu
     max_k = max(ks)
     result = enumerate_leaves(model, rule, prompt_ids, policy,
                               Budget(max_leaves=max_k, max_seq_len=max_seq_len))
-    dle_curve = coverage_curve([(lf.tokens, lf.q) for lf in result.leaves], "dle")
+    dle_curve = coverage_curve([(lf.tokens, lf.q) for lf in result.leaves])
     dle_tokens = []
     acc = 0
     for leaf in result.leaves:
@@ -283,16 +285,16 @@ def reference_compare_rows(model, rule, prompt_ids, ks, policy, seeds, temperatu
             unique: dict[tuple[int, ...], float] = {}
             for tokens, q in head:
                 unique.setdefault(tokens, q)
-            sampled_cov[k].append(neumaier_loop_sum(unique.values())[0])
+            sampled_cov[k].append(neumaier_loop_sum(unique.values()))
             sampled_tok[k].append(sum(len(t) for t, _ in head))
 
     rows = []
     for k in ks:
-        idx = min(k, len(dle_curve.values)) - 1
+        idx = min(k, len(dle_curve)) - 1
         row = {
             "k": k,
-            "coverage_dle": dle_curve.values[idx] if dle_curve.values else 0.0,
-            "expected_coverage_closed": neumaier_loop_sum(masses * (1.0 - (1.0 - masses) ** k))[0],
+            "coverage_dle": dle_curve[idx] if dle_curve else 0.0,
+            "expected_coverage_closed": neumaier_loop_sum(masses * (1.0 - (1.0 - masses) ** k)),
             "coverage_sampled_mean": statistics.fmean(sampled_cov[k]),
             "coverage_sampled_std": statistics.pstdev(sampled_cov[k]) if seeds > 1 else 0.0,
         }
@@ -301,3 +303,84 @@ def reference_compare_rows(model, rule, prompt_ids, ks, policy, seeds, temperatu
             row["sampled_new_tokens"] = statistics.fmean(sampled_tok[k])
         rows.append(row)
     return rows
+
+
+def np_substream(seed: int, *parts) -> np.random.Generator:
+    """A numpy Generator deterministically derived from (seed, *parts)."""
+    return np.random.default_rng(mix(seed, *parts))
+
+
+def mc_coverage_numpy(masses: np.ndarray, cum: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """Per-trial unique-draw coverage, vectorized.
+
+    uniforms has shape (trials, k); each row is one trial of k draws from
+    the categorical with cumulative weights `cum`. Returns the summed mass
+    of the distinct leaves hit in each trial.
+    """
+    idx = np.searchsorted(cum, uniforms, side="right")
+    np.minimum(idx, len(masses) - 1, out=idx)
+    idx.sort(axis=1)
+    first = np.ones(idx.shape, dtype=bool)
+    first[:, 1:] = idx[:, 1:] != idx[:, :-1]
+    return np.where(first, masses[idx], 0.0).sum(axis=1)
+
+
+def monte_carlo_coverage_from_masses(masses, k: int, trials: int, seed: int) -> tuple[float, float]:
+    """Monte Carlo estimate of expected unique-set coverage of k draws.
+
+    Each trial draws k leaves i.i.d. from the leaf-mass categorical — the
+    distribution a step-wise sampler induces over terminated sequences —
+    deduplicates, and sums the distinct masses. Returns (mean, standard
+    error of the mean).
+    """
+    if trials < 100:
+        raise ValueError(f"trials must be >= 100, got {trials}")
+    arr = np.asarray(masses, dtype=np.float64)
+    cum = np.cumsum(arr)
+    uniforms = np_substream(seed, "mc-coverage").random((trials, k))
+    # Scale into the covered mass so draws always land on a leaf.
+    uniforms *= cum[-1]
+    per_trial = mc_coverage_numpy(arr, cum, uniforms)
+    return float(per_trial.mean()), float(per_trial.std(ddof=1) / np.sqrt(trials))
+
+
+def monte_carlo_expected_coverage(model, rule, k: int, trials: int,
+                                  seed: int) -> tuple[float, float]:
+    """Monte Carlo expected coverage for a model/rule pair, empty prompt."""
+    masses = enumerate_all_leaves(model, rule).masses()
+    return monte_carlo_coverage_from_masses(masses, k, trials, seed)
+
+
+def top_k_by_mass(oracle_set, k: int) -> list[tuple[tuple[int, ...], float]]:
+    """The k largest-mass leaves; ties keep first-discovered order."""
+    if k > len(oracle_set.leaves):
+        raise ValueError(f"k={k} exceeds leaf count {len(oracle_set.leaves)}")
+    indexed = sorted(range(len(oracle_set.leaves)),
+                     key=lambda i: (-oracle_set.leaves[i][1], i))
+    return [oracle_set.leaves[i] for i in indexed[:k]]
+
+
+def sequence_probability(model, rule, prompt, completion) -> float:
+    """Probability of a completion under the truncated step distribution.
+
+    Product of the renormalized per-step weights, computed in log space.
+    Returns 0.0 as soon as any step's token falls outside the active set.
+    """
+    log_q = 0.0
+    generated: list[int] = []
+    for token in completion:
+        active = active_set(model.next_distribution(tuple(prompt), tuple(generated)), rule)
+        hits = np.nonzero(active.token_ids == token)[0]
+        if not len(hits):
+            return 0.0
+        log_q += math.log(float(active.weights[hits[0]]))
+        generated.append(int(token))
+    return math.exp(log_q)
+
+
+def marginal_gain_closed_form(masses, k: int) -> float:
+    """Expected coverage gain of draw k+1, sum_x q_x^2 (1 - q_x)^k; non-increasing in k."""
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
+    arr = _check_masses(masses)
+    return compensated_sum(arr * arr * (1.0 - arr) ** k)

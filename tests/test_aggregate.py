@@ -1,7 +1,7 @@
 import pytest
 
-from dle.aggregate import (UNPARSED, majority_vote, parse_extractor, pass_at_k,
-                           regex_extractor, suffix_extractor)
+from dle.aggregate import (UNPARSED, majority_vote, parse_extractor, regex_extractor,
+                           suffix_extractor)
 from dle.errors import ConfigError
 
 
@@ -57,12 +57,6 @@ def test_adding_a_dominating_label_leaf_keeps_the_winner():
     labeled = [("A", 0.3), ("A", 0.2), ("B", 0.1)]
     assert majority_vote(labeled).winner == "A"
     assert majority_vote(labeled + [("A", 0.05)]).winner == "A"
-
-
-def test_pass_at_k():
-    assert pass_at_k(["A", "B", "C"], {"C"})
-    assert not pass_at_k(["A", "B"], set())
-    assert pass_at_k(["C", "C"], {"C"})
 
 
 def test_extractors():

@@ -57,9 +57,9 @@ def test_duplicates_are_retained_and_dedup_is_separate():
     model = TableModel.from_dict(TWO_LEAF_DOC)
     run = sample_sequences(model, Epsilon(eps=0.05), (), k=50, seed=3)
     assert len(run.sequences) == 50
-    unique = run.unique_sequences()
+    unique = dict(run.sequences)
     assert 1 <= len(unique) <= 2
-    cov = coverage(unique)
+    cov = coverage(list(unique.items()))
     assert cov <= 1.0 + 1e-9
 
 

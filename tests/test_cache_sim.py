@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from dle.cache_sim import CacheStats, PrefixCache, simulate, theoretical_hit_count
 from dle.engine import Budget, BranchPolicy, enumerate_leaves
 from dle.errors import ConfigError, InvariantViolation
-from dle.tree import flat_length, flatten
 from dle.truncation import Epsilon
 from reference import WalkingPrefixCache
 
@@ -81,18 +80,17 @@ def test_enumeration_beats_the_prompt_only_ceiling(fig_tree_model):
     rule = Epsilon(eps=0.1, inclusive=True)
     result = enumerate_leaves(fig_tree_model, rule, PROMPT, BranchPolicy("probfirst"),
                               Budget(max_leaves=4))
-    streams = flatten(PROMPT, result.leaves)
+    streams = [PROMPT + leaf.tokens for leaf in result.leaves]
     hits = theoretical_hit_count(streams)
     prompt_only = (len(streams) - 1) * len(PROMPT)
     assert hits > prompt_only  # leaves share generated prefixes beyond the prompt
-    assert flat_length(streams) == sum(len(s) for s in streams)
 
 
 def test_lru_keeps_the_prefix_needed_next_when_streams_are_tree_ordered(fig_tree_model):
     rule = Epsilon(eps=0.1, inclusive=True)
     result = enumerate_leaves(fig_tree_model, rule, PROMPT, BranchPolicy("probfirst"),
                               Budget(max_leaves=4))
-    streams = flatten(PROMPT, result.leaves)
+    streams = [PROMPT + leaf.tokens for leaf in result.leaves]
     capacity = max(len(s) for s in streams)
     stats = simulate(streams, PrefixCache(capacity=capacity, eviction="lru"))
     assert stats.actual_hits == stats.theoretical_hits

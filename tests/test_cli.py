@@ -88,6 +88,19 @@ def test_enumerate_dump_tree(fig_tree_path, tmp_path):
     assert "leaf" in statuses
 
 
+def test_dump_tree_with_several_prompts_exits_2_before_running(fig_tree_path, tmp_path, capsys):
+    prompts = tmp_path / "prompts.txt"
+    prompts.write_text("a\nb\n")
+    out = tmp_path / "leaves.jsonl"
+    tree_path = tmp_path / "tree.json"
+    code = main(["enumerate", "--model", f"table:{fig_tree_path}", "--rule", "epsilon_ge:0.1",
+                 "--k", "2", "--prompt-file", str(prompts), "--out", str(out),
+                 "--dump-tree", str(tree_path)])
+    assert code == 2
+    assert capsys.readouterr().err == "error: --dump-tree supports single-prompt runs only\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fig_tree.json", "prompts.txt"]
+
+
 def test_enumerate_batch_prompts(fig_tree_path, tmp_path):
     prompts = tmp_path / "prompts.txt"
     prompts.write_text("a\nb\n")
@@ -255,6 +268,25 @@ def test_vote_command(tmp_path):
     assert json.loads(out.read_text())["winner"] == "7"
 
 
+@pytest.mark.parametrize("command, lines, message", [
+    (["cache-sim"], ['{"x": [1, 2]}'], "line 1: missing key 'tokens'"),
+    (["cache-sim"], ['{"tokens": [1]}', "", '{"tokens": 7}'], "line 3: bad 'tokens' value 7"),
+    (["cache-sim"], ["[1, 2]"], "line 1: missing key 'tokens'"),
+    (["vote"], ['{"x": [1, 2]}'], "line 1: missing key 'text'"),
+    (["vote"], ['{"text": "a", "q": 0.5}', '{"text": "b"}'], "line 2: missing key 'q'"),
+    (["vote"], ['{"text": "a", "q": "abc"}'], "line 1: bad 'q' value 'abc'"),
+    (["vote"], ['{"text": "a", "q": null}'], "line 1: bad 'q' value None"),
+])
+def test_bad_input_rows_exit_2_without_traceback(command, lines, message, tmp_path, capsys):
+    rows = tmp_path / "rows.jsonl"
+    rows.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out.json"
+    code = main([*command, "--in", str(rows), "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {rows} {message}\n"
+    assert not out.exists()
+
+
 def test_ngram_train_then_enumerate(tmp_path):
     corpus = tmp_path / "corpus.txt"
     corpus.write_text("a b\na b\na c\n")
@@ -397,6 +429,9 @@ def test_malformed_model_documents_exit_2_without_traceback(kind, doc, message, 
     (["enumerate", "--k", "3"], "--max-seq-len", "-2", "must be >= 1, got -2"),
     (["compare", "--k", "1..3"], "--max-seq-len", "x", "expected an integer, got 'x'"),
     (["oracle"], "--max-depth", "0", "must be >= 1, got 0"),
+    (["enumerate", "--k", "3"], "--early-stop-n", "abc", "expected an integer, got 'abc'"),
+    (["enumerate", "--k", "3"], "--early-stop-n", "0", "must be >= 1, got 0"),
+    (["enumerate", "--k", "3"], "--early-stop-n", "-1", "must be >= 1, got -1"),
 ])
 def test_out_of_range_values_exit_2_without_traceback(command, flag, value, message,
                                                        two_leaf_path, tmp_path, capsys):

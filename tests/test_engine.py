@@ -45,7 +45,7 @@ def test_root_rollout_reproduces_worked_tree(fig_tree_model):
                              UNLIMITED, stats, None)
     leaf = outcome.leaf
     assert leaf.q == pytest.approx(0.504, abs=1e-12)
-    masses = sorted(bp.mass for bp in outcome.branch_points)
+    masses = sorted(math.exp(bp.log_mass) for bp in outcome.branch_points)
     assert masses == pytest.approx([0.1, 0.126, 0.27], abs=1e-12)
 
 
@@ -183,7 +183,7 @@ MERGE_DOC = {
 def test_early_stop_merge_prunes_duplicate_suffix():
     model = table(MERGE_DOC)
     rule = MinP(p_min=0.5)
-    result = run(model, rule, early_stop=EarlyStopConfig(enabled=True, n=1))
+    result = run(model, rule, early_stop=EarlyStopConfig(n=1))
     assert len(result.leaves) == 1
     assert result.leaves[0].tokens == (0, 2, 3)
     assert result.stats.early_stop_triggers == 1
@@ -201,7 +201,7 @@ def test_early_stop_disabled_keeps_both_leaves():
 def test_early_stop_above_length_cap_equals_disabled(fig_tree_model):
     budget = Budget(max_leaves=10 ** 9, max_seq_len=16)
     with_stop = enumerate_leaves(fig_tree_model, FIG_RULE, (), BranchPolicy("probfirst"),
-                                 budget, EarlyStopConfig(enabled=True, n=32))
+                                 budget, EarlyStopConfig(n=32))
     without = enumerate_leaves(fig_tree_model, FIG_RULE, (), BranchPolicy("probfirst"),
                                budget, None)
     assert [l.tokens for l in with_stop.leaves] == [l.tokens for l in without.leaves]
@@ -220,7 +220,7 @@ def test_early_stop_only_compares_siblings_sharing_prefix():
                        "a e": {"x": 1.0}, "a e x": {"<eos>": 1.0},
                        "b": {"e": 1.0}, "b e": {"x": 1.0}, "b e x": {"<eos>": 1.0}}})
     rule = MinP(p_min=0.1)
-    result = run(model, rule, early_stop=EarlyStopConfig(enabled=True, n=1))
+    result = run(model, rule, early_stop=EarlyStopConfig(n=1))
     assert len(result.leaves) == 3
     assert result.stats.early_stop_triggers == 0
 
@@ -284,7 +284,7 @@ def test_token_accounting_matches_model_calls(fig_tree_model, random_model_facto
     assert stats.generated_tokens == stats.model_calls
     for seed in range(10):
         model = random_model_factory(seed + 50)
-        res = run(model, TopP(p=0.9), early_stop=EarlyStopConfig(enabled=True, n=1))
+        res = run(model, TopP(p=0.9), early_stop=EarlyStopConfig(n=1))
         assert (sum(l.new_tokens for l in res.leaves) + res.stats.wasted_tokens
                 == res.stats.model_calls)
 

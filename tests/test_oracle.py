@@ -8,9 +8,10 @@ from dle.baseline import sample_sequences
 from dle.errors import DepthExceeded
 from dle.metrics import coverage, expected_coverage_closed_form
 from dle.model import TableModel
-from dle.oracle import (enumerate_all_leaves, monte_carlo_coverage_from_masses,
-                        monte_carlo_expected_coverage, top_k_by_mass)
+from dle.oracle import enumerate_all_leaves
 from dle.truncation import Epsilon, TopK, TopP
+from reference import (monte_carlo_coverage_from_masses, monte_carlo_expected_coverage,
+                       top_k_by_mass)
 
 FIG_RULE = Epsilon(eps=0.1, inclusive=True)
 

@@ -1,4 +1,5 @@
-from dle.rng import mix, np_substream, substream, substream_family
+from dle.rng import mix, substream, substream_family
+from reference import np_substream
 
 
 def test_mix_is_stable_and_sensitive():

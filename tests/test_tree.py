@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dle.errors import ExpandingExpandedNode
-from dle.tree import LEAF, Leaf, PrunedTree, flat_length, flatten
+from dle.tree import LEAF, PrunedTree
 from dle.truncation import ActiveSet
 
 
@@ -70,7 +70,7 @@ def test_path_mass_recomputes_from_edges():
         node = tree.add_child(node, token=0, edge_weight=w)
         log_product += math.log(w)
     assert tree.node(node).log_mass == pytest.approx(log_product, abs=1e-9)
-    assert tree.depth(node) == 40
+    assert len(tree.path_tokens(node)) == 40
 
 
 def test_path_tokens_walks_parents():
@@ -79,28 +79,6 @@ def test_path_tokens_walks_parents():
     b = tree.add_child(a, token=7, edge_weight=0.5)
     assert tree.path_tokens(b) == (4, 7)
     assert tree.path_tokens(tree.root) == ()
-
-
-def _leaf(tokens, order=0):
-    return Leaf(tokens=tuple(tokens), q=1.0, log_q=0.0, stop_reason="eos",
-                new_tokens=len(tokens), reused_prefix_len=0, order=order)
-
-
-def test_flatten_single_stream_length():
-    streams = flatten((0, 1, 2, 3, 4), [_leaf((5, 6, 7))])
-    assert flat_length(streams) == 8
-
-
-def test_flatten_two_streams_share_prompt():
-    leaves = [_leaf((5, 6, 7)), _leaf((5, 6, 8), order=1)]
-    streams = flatten((0, 1, 2, 3, 4), leaves)
-    assert flat_length(streams) == 16
-    assert streams[0][:5] == (0, 1, 2, 3, 4)
-
-
-def test_flatten_immediate_eos():
-    streams = flatten((0, 1), [_leaf((9,))])
-    assert streams == [(0, 1, 9)]
 
 
 def test_dump_format():
