@@ -29,19 +29,21 @@ class SampleRun:
 
 
 class _StepCache:
-    """Memoized (token ids, log weights, cumulative weights) per context for one run.
+    """Memoized (token ids, log weights, cumulative weights) per context.
 
     Keyed on `model.context(prompt, generated)`, the part of the prefix the
     model's next distribution depends on, so the model is queried once per
-    distinct context.
+    distinct context. `cache` may be shared with other runs of the same
+    model, rule and temperature. Failed model calls are never stored.
     """
 
-    def __init__(self, model, rule: TruncationRule, prompt: tuple[int, ...], temperature: float):
+    def __init__(self, model, rule: TruncationRule, prompt: tuple[int, ...], temperature: float,
+                 cache: dict):
         self.model = model
         self.rule = rule
         self.prompt = prompt
         self.temperature = temperature
-        self.cache: dict = {}
+        self.cache = cache
 
     def step(self, generated: tuple[int, ...]):
         key = self.model.context(self.prompt, generated)
@@ -57,14 +59,19 @@ class _StepCache:
 
 def sample_sequences(model, rule: TruncationRule, prompt: Sequence[int], k: int,
                      seed: int, temperature: float = 1.0,
-                     max_seq_len: int = DEFAULT_MAX_SEQ_LEN) -> SampleRun:
-    """Draw k sequences with replacement from the truncated distribution."""
+                     max_seq_len: int = DEFAULT_MAX_SEQ_LEN,
+                     steps: dict | None = None) -> SampleRun:
+    """Draw k sequences with replacement from the truncated distribution.
+
+    `steps` is the step memo; by default each call has its own (see
+    `_StepCache`).
+    """
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
     if max_seq_len < 1:
         raise ConfigError(f"max_seq_len must be >= 1, got {max_seq_len}")
     prompt = tuple(prompt)
-    stepper = _StepCache(model, rule, prompt, temperature)
+    stepper = _StepCache(model, rule, prompt, temperature, {} if steps is None else steps)
     eos_id = model.vocab.eos_id
     stream_for_draw = substream_family(seed, "baseline-draw")
     sequences: list[tuple[tuple[int, ...], float]] = []

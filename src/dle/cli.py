@@ -17,6 +17,7 @@ import csv
 import itertools
 import json
 import math
+import operator
 import statistics
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -33,7 +34,7 @@ from .engine import (Budget, BranchPolicy, EarlyStopConfig, EnumerationResult,
 from .errors import ConfigError, DleError, InvariantViolation, ModelError
 from .metrics import (check_coverage, compensated_prefix_sums, coverage, coverage_curve,
                       expected_coverage_closed_form)
-from .model import parse_model_spec, train_ngram_model
+from .model import RemoteModel, parse_model_spec, train_ngram_model
 from .oracle import enumerate_all_leaves
 from .truncation import parse_rule
 
@@ -165,34 +166,79 @@ def _read_jsonl(path: str) -> list[tuple[int, dict]]:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
 
 
-def _column(path: str, rows: list[tuple[int, dict]], key: str, convert) -> list:
-    """`convert(row[key])` for each row of `_read_jsonl(path)`. A row that is
-    not an object, lacks the key or holds a value `convert` rejects is a
-    configuration error naming the file, the line and the key."""
+def _column(path: str, rows: list[tuple[int, dict]], key: str, convert,
+            default=None) -> list:
+    """`convert(row[key])` for each row of `_read_jsonl(path)`, with `default`
+    standing in for a missing key when it is given. A row that is not an
+    object, lacks a key that has no default or holds a value `convert`
+    rejects is a configuration error naming the file, the line and the key."""
     values = []
     for lineno, row in rows:
-        if not isinstance(row, dict) or key not in row:
+        if not isinstance(row, dict) or (key not in row and default is None):
             raise ConfigError(f"{path} line {lineno}: missing key {key!r}")
+        value = row.get(key, default)
         try:
-            values.append(convert(row[key]))
+            values.append(convert(value))
         except (TypeError, ValueError):
-            raise ConfigError(f"{path} line {lineno}: bad {key!r} value {row[key]!r}") from None
+            raise ConfigError(f"{path} line {lineno}: bad {key!r} value {value!r}") from None
     return values
 
 
-def _run_prompts(args, prompt_ids: list[tuple[int, ...]], command: str, config: dict,
-                 run_one, rows_of) -> tuple[list, bool]:
-    """Run `run_one` on every prompt, then write the rows and the manifest.
+def _tokens(value) -> tuple:
+    """A token sequence: an array of hashable tokens."""
+    tokens = tuple(value)
+    hash(tokens)  # a TypeError for a nested array
+    return tokens
 
-    A thread pool serves multi-prompt runs only. `rows_of(prompt_ids, result)`
-    turns one result into output rows; multi-prompt rows also carry the
-    prompt's index. Returns the results and whether any of them is degraded.
+
+def _mass(value) -> float:
+    """A probability mass: a finite number >= 0."""
+    q = float(value)
+    if not 0.0 <= q < math.inf:  # also false for NaN
+        raise ValueError(q)
+    return q
+
+
+def _manifest_prompts(infile: str) -> dict[int, tuple]:
+    """Prompt index -> prompt tokens, from the `prompt_tokens` list of the
+    manifest next to `infile`; empty when there is no manifest."""
+    path = Path(infile + ".manifest.json")
+    if not path.exists():
+        return {}
+    try:
+        with open(path, encoding="utf-8") as fh:
+            manifest = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
+    prompts = manifest.get("prompt_tokens", []) if isinstance(manifest, dict) else None
+    malformed = ConfigError(f"{path}: 'prompt_tokens' must be an array of token arrays")
+    if not isinstance(prompts, list):
+        raise malformed
+    try:
+        return dict(enumerate(map(_tokens, prompts)))
+    except TypeError:
+        raise malformed from None
+
+
+def _run_prompts(args, model, prompt_ids: list[tuple[int, ...]], command: str, config: dict,
+                 run_one, rows_of) -> tuple[list, bool]:
+    """Run `run_one(prompt_ids, steps)` on every prompt, then write the rows
+    and the manifest.
+
+    Table and n-gram prompts run in sequence and share one step memo, so a
+    context seen under any prompt is computed once. Remote prompts run on a
+    pool of `--workers` threads, each with its own memo: a remote context
+    holds the whole prompt, so a shared memo would only grow.
+    `rows_of(prompt_ids, result)` turns one result into output rows;
+    multi-prompt rows also carry the prompt's index. Returns the results and
+    whether any of them is degraded.
     """
-    if len(prompt_ids) > 1:
+    if isinstance(model, RemoteModel) and len(prompt_ids) > 1:
         with ThreadPoolExecutor(max_workers=args.workers) as pool:
-            results = list(pool.map(run_one, prompt_ids))
+            results = list(pool.map(run_one, prompt_ids, itertools.repeat(None)))
     else:
-        results = [run_one(prompt_ids[0])]
+        steps: dict = {}
+        results = [run_one(ids, steps) for ids in prompt_ids]
     rows = []
     for idx, (ids, result) in enumerate(zip(prompt_ids, results)):
         for row in rows_of(ids, result):
@@ -227,11 +273,11 @@ def cmd_enumerate(args) -> int:
     if args.dump_tree is not None and len(prompt_ids) > 1:
         raise ConfigError("--dump-tree supports single-prompt runs only")
 
-    def run_one(prompt_ids) -> EnumerationResult:
+    def run_one(prompt_ids, steps) -> EnumerationResult:
         return enumerate_leaves(model, rule, prompt_ids, policy, budget, early_stop,
-                                keep_tree=args.dump_tree is not None)
+                                keep_tree=args.dump_tree is not None, steps=steps)
 
-    results, degraded = _run_prompts(args, prompt_ids, "enumerate", {
+    results, degraded = _run_prompts(args, model, prompt_ids, "enumerate", {
         "model": args.model, "rule": args.rule, "policy": args.policy,
         "k": args.k, "token_budget": args.token_budget, "max_seq_len": args.max_seq_len,
         "early_stop_n": args.early_stop_n, "prompt_file": args.prompt_file,
@@ -260,9 +306,9 @@ def cmd_sample(args) -> int:
     model = parse_model_spec(args.model)
     rule = parse_rule(args.rule)
 
-    def run_one(prompt_ids):
+    def run_one(prompt_ids, steps):
         return sample_sequences(model, rule, prompt_ids, args.k, args.seed,
-                                args.temperature, args.max_seq_len)
+                                args.temperature, args.max_seq_len, steps)
 
     def rows_of(prompt_ids, run) -> list[dict]:
         return [{
@@ -277,7 +323,7 @@ def cmd_sample(args) -> int:
             "draw": draw,
         } for draw, (tokens, q) in enumerate(run.sequences)]
 
-    _, degraded = _run_prompts(args, _read_prompts(args.prompt_file, model), "sample", {
+    _, degraded = _run_prompts(args, model, _read_prompts(args.prompt_file, model), "sample", {
         "model": args.model, "rule": args.rule, "k": args.k, "seed": args.seed,
         "temperature": args.temperature, "prompt_file": args.prompt_file,
     }, run_one, rows_of)
@@ -369,16 +415,10 @@ def cmd_compare(args) -> int:
 
 def cmd_cache_sim(args) -> int:
     rows = _read_jsonl(args.infile)
-    tokens = _column(args.infile, rows, "tokens", tuple)
-    manifest_path = Path(args.infile + ".manifest.json")
-    prompt_tokens: dict[int, list[int]] = {}
-    if manifest_path.exists():
-        with open(manifest_path, encoding="utf-8") as fh:
-            manifest = json.load(fh)
-        for idx, ids in enumerate(manifest.get("prompt_tokens", [])):
-            prompt_tokens[idx] = list(ids)
-    streams = [tuple(prompt_tokens.get(row.get("prompt", 0), [])) + generated
-               for (_, row), generated in zip(rows, tokens)]
+    tokens = _column(args.infile, rows, "tokens", _tokens)
+    prompt_of = _column(args.infile, rows, "prompt", operator.index, default=0)
+    prompts = _manifest_prompts(args.infile)
+    streams = [prompts.get(idx, ()) + generated for idx, generated in zip(prompt_of, tokens)]
     if not streams:
         raise ConfigError(f"no sequences found in {args.infile}")
 
@@ -393,7 +433,7 @@ def cmd_vote(args) -> int:
         raise ConfigError(f"no sequences found in {args.infile}")
     extractor = parse_extractor(args.extract)
     texts = _column(args.infile, rows, "text", str)
-    masses = _column(args.infile, rows, "q", float)
+    masses = _column(args.infile, rows, "q", _mass)
     result = majority_vote([(extractor(text), q) for text, q in zip(texts, masses)],
                            weighting=args.weighting)
     _emit_json(args.out, {
@@ -442,7 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--prompt-file", default=None, help="one prompt per line; omitted = empty prompt")
         p.add_argument("--max-seq-len", type=_count, default=512)
         p.add_argument("--workers", type=_count, default=4,
-                       help="worker pool size for multi-prompt runs")
+                       help="worker pool size for remote multi-prompt runs")
 
     p = sub.add_parser("enumerate", help="distinct-leaf enumeration")
     add_model_args(p)

@@ -348,20 +348,25 @@ def _index_leaf(siblings: dict[int, list[tuple[int, ...]]], tree: PrunedTree,
 def enumerate_leaves(model, rule: TruncationRule, prompt: Sequence[int],
                      policy: BranchPolicy, budget: Budget,
                      early_stop: EarlyStopConfig | None = None,
-                     keep_tree: bool = False) -> EnumerationResult:
+                     keep_tree: bool = False, steps: dict | None = None) -> EnumerationResult:
     """Run the full enumeration loop for one prompt.
 
     The first leaf is always the greedy sequence. Generation order is
     reproducible for deterministic policies; randbranch is reproducible
     under its seed. A model failure before the first leaf propagates; after
     at least one leaf the partial result is returned flagged degraded.
+
+    `steps` is the step memo `greedy_rollout` fills. A caller may share one
+    across runs of the same model and rule: equal contexts give equal
+    distributions, whatever the prompt. By default each call has its own.
     """
     tree = PrunedTree()
     stats = TokenStats()
     frontier = Frontier(policy)
     leaves: list[Leaf] = []
     discovery_counter = [0]
-    steps: dict = {}  # context -> active set, for this prompt only
+    if steps is None:
+        steps = {}  # context -> active set
     merge_n = early_stop.n if early_stop is not None else None
     siblings: dict[int, list[tuple[int, ...]]] = {}  # parent node id -> leaf tokens
     degraded = False

@@ -380,24 +380,54 @@ def train_ngram_model(corpus: str, order: int, alpha: float,
     tokens = tuple(token_set) + (EOS_TOKEN,)
     vocab = Vocabulary(tokens=tokens, eos_id=len(tokens) - 1)
 
+    # One id array over all lines, eos appended to each.
+    lengths = np.fromiter(map(len, lines), np.intp, len(lines)) + 1
+    tokens_with_eos = itertools.chain.from_iterable((*line, EOS_TOKEN) for line in lines)
+    ids = np.fromiter(map(vocab._index.__getitem__, tokens_with_eos), np.int32,
+                      int(lengths.sum()))
+    # The token strings are not needed while the rows are built. fromiter
+    # stops at its count, so the unfinished chain would keep them alive.
+    del tokens_with_eos, lines
+    heads, totals, pairs = _count_windows(ids, lengths, order, vocab.size)
+    del ids
+
+    # The context tuples of each length, built from one int object per id.
+    shared = np.array(range(vocab.size), dtype=object)
+    known = (heads >= 0).sum(axis=0)
+    rows: dict[tuple[int, ...], int] = {}
+    for size in range(order):
+        of_size = np.flatnonzero(known == size)
+        columns = shared[heads[order - 1 - size:, of_size]].tolist()
+        rows.update(zip(zip(*columns) if size else [()] * len(of_size), of_size.tolist()))
+    return NgramModel(vocab, order, alpha, tokenization, rows, totals, pairs)
+
+
+def _count_windows(ids: np.ndarray, lengths: np.ndarray, order: int,
+                   vocab_size: int) -> tuple[np.ndarray, list[int], np.ndarray]:
+    """The n-gram counts of lines concatenated in `ids`, `lengths` long each.
+
+    Returns (heads, totals, pairs) in `NgramModel`'s row layout: column r of
+    heads is row r's (order - 1)-token context, padded on the left with -1
+    where it is shortened near a line start. A helper, so its position-sized
+    temporaries are freed before the context tuples are built.
+    """
+    # Row j of windows holds, for each position, the token width - j places
+    # before it, or -1 before its line start. Sorted, the windows are ordered
+    # by length, then lexicographically; a row is one run of equal windows.
     width = order - 1
-    context_counts: dict[tuple[int, ...], int] = {}
-    pair_counts: dict[tuple[tuple[int, ...], int], int] = {}
-    for line in lines:
-        ids = [vocab.id_of(tok) for tok in line] + [vocab.eos_id]
-        for i, nxt in enumerate(ids):
-            ctx = tuple(ids[max(0, i - width):i]) if width else ()
-            context_counts[ctx] = context_counts.get(ctx, 0) + 1
-            pair_counts[(ctx, nxt)] = pair_counts.get((ctx, nxt), 0) + 1
-    del lines  # the token strings are not needed while the rows are built
-    # The context dict becomes the row index in place.
-    totals = list(context_counts.values())
-    for row, ctx in enumerate(context_counts):
-        context_counts[ctx] = row
-    pairs = _int_triples(((context_counts[ctx], tok, count)
-                          for (ctx, tok), count in pair_counts.items()), len(pair_counts))
-    del pair_counts  # freed before the rows are sorted, which copies the triples
-    return NgramModel(vocab, order, alpha, tokenization, context_counts, totals, pairs)
+    offsets = np.arange(len(ids)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    windows = np.full((width, len(ids)), -1, dtype=np.int32)
+    for back in range(1, order):
+        windows[width - back, back:] = np.where(offsets[back:] >= back, ids[:-back], -1)
+    del offsets
+    by_window = np.lexsort(windows[::-1]) if width else np.arange(len(ids))
+    windows = windows[:, by_window]
+    starts = np.flatnonzero(np.r_[True, (np.diff(windows, axis=1) != 0).any(axis=0)])
+    totals = np.diff(np.r_[starts, len(ids)])
+    rows = np.repeat(np.arange(len(starts)), totals)
+    keys, counts = np.unique(rows * vocab_size + ids[by_window], return_counts=True)
+    pairs = np.stack([keys // vocab_size, keys % vocab_size, counts], axis=1)
+    return windows[:, starts], totals.tolist(), pairs
 
 
 class RemoteModel:

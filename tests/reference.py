@@ -22,6 +22,7 @@ from dle.cache_sim import PrefixCache
 from dle.engine import (Budget, BranchPolicy, EnumerationResult, Frontier, TokenStats,
                         enumerate_leaves)
 from dle.metrics import _check_masses, compensated_sum, coverage_curve
+from dle.model import NgramModel, Vocabulary, _tokenize
 from dle.oracle import enumerate_all_leaves
 from dle.rng import mix, substream
 from dle.tree import PrunedTree
@@ -151,19 +152,37 @@ def sorting_member_ids(probs: np.ndarray, rule) -> np.ndarray:
 
 
 def dict_ngram_counts(corpus: str, order: int, tokenize) -> tuple[tuple[str, ...], dict, dict]:
-    """Vocabulary plus (context -> count) and ((context, token) -> count) dicts."""
+    """Vocabulary plus (context -> count) and ((context, token) -> count) dicts,
+    one context tuple and two dict updates per token."""
     lines = [toks for toks in map(tokenize, corpus.splitlines()) if toks]
     tokens = tuple(sorted({tok for line in lines for tok in line})) + ("<eos>",)
+    id_of = {tok: i for i, tok in enumerate(tokens)}
     width = order - 1
     context_counts: dict = {}
     pair_counts: dict = {}
     for line in lines:
-        ids = [tokens.index(tok) for tok in line] + [len(tokens) - 1]
+        ids = [id_of[tok] for tok in line] + [len(tokens) - 1]
         for i, nxt in enumerate(ids):
             ctx = tuple(ids[max(0, i - width):i]) if width else ()
             context_counts[ctx] = context_counts.get(ctx, 0) + 1
             pair_counts[(ctx, nxt)] = pair_counts.get((ctx, nxt), 0) + 1
     return tokens, context_counts, pair_counts
+
+
+def dict_train_ngram_model(corpus: str, order: int, alpha: float,
+                           tokenization: str = "whitespace") -> NgramModel:
+    """`train_ngram_model` before numpy counting: the count dicts of
+    `dict_ngram_counts`, with the context dict turned into the row index in
+    place (rows in first-appearance order)."""
+    tokens, context_counts, pair_counts = dict_ngram_counts(
+        corpus, order, lambda line: _tokenize(line, tokenization))
+    totals = list(context_counts.values())
+    for row, ctx in enumerate(context_counts):
+        context_counts[ctx] = row
+    pairs = np.array([(context_counts[ctx], tok, count)
+                      for (ctx, tok), count in pair_counts.items()], dtype=np.int64)
+    return NgramModel(Vocabulary(tokens=tokens, eos_id=len(tokens) - 1), order, alpha,
+                      tokenization, context_counts, totals, pairs)
 
 
 def loop_next_distribution(context_counts: dict, pair_counts: dict, ctx: tuple,

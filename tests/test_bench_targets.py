@@ -9,9 +9,11 @@ those names, once per distinct context, or the traced counts mean nothing.
 import importlib.util
 import json
 import sys
+import threading
 from pathlib import Path
 from unittest import mock
 
+from dle import engine
 from dle.engine import Budget, BranchPolicy
 from dle.model import train_ngram_model
 from dle.truncation import Composite, TopK, TopP
@@ -31,8 +33,6 @@ def load_tracer():
 
 
 def test_tracer_installs_and_observes_the_enumeration_layers():
-    from dle import engine
-
     tracer = load_tracer().Tracer()
     model = train_ngram_model("a b c\na c b\nb a c\n", order=2, alpha=1.0)
     tracer.install()
@@ -72,8 +72,6 @@ def test_tracer_observes_each_closed_form_call_of_compare(tmp_path):
 
 
 def test_step_memo_calls_the_traced_names_once_per_context():
-    from dle import engine
-
     tracer = load_tracer().Tracer()
     model = train_ngram_model("a b c a\na c b\nb a c c\nc a b\n", order=2, alpha=0.5)
     tracer.install()
@@ -97,8 +95,6 @@ def test_randbranch_select_spans_observe_the_live_frontier_size():
     # `engine.frontier_max` is the largest size these spans observe. A
     # randbranch frontier keeps picked entries in its mass array until half
     # are dead, so its length must count live branch points only.
-    from dle import engine
-
     added = []
     extend = engine.Frontier.extend
 
@@ -120,3 +116,40 @@ def test_randbranch_select_spans_observe_the_live_frontier_size():
     # Pick i follows the (i + 1)-th extend and leaves what was added minus i + 1 picks.
     assert observed == [total - picks for picks, total in enumerate(added[:len(observed)], 1)]
     assert observed[-1] == 0 and len(observed) > 100
+
+
+def test_multi_prompt_enumerate_queries_each_context_of_the_run_once_on_the_main_thread(tmp_path):
+    # The benchmark's multi_prompt workload counts these spans; one step memo
+    # per run makes them the distinct contexts of all prompts together.
+    from dle import cli
+
+    corpus = "a b c a\na c b\nb a c c\nc a b\nb b a c\n"
+    (tmp_path / "corpus.txt").write_text(corpus)
+    (tmp_path / "prompts.txt").write_text("a\nb\na b\nc a\na\n")
+    model = train_ngram_model(corpus, order=3, alpha=0.5)
+    rule, budget = TopK(k=2), Budget(max_leaves=6, max_seq_len=5)
+    per_prompt = []
+    for line in ["a", "b", "a b", "c a", "a"]:
+        prompt = model.encode_prompt(line)
+        tree = engine.enumerate_leaves(model, rule, prompt, BranchPolicy("probfirst"), budget,
+                                       engine.EarlyStopConfig(10), keep_tree=True).tree
+        per_prompt.append({model.context(prompt, tree.path_tokens(node.id))
+                           for node in tree.nodes if node.children})
+    distinct = set().union(*per_prompt)
+    assert len(distinct) < sum(map(len, per_prompt))
+
+    spec = f"ngram:{tmp_path / 'corpus.txt'}?order=3&alpha=0.5"
+    tracer = load_tracer().Tracer()
+    tracer.install()
+    try:
+        code = cli.main(["enumerate", "--model", spec, "--rule", "top_k:2",
+                         "--prompt-file", str(tmp_path / "prompts.txt"),
+                         "--k", "6", "--max-seq-len", "5", "--workers", "2",
+                         "--out", str(tmp_path / "leaves.jsonl")])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    names = [span.name for span in tracer.spans]
+    assert names.count("model.next_distribution") == len(distinct)
+    assert names.count("truncation.active_set") == len(distinct)
+    assert {span.thread for span in tracer.spans} == {threading.get_ident()}

@@ -1,13 +1,16 @@
 import csv
 import json
+import math
 import subprocess
 import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_random_table_model
+from dle import cli
 from dle.cli import _compare_rows, main
 from dle.engine import BranchPolicy
 from dle.model import train_ngram_model
@@ -272,6 +275,7 @@ def test_vote_command(tmp_path):
     (["cache-sim"], ['{"x": [1, 2]}'], "line 1: missing key 'tokens'"),
     (["cache-sim"], ['{"tokens": [1]}', "", '{"tokens": 7}'], "line 3: bad 'tokens' value 7"),
     (["cache-sim"], ["[1, 2]"], "line 1: missing key 'tokens'"),
+    (["cache-sim"], ['{"tokens": [1, [2]]}'], "line 1: bad 'tokens' value [1, [2]]"),
     (["vote"], ['{"x": [1, 2]}'], "line 1: missing key 'text'"),
     (["vote"], ['{"text": "a", "q": 0.5}', '{"text": "b"}'], "line 2: missing key 'q'"),
     (["vote"], ['{"text": "a", "q": "abc"}'], "line 1: bad 'q' value 'abc'"),
@@ -285,6 +289,91 @@ def test_bad_input_rows_exit_2_without_traceback(command, lines, message, tmp_pa
     assert code == 2
     assert capsys.readouterr().err == f"error: {rows} {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("q", ['"nan"', '"inf"', '"-inf"', "NaN", "Infinity", "-1", '"-0.5"'])
+def test_vote_rejects_non_finite_or_negative_masses(q, tmp_path, capsys):
+    rows = tmp_path / "rows.jsonl"
+    rows.write_text(f'{{"text": "a", "q": 0.5}}\n{{"text": "b", "q": {q}}}\n')
+    out = tmp_path / "vote.json"
+    code = main(["vote", "--in", str(rows), "--weighting", "prob", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: {rows} line 2: bad 'q' value ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("row, manifest, message", [
+    ({"tokens": [1], "prompt": 0}, '{"prompt_tokens": [[5, 6]', "cannot read {manifest}: "),
+    ({"tokens": [1], "prompt": [0]}, '{"prompt_tokens": [[5, 6]]}',
+     "{rows} line 1: bad 'prompt' value [0]\n"),
+    ({"tokens": [1], "prompt": 0}, '{"prompt_tokens": [7]}',
+     "{manifest}: 'prompt_tokens' must be an array of token arrays\n"),
+    ({"tokens": [1]}, "[[5, 6]]", "{manifest}: 'prompt_tokens' must be an array of token arrays\n"),
+    ({"tokens": [1]}, '{"prompt_tokens": [[5, [6]]]}',
+     "{manifest}: 'prompt_tokens' must be an array of token arrays\n"),
+])
+def test_bad_cache_sim_manifest_exits_2_without_traceback(row, manifest, message, tmp_path,
+                                                         capsys):
+    rows = tmp_path / "rows.jsonl"
+    rows.write_text(json.dumps(row) + "\n")
+    manifest_path = tmp_path / "rows.jsonl.manifest.json"
+    manifest_path.write_text(manifest)
+    out = tmp_path / "cache.json"
+    code = main(["cache-sim", "--in", str(rows), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + message.format(rows=rows, manifest=manifest_path))
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["enumerate", "--k", "3"], ["sample", "--k", "5"]])
+def test_local_multi_prompt_runs_start_no_thread(command, fig_tree_path, tmp_path, monkeypatch):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("a b c\nb c a\nc a b a\n")
+    prompts = tmp_path / "prompts.txt"
+    prompts.write_text("a\nb\na\n")
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a local model started a thread pool")
+
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", no_pool)
+    threads = threading.active_count()
+    for model in [f"ngram:{corpus}?order=2", f"table:{fig_tree_path}"]:
+        out = tmp_path / "out.jsonl"
+        code = main([*command, "--model", model, "--rule", "epsilon_ge:0.1", "--workers", "4",
+                     "--prompt-file", str(prompts), "--out", str(out)])
+        assert code == 0
+        assert sorted({row["prompt"] for row in read_jsonl(out)}) == [0, 1, 2]
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("command", [["enumerate", "--k", "3"], ["sample", "--k", "6"]])
+def test_remote_multi_prompt_rows_keep_prompt_order_for_any_pool_size(command, tmp_path,
+                                                                     monkeypatch, stub_server):
+    # Every prompt's tree has the same tokens, ranked alike, so the client
+    # interns them in the same order whichever request comes first.
+    responses = {}
+    for prompt, (px, py) in {"p": (0.6, 0.4), "q": (0.9, 0.1), "r": (0.55, 0.45)}.items():
+        responses[prompt] = {"x": math.log(px), "y": math.log(py)}
+        responses[prompt + "x"] = {"<eos>": 0.0}
+        responses[prompt + "y"] = {"z": math.log(0.9), "<eos>": math.log(0.1)}
+        responses[prompt + "yz"] = {"<eos>": 0.0}
+    stub_server.configure(responses)
+    monkeypatch.setenv("DLE_REMOTE_URL", stub_server.url)
+    prompts = tmp_path / "prompts.txt"
+    prompts.write_text("q\np\nr\nq\n")
+    outputs = []
+    for workers in ["1", "4"]:
+        out = tmp_path / f"out{workers}.jsonl"
+        code = main([*command, "--model", "remote:top_n=4", "--rule", "epsilon:0.05",
+                     "--prompt-file", str(prompts), "--workers", workers, "--out", str(out)])
+        assert code == 0
+        outputs.append(out.read_bytes())
+        rows = read_jsonl(out)
+        prompt_of = [row["prompt"] for row in rows]
+        assert prompt_of == sorted(prompt_of) and set(prompt_of) == {0, 1, 2, 3}
+        assert rows[0]["text"] == "x<eos>"  # prompt q's most likely leaf
+    assert outputs[0] == outputs[1]
 
 
 def test_ngram_train_then_enumerate(tmp_path):

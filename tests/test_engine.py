@@ -437,11 +437,12 @@ class FailingContextModel:
         return self.inner.next_distribution(prompt, generated)
 
 
-def enumeration_outcome(model, rule, prompt, policy, budget, early_stop):
+def enumeration_outcome(model, rule, prompt, policy, budget, early_stop, steps=None):
     """Everything an enumeration reports, the dumped tree included, or
     "raised" when a model error propagates."""
     try:
-        result = enumerate_leaves(model, rule, prompt, policy, budget, early_stop, keep_tree=True)
+        result = enumerate_leaves(model, rule, prompt, policy, budget, early_stop,
+                                  keep_tree=True, steps=steps)
     except ModelError:
         return "raised"
     return (result.leaves, result.stats, result.frontier_exhausted, result.degraded,
@@ -490,6 +491,56 @@ def test_step_memo_changes_no_output(data, model, rule, policy, max_leaves, max_
     _, node_id = data.draw(st.sampled_from(contexts))
     failing = FailingContextModel(model, model.context(prompt, tree.path_tokens(node_id)))
     assert enumeration_outcome(failing, *args) == enumeration_outcome(UnmemoizedModel(failing), *args)
+
+
+def per_prompt_outcomes(model, prompts, args, sample_args, shared):
+    """Each prompt's enumeration outcome and (draws, degraded) pair, from runs
+    that share one step memo per command or each start a fresh one."""
+    enum_steps, sample_steps = {}, {}
+    outcomes = []
+    for prompt in prompts:
+        enumerated = enumeration_outcome(model, args[0], prompt, *args[1:],
+                                         steps=enum_steps if shared else None)
+        run = sample_sequences(model, args[0], prompt, *sample_args,
+                               steps=sample_steps if shared else None)
+        outcomes.append((enumerated, run.sequences, run.degraded))
+    return outcomes, enum_steps
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), model=_memo_models(),
+       rule=st.sampled_from(["epsilon:0.05", "top_k:2", "top_p:0.9", "min_p:0.3",
+                             "min_p:0.1+top_k:2"]),
+       policy=st.sampled_from(["probfirst", "divfirst", "randbranch:7", "globalprob", "dfs"]),
+       max_leaves=st.integers(1, 12), max_seq_len=st.integers(1, 7),
+       early_stop_n=st.one_of(st.none(), st.integers(1, 3)),
+       temperature=st.sampled_from([1.0, 0.6]), k=st.integers(1, 8), seed=st.integers(0, 99))
+def test_shared_step_memo_matches_a_fresh_memo_per_prompt(data, model, rule, policy, max_leaves,
+                                                          max_seq_len, early_stop_n,
+                                                          temperature, k, seed):
+    # Prompts are windows of one token sequence, so their contexts overlap,
+    # and a prompt may come more than once.
+    base = data.draw(st.lists(st.integers(0, model.vocab.size - 1), max_size=4))
+    windows = [tuple(base[i:j]) for i in range(len(base) + 1) for j in range(i, len(base) + 1)]
+    prompts = data.draw(st.lists(st.sampled_from(windows), min_size=2, max_size=5))
+    early_stop = None if early_stop_n is None else EarlyStopConfig(n=early_stop_n)
+    args = (parse_rule(rule), BranchPolicy.parse(policy),
+            Budget(max_leaves=max_leaves, max_seq_len=max_seq_len), early_stop)
+    sample_args = (k, seed, temperature, max_seq_len)
+
+    shared, steps = per_prompt_outcomes(model, prompts, args, sample_args, shared=True)
+    assert shared == per_prompt_outcomes(model, prompts, args, sample_args, shared=False)[0]
+    assert shared == per_prompt_outcomes(UnmemoizedModel(model), prompts, args, sample_args,
+                                         shared=False)[0]
+
+    # A model error on one context that some prompt reaches gives each
+    # prompt the same outcome, or the same propagated error, either way.
+    bad = data.draw(st.sampled_from(sorted(steps, key=repr)))
+    failing = FailingContextModel(model, bad)
+    shared = per_prompt_outcomes(failing, prompts, args, sample_args, shared=True)[0]
+    assert shared == per_prompt_outcomes(failing, prompts, args, sample_args, shared=False)[0]
+    assert shared == per_prompt_outcomes(UnmemoizedModel(failing), prompts, args, sample_args,
+                                         shared=False)[0]
 
 
 @settings(max_examples=150, deadline=None)

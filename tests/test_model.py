@@ -2,13 +2,14 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dle.errors import ConfigError, EmptyCorpus, MissingTransition, RemoteError
 from dle.model import (NgramModel, RemoteModel, TableModel, Vocabulary, _tokenize,
                        parse_model_spec, train_ngram_model)
-from reference import dict_count_lists, dict_ngram_counts, loop_next_distribution
+from reference import (dict_count_lists, dict_ngram_counts, dict_train_ngram_model,
+                       loop_next_distribution)
 
 
 def test_table_lookup_matches_document():
@@ -306,25 +307,42 @@ def test_remote_requires_url(monkeypatch):
         RemoteModel()
 
 
-_CORPORA = st.lists(st.text(alphabet="abcd ", max_size=12), min_size=1, max_size=8).map("\n".join)
+@st.composite
+def _corpora(draw):
+    """Lines over letters whose first appearance is mostly out of sorted
+    order, some of them repeated; empty and short lines included."""
+    lines = draw(st.lists(st.text(alphabet="dcb a", max_size=12), min_size=1, max_size=8))
+    repeats = draw(st.lists(st.sampled_from(lines), max_size=4))
+    return "\n".join(lines + repeats)
 
 
-@settings(max_examples=120, deadline=None)
-@given(corpus=_CORPORA, order=st.integers(1, 4), alpha=st.sampled_from([1.0, 0.5, 0.1, 1e-3]),
+@settings(max_examples=150, deadline=None)
+@given(corpus=_corpora(), order=st.integers(1, 6),
+       alpha=st.sampled_from([1.0, 0.5, 0.1, 1e-3]),
        tokenization=st.sampled_from(["char", "whitespace"]))
+@example(corpus="d c b a\nd c b a\nb\n\nc a", order=6, alpha=0.5, tokenization="whitespace")
+@example(corpus="dcba\ndcba\nb\nca", order=5, alpha=0.5, tokenization="char")
 def test_ngram_rows_match_the_count_dicts(corpus, order, alpha, tokenization):
     tokenize = lambda line: _tokenize(line, tokenization)  # noqa: E731
     assume(any(tokenize(line) for line in corpus.splitlines()))
     model = train_ngram_model(corpus, order=order, alpha=alpha, tokenization=tokenization)
+    reference = dict_train_ngram_model(corpus, order=order, alpha=alpha,
+                                       tokenization=tokenization)
     tokens, context_counts, pair_counts = dict_ngram_counts(corpus, order, tokenize)
-    assert model.vocab.tokens == tokens
+    assert model.vocab.tokens == reference.vocab.tokens == tokens
+    assert set(model._rows) == set(reference._rows) == set(context_counts)
 
-    eos = len(tokens) - 1  # never inside a context
-    for ctx in [*context_counts, (eos,) * (order - 1), (0,) * (order - 1)]:
+    # Every context, plus unseen ones: eos never ends a window, and a short
+    # window of the first token may never start a line.
+    eos = len(tokens) - 1
+    unseen = [(eos,) * (order - 1), (0,) * (order - 1), (eos,) * min(1, order - 1)]
+    for ctx in [*context_counts, *unseen]:
         expected = loop_next_distribution(context_counts, pair_counts, ctx, alpha, len(tokens))
         assert model.next_distribution(ctx, ()).tobytes() == expected.tobytes()
+        assert reference.next_distribution(ctx, ()).tobytes() == expected.tobytes()
 
     doc = model.to_dict()
     text = json.dumps(doc, sort_keys=True)
+    assert json.dumps(reference.to_dict(), sort_keys=True) == text
     assert json.dumps({**doc, **dict_count_lists(context_counts, pair_counts)}, sort_keys=True) == text
     assert json.dumps(NgramModel.from_dict(json.loads(text)).to_dict(), sort_keys=True) == text
