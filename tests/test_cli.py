@@ -275,11 +275,11 @@ def test_vote_command(tmp_path):
     (["cache-sim"], ['{"x": [1, 2]}'], "line 1: missing key 'tokens'"),
     (["cache-sim"], ['{"tokens": [1]}', "", '{"tokens": 7}'], "line 3: bad 'tokens' value 7"),
     (["cache-sim"], ["[1, 2]"], "line 1: missing key 'tokens'"),
-    (["cache-sim"], ['{"tokens": [1, [2]]}'], "line 1: bad 'tokens' value [1, [2]]"),
     (["vote"], ['{"x": [1, 2]}'], "line 1: missing key 'text'"),
     (["vote"], ['{"text": "a", "q": 0.5}', '{"text": "b"}'], "line 2: missing key 'q'"),
     (["vote"], ['{"text": "a", "q": "abc"}'], "line 1: bad 'q' value 'abc'"),
     (["vote"], ['{"text": "a", "q": null}'], "line 1: bad 'q' value None"),
+    (["cache-sim"], ['{"tokens": [1, [2]]}'], "line 1: bad 'tokens' value [1, [2]]"),
 ])
 def test_bad_input_rows_exit_2_without_traceback(command, lines, message, tmp_path, capsys):
     rows = tmp_path / "rows.jsonl"
