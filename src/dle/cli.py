@@ -34,7 +34,7 @@ from .engine import (Budget, BranchPolicy, EarlyStopConfig, EnumerationResult,
 from .errors import ConfigError, DleError, InvariantViolation, ModelError
 from .metrics import (check_coverage, compensated_prefix_sums, coverage, coverage_curve,
                       expected_coverage_closed_form)
-from .model import RemoteModel, parse_model_spec, train_ngram_model
+from .model import RemoteModel, parse_model_spec, read_corpus, train_ngram_model
 from .oracle import enumerate_all_leaves
 from .truncation import parse_rule
 
@@ -292,7 +292,7 @@ def cmd_enumerate(args) -> int:
             "new": result.stats.new_tokens,
             "wasted_early_stop": result.stats.wasted_tokens,
             "discarded_budget": result.stats.discarded_tokens,
-            "model_calls": result.stats.model_calls,
+            "model_calls": result.stats.generated_tokens,
             "early_stop_triggers": result.stats.early_stop_triggers,
         },
     } for idx, result in enumerate(results)]
@@ -361,8 +361,9 @@ def _compare_rows(model, rule, prompt_ids, ks, policy, seeds, temperature,
     dle_curve = coverage_curve([(lf.tokens, lf.q) for lf in result.leaves])
     dle_tokens = list(itertools.accumulate(leaf.new_tokens for leaf in result.leaves))
 
+    steps: dict = {}  # the seeds share model, rule and temperature, so one step memo
     sampled = [_sampled_curve(sample_sequences(model, rule, prompt_ids, max_k, seed,
-                                               temperature, max_seq_len), ks)
+                                               temperature, max_seq_len, steps), ks)
                for seed in range(seeds)]
 
     rows = []
@@ -446,12 +447,7 @@ def cmd_vote(args) -> int:
 
 
 def cmd_ngram_train(args) -> int:
-    try:
-        with open(args.corpus, encoding="utf-8") as fh:
-            corpus = fh.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read corpus {args.corpus}: {exc}") from exc
-    model = train_ngram_model(corpus, order=args.order, alpha=args.alpha,
+    model = train_ngram_model(read_corpus(args.corpus), order=args.order, alpha=args.alpha,
                               tokenization=args.tokenize)
     _write_json(Path(args.out), model.to_dict())
     print(f"trained order-{args.order} model over {model.vocab.size} tokens -> {args.out}")

@@ -5,7 +5,9 @@ follows the greedy path from the prompt to termination, recording every
 non-followed active alternative as a branch point; each subsequent round
 picks one branch point under the configured policy and rolls it out
 greedily. Leaves are distinct by construction because every tree node is
-expanded at most once.
+expanded at most once. A branch point is the unexpanded tree node of its
+alternative, and node ids number branch points in the order they were
+discovered, which is every deterministic policy's last tie-break.
 
 Branch points discovered during a rollout join the frontier only after the
 rollout finishes. Early-stopped branches do not count toward the leaf
@@ -24,9 +26,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, EmptyFrontier, ModelError
-from .rng import substream
+from .rng import substream_family
 from .tree import (FAILED, LEAF, PRUNED_EARLY_STOP, STOP_EOS, STOP_LENGTH_CAP,
-                   BranchPoint, Leaf, PrunedTree)
+                   Leaf, PrunedTree, TreeNode)
 from .truncation import TruncationRule, active_set
 
 POLICIES = ("probfirst", "divfirst", "randbranch", "globalprob", "dfs")
@@ -43,7 +45,7 @@ class BranchPolicy:
     dfs        — deepest branch position first
 
     Deterministic ties break by (position ascending, token id ascending),
-    then discovery order.
+    then node id, which is discovery order.
     """
 
     kind: str
@@ -105,7 +107,6 @@ class TokenStats:
     new_tokens: int = 0            # tokens on completed leaves
     wasted_tokens: int = 0         # tokens on early-stopped branches
     discarded_tokens: int = 0      # tokens on budget-cut rollouts
-    model_calls: int = 0           # decoding steps, memoized ones included
     rollouts: int = 0
     early_stop_triggers: int = 0
 
@@ -123,23 +124,22 @@ class EnumerationResult:
     tree: PrunedTree | None = None
 
 
-# Heap entry per deterministic policy: the policy's tie-break tuple, then the
-# branch point. `discovered` is unique within one enumeration, so entries never
-# compare their branch points and the heap's minimum is the linear scan's.
+# Heap entry per deterministic policy: the policy's tie-break tuple, ending on
+# the node id. A branch's position is its depth - 1, so depth orders alike.
 _HEAP_ENTRIES = {
-    "probfirst": lambda bp: (-bp.log_mass, bp.position, bp.token_id, bp.discovered, bp),
-    "divfirst": lambda bp: (bp.position, bp.token_id, bp.discovered, bp),
-    "globalprob": lambda bp: (-bp.edge_weight, bp.position, bp.token_id, bp.discovered, bp),
-    "dfs": lambda bp: (-bp.position, bp.token_id, bp.discovered, bp),
+    "probfirst": lambda n: (-n.log_mass, n.depth, n.token, n.id),
+    "divfirst": lambda n: (n.depth, n.token, n.id),
+    "globalprob": lambda n: (-n.edge_weight, n.depth, n.token, n.id),
+    "dfs": lambda n: (-n.depth, n.token, n.id),
 }
 
 
 class Frontier:
-    """Unexplored branch points, handed out in the order a policy picks them.
+    """Unexplored branch nodes, handed out in the order a policy picks them.
 
     The deterministic policies keep a heap keyed on their tie-break tuple, so
-    a pick costs O(log F). randbranch keeps the branch points in discovery
-    order beside a float64 array of their masses, each exponentiated once. A
+    a pick costs O(log F). randbranch keeps the node ids in discovery order
+    beside a float64 array of their masses, each exponentiated once. A
     pick zeroes its entry and leaves it in place until half the array is
     dead, then the live entries are compacted. One pick is one cumulative sum
     in C, O(F): it adds the masses in discovery order, and the dead zeros
@@ -147,67 +147,67 @@ class Frontier:
     a left-to-right scan over the live masses.
     """
 
-    __slots__ = ("_entry", "_heap", "_points", "_masses", "_live", "_rng")
+    __slots__ = ("_entry", "_heap", "_ids", "_masses", "_live", "_rng")
 
     def __init__(self, policy: BranchPolicy):
         self._entry = _HEAP_ENTRIES.get(policy.kind)
         self._heap: list[tuple] = []
-        self._points: list[BranchPoint | None] = []  # None marks a picked entry
+        self._ids: list[int | None] = []  # None marks a picked entry
         self._masses = np.empty(0)
         self._live = 0
-        self._rng = substream(policy.seed, "randbranch") if self._entry is None else None
+        self._rng = substream_family(policy.seed, "randbranch")() if self._entry is None else None
 
     def __len__(self) -> int:
         return len(self._heap) if self._entry is not None else self._live
 
-    def extend(self, branch_points: Sequence[BranchPoint]) -> None:
+    def extend(self, branches: Sequence[TreeNode]) -> None:
         if self._entry is not None:
-            for bp in branch_points:
-                heapq.heappush(self._heap, self._entry(bp))
-        elif branch_points:
-            self._points.extend(branch_points)
+            for node in branches:
+                heapq.heappush(self._heap, self._entry(node))
+        elif branches:
+            self._ids.extend(node.id for node in branches)
             self._masses = np.concatenate(
-                (self._masses, [math.exp(bp.log_mass) for bp in branch_points]))
-            self._live += len(branch_points)
+                (self._masses, [math.exp(node.log_mass) for node in branches]))
+            self._live += len(branches)
 
-    def pop(self) -> BranchPoint:
-        """Remove and return the branch point the policy picks next."""
+    def pop(self) -> int:
+        """Remove and return the id of the branch node the policy picks next."""
         if not self:
             raise EmptyFrontier("no branch points to select from")
         if self._entry is not None:
             return heapq.heappop(self._heap)[-1]
-        points, masses = self._points, self._masses
+        ids, masses = self._ids, self._masses
         cumulative = np.cumsum(masses)
         pick = self._rng.random() * cumulative[-1]
         idx = int(np.searchsorted(cumulative, pick, side="right"))
-        if idx == len(points):
+        if idx == len(ids):
             # The pick rounded up to the total (every live mass underflowed
             # to 0.0, or the total is subnormal): the last live entry.
             idx -= 1
-            while points[idx] is None:
+            while ids[idx] is None:
                 idx -= 1
-        picked = points[idx]
-        points[idx] = None
+        picked = ids[idx]
+        ids[idx] = None
         masses[idx] = 0.0
         self._live -= 1
-        if 2 * self._live < len(points):
-            keep = [i for i, bp in enumerate(points) if bp is not None]
-            self._points = [points[i] for i in keep]
+        if 2 * self._live < len(ids):
+            keep = [i for i, node_id in enumerate(ids) if node_id is not None]
+            self._ids = [ids[i] for i in keep]
             self._masses = masses[keep]
         return picked
 
 
-def select_branch(frontier: Frontier) -> BranchPoint:
-    """Remove and return the branch point the frontier's policy picks next."""
+def select_branch(frontier: Frontier) -> int:
+    """Remove and return the id of the branch node the frontier's policy picks next."""
     return frontier.pop()
 
 
 class _RolloutOutcome:
-    __slots__ = ("leaf", "branch_points", "stopped_early")
+    __slots__ = ("leaf", "branches", "stopped_early")
 
-    def __init__(self, leaf, branch_points, stopped_early=False):
+    def __init__(self, leaf, branches, stopped_early=False):
         self.leaf = leaf
-        self.branch_points = branch_points
+        self.branches = branches
         self.stopped_early = stopped_early
 
 
@@ -215,33 +215,31 @@ def greedy_rollout(model, rule: TruncationRule, tree: PrunedTree, start_node: in
                    prompt: Sequence[int], budget: Budget, stats: TokenStats,
                    early_stop: EarlyStopConfig | None,
                    sibling_leaves: Sequence[tuple[int, ...]] = (),
-                   discovery_counter: list[int] | None = None,
                    order: int = 0,
                    steps: dict | None = None) -> _RolloutOutcome:
     """Greedy generation from start_node until termination.
 
     Follows the highest-weight child at every step (ties to the lowest token
-    id) and records a branch point for every non-followed alternative. Stops
-    at end-of-sequence, at the length cap, when the token budget runs out,
-    or when its first n tokens after the branch point equal those of a
-    sibling leaf. `sibling_leaves` holds the tokens of completed leaves that
-    share every token before the branch position and have at least n tokens
-    after it; their continuation is read in place, after the branch position.
+    id) and hands back the unexpanded child node of every non-followed
+    alternative as a branch. Stops at end-of-sequence, at the length cap,
+    when the token budget runs out, or when its first n tokens after the
+    branch point equal those of a sibling leaf. `sibling_leaves` holds the
+    tokens of completed leaves that share every token before the branch
+    position and have at least n tokens after it; their continuation is read
+    in place, after the branch position.
 
     `steps` maps `model.context(prompt, prefix)` to the active set computed
     for it; a step whose context is already there skips the model and the
     truncation rule. Failed model calls are never stored.
     """
     stats.rollouts += 1
-    if discovery_counter is None:
-        discovery_counter = [0]
     if steps is None:
         steps = {}
     node_id = start_node
     prefix = list(tree.path_tokens(start_node))
     inherited = len(prefix)
     appended: list[int] = []
-    branch_points: list[BranchPoint] = []
+    branches: list[TreeNode] = []
     eos_id = model.vocab.eos_id
     check_merges = early_stop is not None and start_node != tree.root
     candidates = sibling_leaves
@@ -264,15 +262,15 @@ def greedy_rollout(model, rule: TruncationRule, tree: PrunedTree, start_node: in
     # A branch alternative that is itself the eos token is already a
     # complete leaf: the whole sequence is inherited, nothing is generated.
     if prefix and prefix[-1] == eos_id:
-        return _RolloutOutcome(make_leaf(STOP_EOS), branch_points)
+        return _RolloutOutcome(make_leaf(STOP_EOS), branches)
 
     while True:
         if len(prefix) >= budget.max_seq_len:
-            return _RolloutOutcome(make_leaf(STOP_LENGTH_CAP), branch_points)
+            return _RolloutOutcome(make_leaf(STOP_LENGTH_CAP), branches)
         spent = stats.generated_tokens + len(appended)
         if budget.max_new_tokens is not None and spent >= budget.max_new_tokens:
             stats.discarded_tokens += len(appended)
-            return _RolloutOutcome(None, branch_points)
+            return _RolloutOutcome(None, branches)
 
         context = model.context(prompt, prefix)
         active = steps.get(context)
@@ -284,28 +282,16 @@ def greedy_rollout(model, rule: TruncationRule, tree: PrunedTree, start_node: in
                 stats.discarded_tokens += len(appended)
                 raise
             active = steps[context] = active_set(probs, rule)
-        stats.model_calls += 1
         children = tree.expand_node(node_id, active)
+        branches += children[1:]
         position = len(prefix)
-        for child_id in children[1:]:
-            child = tree.node(child_id)
-            discovery_counter[0] += 1
-            branch_points.append(BranchPoint(
-                node_id=child_id,
-                position=position,
-                token_id=child.token,
-                log_mass=child.log_mass,
-                edge_weight=child.edge_weight,
-                discovered=discovery_counter[0],
-            ))
-
-        node_id = children[0]
-        token = tree.node(node_id).token
+        node_id = children[0].id
+        token = children[0].token
         prefix.append(token)
         appended.append(token)
 
         if token == eos_id:
-            return _RolloutOutcome(make_leaf(STOP_EOS), branch_points)
+            return _RolloutOutcome(make_leaf(STOP_EOS), branches)
 
         # After m tokens the candidates are the siblings whose m tokens after
         # the branch point match; any left at m == n is a duplicate head.
@@ -317,7 +303,7 @@ def greedy_rollout(model, rule: TruncationRule, tree: PrunedTree, start_node: in
                 tree.mark_path(node_id, start_node, PRUNED_EARLY_STOP)
                 stats.wasted_tokens += len(appended)
                 stats.early_stop_triggers += 1
-                return _RolloutOutcome(None, branch_points, stopped_early=True)
+                return _RolloutOutcome(None, branches, stopped_early=True)
 
 
 def _index_leaf(siblings: dict[int, list[tuple[int, ...]]], tree: PrunedTree,
@@ -364,7 +350,6 @@ def enumerate_leaves(model, rule: TruncationRule, prompt: Sequence[int],
     stats = TokenStats()
     frontier = Frontier(policy)
     leaves: list[Leaf] = []
-    discovery_counter = [0]
     if steps is None:
         steps = {}  # context -> active set
     merge_n = early_stop.n if early_stop is not None else None
@@ -385,21 +370,20 @@ def enumerate_leaves(model, rule: TruncationRule, prompt: Sequence[int],
             candidates = siblings.get(tree.node(start).parent, ())
         try:
             outcome = greedy_rollout(model, rule, tree, start, prompt, budget, stats,
-                                     early_stop, candidates, discovery_counter,
-                                     order=len(leaves), steps=steps)
+                                     early_stop, candidates, order=len(leaves), steps=steps)
         except ModelError:
             if not leaves:
                 raise
             degraded = True
             break
-        frontier.extend(outcome.branch_points)
+        frontier.extend(outcome.branches)
         if outcome.leaf is not None:
             leaves.append(outcome.leaf)
             if merge_n is not None:
                 _index_leaf(siblings, tree, outcome.leaf, merge_n)
         if not budget_allows_more() or not frontier:
             break
-        start = select_branch(frontier).node_id
+        start = select_branch(frontier)
 
     return EnumerationResult(
         leaves=leaves,

@@ -166,12 +166,23 @@ class TableModel:
 
     @classmethod
     def from_file(cls, path: str) -> "TableModel":
-        try:
-            with open(path, encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot load table model from {path}: {exc}") from exc
-        return cls.from_dict(doc)
+        return cls.from_dict(_load_json(path, "table model"))
+
+
+def _load_json(path: str, what: str):
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot load {what} from {path}: {exc}") from exc
+
+
+def read_corpus(path: str) -> str:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read corpus {path}: {exc}") from exc
 
 
 _JSON_KINDS = {
@@ -345,12 +356,7 @@ class NgramModel:
 
     @classmethod
     def from_file(cls, path: str) -> "NgramModel":
-        try:
-            with open(path, encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot load ngram model from {path}: {exc}") from exc
-        return cls.from_dict(doc)
+        return cls.from_dict(_load_json(path, "ngram model"))
 
 
 def _check_order_alpha(order: int, alpha: float) -> None:
@@ -565,13 +571,8 @@ def parse_model_spec(spec: str) -> Model:
         if path.endswith(".json"):
             return NgramModel.from_file(path)
         options = _parse_options(query, sep="&")
-        try:
-            with open(path, encoding="utf-8") as fh:
-                corpus = fh.read()
-        except OSError as exc:
-            raise ConfigError(f"cannot read corpus {path}: {exc}") from exc
         return train_ngram_model(
-            corpus,
+            read_corpus(path),
             order=_number(options, "order", int, 1),
             alpha=_number(options, "alpha", float, 1.0),
             tokenization=options.get("tokenize", "whitespace"),

@@ -32,26 +32,13 @@ def _fnv1a64(data: bytes) -> int:
     return h
 
 
-def mix(seed: int, *parts: int | str | bytes) -> int:
-    """Mix a base seed with named parts into a stable 64-bit value."""
-    h = _fnv1a64(_to_bytes(seed))
-    for part in parts:
-        h ^= _fnv1a64(_to_bytes(part))
-        h = (h * _FNV_PRIME64) & _MASK64
-    return (h ^ (h >> 33)) & _MASK64
-
-
-def substream(seed: int, *parts: int | str | bytes) -> random.Random:
-    """A random.Random deterministically derived from (seed, *parts)."""
-    return random.Random(mix(seed, *parts))
-
-
 def substream_family(seed: int, *parts: int | str | bytes):
-    """Factory for substreams sharing a prefix of named parts.
+    """Factory of random.Random substreams sharing a prefix of named parts.
 
-    substream_family(s, *p)(*tail) produces the same stream as
-    substream(s, *p, *tail); the shared mixing work happens once, which
-    matters when deriving one stream per draw in a tight loop.
+    substream_family(s, *p)(*tail) is the stream of the 64-bit FNV-1a mix of
+    (s, *p, *tail), so it depends only on those values. The shared mixing
+    work happens once, which matters when deriving one stream per draw in a
+    tight loop.
     """
     base = _fnv1a64(_to_bytes(seed))
     for part in parts:

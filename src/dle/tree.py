@@ -8,7 +8,6 @@ boundaries.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from .errors import ExpandingExpandedNode
@@ -31,20 +30,9 @@ class TreeNode:
     token: int | None            # incoming token id; None for the root
     edge_weight: float           # renormalized step weight, or exactly 1.0 when forced
     log_mass: float              # log of the path probability from the root
+    depth: int = 0               # generated tokens from the root to this node
     status: str = UNEXPANDED
     children: list[int] = field(default_factory=list)
-
-
-@dataclass(frozen=True, slots=True)
-class BranchPoint:
-    """An unexplored alternative child recorded during a rollout."""
-
-    node_id: int
-    position: int                # index of the alternative token in the generated sequence
-    token_id: int
-    log_mass: float
-    edge_weight: float
-    discovered: int              # monotonically increasing counter; final tie-breaker
 
 
 @dataclass(frozen=True)
@@ -75,40 +63,26 @@ class PrunedTree:
     def node(self, node_id: int) -> TreeNode:
         return self.nodes[node_id]
 
-    def add_child(self, parent_id: int, token: int, edge_weight: float) -> int:
-        parent = self.nodes[parent_id]
-        child = TreeNode(
-            id=len(self.nodes),
-            parent=parent_id,
-            token=token,
-            edge_weight=edge_weight,
-            log_mass=parent.log_mass + math.log(edge_weight),
-        )
-        self.nodes.append(child)
-        parent.children.append(child.id)
-        return child.id
-
-    def expand_node(self, node_id: int, active: ActiveSet) -> list[int]:
+    def expand_node(self, node_id: int, active: ActiveSet) -> list[TreeNode]:
         """Create children for the active set.
 
         Two or more survivors branch with their renormalized weights; a
         single survivor becomes one forced child with edge weight exactly
         1.0, leaving the path mass unchanged. Children come back in the
         active set's canonical order (weight descending, id ascending), so
-        the first child is the greedy continuation.
+        the first child is the greedy continuation. Ids are handed out in
+        that order, so across rollouts they number the children in the order
+        they were discovered.
         """
         node = self.nodes[node_id]
         if node.status != UNEXPANDED:
             raise ExpandingExpandedNode(f"node {node_id} has status {node.status!r}")
-        if len(active) <= 1:
-            children = [self.add_child(node_id, int(active.token_ids[0]), 1.0)]
-        else:
-            nodes, base = self.nodes, node.log_mass
-            first = len(nodes)
-            for token, weight, log_weight in zip(*active.edges):
-                nodes.append(TreeNode(len(nodes), node_id, token, weight, base + log_weight))
-            children = list(range(first, len(nodes)))
-            node.children.extend(children)
+        nodes, base, depth = self.nodes, node.log_mass, node.depth + 1
+        first = len(nodes)
+        for token, weight, log_weight in zip(*active.edges):
+            nodes.append(TreeNode(len(nodes), node_id, token, weight, base + log_weight, depth))
+        children = nodes[first:]
+        node.children.extend(range(first, len(nodes)))
         node.status = EXPANDED
         return children
 

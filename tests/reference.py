@@ -4,27 +4,28 @@ independent checkers its formulas are verified against.
 Each predecessor is the straightforward algorithm the package used before
 its optimized form replaced it; property tests require the optimized code to
 return bit-identical results. The checkers (Monte Carlo coverage, top-k by
-mass, sequence probability, marginal gain) compute the same quantities by a
-different route than the package does.
+mass, sequence probability, marginal gain, the one-shot seed mix) compute the
+same quantities by a different route than the package does.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import random
 import statistics
+from dataclasses import dataclass
 
 import numpy as np
 
 from dle import engine
 from dle.baseline import sample_sequences
 from dle.cache_sim import PrefixCache
-from dle.engine import (Budget, BranchPolicy, EnumerationResult, Frontier, TokenStats,
+from dle.engine import (Budget, BranchPolicy, EnumerationResult, TokenStats,
                         enumerate_leaves)
 from dle.metrics import _check_masses, compensated_sum, coverage_curve
 from dle.model import NgramModel, Vocabulary, _tokenize
 from dle.oracle import enumerate_all_leaves
-from dle.rng import mix, substream
 from dle.tree import PrunedTree
 from dle.truncation import Composite, Epsilon, MinP, TopK, TopP, active_set
 
@@ -47,11 +48,47 @@ class UnmemoizedModel:
         return self.inner.next_distribution(prompt, generated)
 
 
-def linear_select_branch(frontier, policy: BranchPolicy, rng=None) -> int:
-    """Index of the branch point the policy picks next, by one scan of the list."""
+def mix(seed: int, *parts: int | str | bytes) -> int:
+    """The 64-bit FNV-1a mix of (seed, *parts) in one pass: the seed of the
+    stream `substream_family(seed, *parts[:i])(*parts[i:])`, for every i.
+    An int part is hashed as its 8 little-endian bytes modulo 2**64, a str as
+    its UTF-8 bytes."""
+    prime, mask = 0x100000001B3, 2 ** 64 - 1
+
+    def fnv1a(part) -> int:
+        if isinstance(part, int):
+            data = (part % 2 ** 64).to_bytes(8, "little")
+        else:
+            data = part if isinstance(part, bytes) else str(part).encode("utf-8")
+        h = 0xCBF29CE484222325
+        for byte in data:
+            h = ((h ^ byte) * prime) & mask
+        return h
+
+    h = fnv1a(seed)
+    for part in parts:
+        h = ((h ^ fnv1a(part)) * prime) & mask
+    return h ^ (h >> 33)
+
+
+@dataclass(frozen=True)
+class ScanRecord:
+    """A branch point as the reference scan records it, apart from the tree."""
+
+    node_id: int
+    position: int        # index of the alternative token in the generated sequence
+    token: int
+    log_mass: float
+    edge_weight: float
+    discovered: int      # the scan's own counter, in the order rollouts return branches
+
+
+def linear_select_branch(frontier: list[ScanRecord], policy: BranchPolicy, rng=None) -> int:
+    """Index of the record the policy picks next, by one scan of the list.
+    Ties end on the discovery counter."""
     if policy.kind == "randbranch":
         if rng is None:
-            rng = substream(policy.seed, "randbranch")
+            rng = random.Random(mix(policy.seed, "randbranch"))
         prefix_sums = list(itertools.accumulate(math.exp(bp.log_mass) for bp in frontier))
         pick = rng.random() * prefix_sums[-1]
         for i, acc in enumerate(prefix_sums):
@@ -60,14 +97,14 @@ def linear_select_branch(frontier, policy: BranchPolicy, rng=None) -> int:
         return len(frontier) - 1
     if policy.kind == "probfirst":
         key = lambda i: (-frontier[i].log_mass, frontier[i].position,
-                         frontier[i].token_id, frontier[i].discovered)
+                         frontier[i].token, frontier[i].discovered)
     elif policy.kind == "divfirst":
-        key = lambda i: (frontier[i].position, frontier[i].token_id, frontier[i].discovered)
+        key = lambda i: (frontier[i].position, frontier[i].token, frontier[i].discovered)
     elif policy.kind == "globalprob":
         key = lambda i: (-frontier[i].edge_weight, frontier[i].position,
-                         frontier[i].token_id, frontier[i].discovered)
+                         frontier[i].token, frontier[i].discovered)
     else:  # dfs
-        key = lambda i: (-frontier[i].position, frontier[i].token_id, frontier[i].discovered)
+        key = lambda i: (-frontier[i].position, frontier[i].token, frontier[i].discovered)
     return min(range(len(frontier)), key=key)
 
 
@@ -95,13 +132,16 @@ def scan_sibling_leaves(leaves, tree, branch_node: int, n: int) -> list[tuple[in
 def scan_enumerate_leaves(model, rule, prompt, policy, budget, early_stop=None,
                           keep_tree=False) -> EnumerationResult:
     """`enumerate_leaves`, for a model that never raises, with each round's
-    early-stop candidates found by scanning every completed leaf. The
-    rollouts go through `engine.greedy_rollout`, looked up at call time."""
+    early-stop candidates found by scanning every completed leaf, and each
+    branch picked by `linear_select_branch` over the scan's own records,
+    whose ties end on a discovery counter the scan keeps, not on node ids.
+    The rollouts go through `engine.greedy_rollout`, looked up at call time."""
     tree = PrunedTree()
     stats = TokenStats()
-    frontier = Frontier(policy)
+    records: list[ScanRecord] = []
+    discovery = itertools.count()
+    rng = random.Random(mix(policy.seed, "randbranch")) if policy.kind == "randbranch" else None
     leaves = []
-    discovery_counter = [0]
     steps: dict = {}
     start = tree.root
     while True:
@@ -109,18 +149,19 @@ def scan_enumerate_leaves(model, rule, prompt, policy, budget, early_stop=None,
         if early_stop is not None and start != tree.root:
             siblings = scan_sibling_leaves(leaves, tree, start, early_stop.n)
         outcome = engine.greedy_rollout(model, rule, tree, start, prompt, budget, stats,
-                                        early_stop, siblings, discovery_counter,
-                                        order=len(leaves), steps=steps)
-        frontier.extend(outcome.branch_points)
+                                        early_stop, siblings, order=len(leaves), steps=steps)
+        for node in outcome.branches:
+            records.append(ScanRecord(node.id, len(tree.path_tokens(node.id)) - 1, node.token,
+                                      node.log_mass, node.edge_weight, next(discovery)))
         if outcome.leaf is not None:
             leaves.append(outcome.leaf)
         if ((budget.max_leaves is not None and len(leaves) >= budget.max_leaves)
                 or (budget.max_new_tokens is not None
                     and stats.generated_tokens >= budget.max_new_tokens)
-                or not frontier):
+                or not records):
             break
-        start = frontier.pop().node_id
-    return EnumerationResult(leaves=leaves, frontier_exhausted=not frontier, stats=stats,
+        start = records.pop(linear_select_branch(records, policy, rng)).node_id
+    return EnumerationResult(leaves=leaves, frontier_exhausted=not records, stats=stats,
                              tree=tree if keep_tree else None)
 
 

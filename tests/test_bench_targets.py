@@ -84,7 +84,7 @@ def test_step_memo_calls_the_traced_names_once_per_context():
     tree = result.tree
     expanded = [node.id for node in tree.nodes if node.children]
     contexts = {model.context((), tree.path_tokens(node_id)) for node_id in expanded}
-    assert len(contexts) < len(expanded) == result.stats.model_calls
+    assert len(contexts) < len(expanded) == result.stats.generated_tokens
     names = [span.name for span in tracer.spans]
     assert names.count("model.next_distribution") == len(contexts)
     assert names.count("truncation.active_set") == len(contexts)
@@ -98,9 +98,9 @@ def test_randbranch_select_spans_observe_the_live_frontier_size():
     added = []
     extend = engine.Frontier.extend
 
-    def counting_extend(frontier, branch_points):
-        added.append((added[-1] if added else 0) + len(branch_points))
-        return extend(frontier, branch_points)
+    def counting_extend(frontier, branches):
+        added.append((added[-1] if added else 0) + len(branches))
+        return extend(frontier, branches)
 
     tracer = load_tracer().Tracer()
     model = train_ngram_model("a b c a\na c b\nb a c c\nc a b\n", order=2, alpha=0.5)

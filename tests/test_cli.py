@@ -457,6 +457,71 @@ def test_compare_rows_match_the_per_k_reference(model_seed, rule, policy, k_lo, 
         [{key: str(v) for key, v in row.items()} for row in expected]
 
 
+class CountingModel:
+    """Delegates to a model, recording the context of every query."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.vocab = inner.vocab
+        self.queries = []
+
+    def context(self, prompt, generated):
+        return self.inner.context(prompt, generated)
+
+    def next_distribution(self, prompt, generated):
+        self.queries.append(self.inner.context(prompt, generated))
+        return self.inner.next_distribution(prompt, generated)
+
+
+@pytest.mark.parametrize("model_seed", [3, 11, 40])
+def test_compare_sample_seeds_query_each_context_once(model_seed, monkeypatch):
+    # The --sample-seeds runs share model, rule and temperature, so together
+    # they ask the model once per distinct context they draw.
+    model = CountingModel(make_random_table_model(model_seed))
+    runs = []
+    sample = cli.sample_sequences
+
+    def counting_sample(*args, **kwargs):
+        before = len(model.queries)
+        run = sample(*args, **kwargs)
+        runs.append((run, model.queries[before:]))
+        return run
+
+    monkeypatch.setattr(cli, "sample_sequences", counting_sample)
+    args = (model, parse_rule("top_p:0.9"), (), [1, 4, 16], BranchPolicy("probfirst"), 6,
+            1.0, 8, True)
+    rows = _compare_rows(*args)
+    assert len(runs) == 6
+    drawn = {model.context((), tokens[:i]) for run, _ in runs
+             for tokens, _ in run.sequences for i in range(len(tokens))}
+    queries = [query for _, queries in runs for query in queries]
+    assert sorted(queries, key=repr) == sorted(drawn, key=repr)
+    assert [{key: str(v) for key, v in row.items()} for row in rows] == \
+        [{key: str(v) for key, v in row.items()} for row in reference_compare_rows(*args)]
+
+
+@pytest.mark.parametrize("command, message", [
+    (["enumerate", "--model", "table:{missing}.json"],
+     "cannot load table model from {missing}.json: "),
+    (["enumerate", "--model", "ngram:{missing}.json"],
+     "cannot load ngram model from {missing}.json: "),
+    (["enumerate", "--model", "ngram:{missing}.txt"], "cannot read corpus {missing}.txt: "),
+    (["ngram-train", "--corpus", "{missing}.txt"], "cannot read corpus {missing}.txt: "),
+])
+def test_missing_model_and_corpus_files_exit_2_without_traceback(command, message, tmp_path,
+                                                                capsys):
+    missing = tmp_path / "missing"
+    argv = [arg.format(missing=missing) for arg in command]
+    if command[0] == "enumerate":
+        argv += ["--rule", "top_k:2", "--k", "2"]
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + message.format(missing=missing))
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", [
     ["enumerate", "--rule", "top_k:3", "--k", "5"],
     ["compare", "--rule", "top_k:3", "--k", "1..3"],

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import random
 from unittest import mock
 
 import pytest
@@ -15,10 +16,9 @@ from dle.engine import (POLICIES, Budget, BranchPolicy, EarlyStopConfig, Frontie
 from dle.errors import ConfigError, EmptyFrontier, ModelError
 from dle.model import TableModel, train_ngram_model
 from dle.oracle import enumerate_all_leaves
-from dle.rng import substream
-from dle.tree import BranchPoint, PrunedTree
+from dle.tree import PrunedTree, TreeNode
 from dle.truncation import Epsilon, MinP, TopK, TopP, parse_rule
-from reference import (UnmemoizedModel, early_stop_check, linear_select_branch,
+from reference import (ScanRecord, UnmemoizedModel, early_stop_check, linear_select_branch, mix,
                        scan_enumerate_leaves)
 
 FIG_RULE = Epsilon(eps=0.1, inclusive=True)
@@ -45,7 +45,7 @@ def test_root_rollout_reproduces_worked_tree(fig_tree_model):
                              UNLIMITED, stats, None)
     leaf = outcome.leaf
     assert leaf.q == pytest.approx(0.504, abs=1e-12)
-    masses = sorted(math.exp(bp.log_mass) for bp in outcome.branch_points)
+    masses = sorted(math.exp(node.log_mass) for node in outcome.branches)
     assert masses == pytest.approx([0.1, 0.126, 0.27], abs=1e-12)
 
 
@@ -98,19 +98,19 @@ def test_first_leaf_is_always_greedy():
 
 
 def test_select_branch_matches_worked_frontier():
-    def bp(node_id, position, token_id, mass, edge, disc):
-        return BranchPoint(node_id=node_id, position=position, token_id=token_id,
-                           log_mass=math.log(mass), edge_weight=edge, discovered=disc)
+    def branch(node_id, position, token, mass, edge):
+        return TreeNode(id=node_id, parent=None, token=token, edge_weight=edge,
+                        log_mass=math.log(mass), depth=position + 1)
 
-    points = [bp(1, 0, 1, 0.1, 0.1, 1), bp(2, 1, 3, 0.27, 0.3, 2),
-              bp(3, 2, 5, 0.126, 0.2, 3)]
+    points = [branch(1, 0, 1, 0.1, 0.1), branch(2, 1, 3, 0.27, 0.3),
+              branch(3, 2, 5, 0.126, 0.2)]
 
     def first_pick(kind):
         frontier = Frontier(BranchPolicy(kind))
         frontier.extend(points)
         picked = select_branch(frontier)
         assert len(frontier) == 2
-        return points.index(picked)
+        return [node.id for node in points].index(picked)
 
     assert first_pick("probfirst") == 1
     assert first_pick("divfirst") == 0
@@ -278,15 +278,27 @@ def test_randbranch_is_a_valid_reordering(random_model_factory):
 
 
 def test_token_accounting_matches_model_calls(fig_tree_model, random_model_factory):
-    result = run(fig_tree_model, FIG_RULE, budget=Budget(max_leaves=4))
+    # Each decoding step, memoized or not, expands one tree node and appends
+    # one token, so the expanded nodes count the steps.
+    def steps(result):
+        return sum(1 for node in result.tree.nodes if node.children)
+
+    def run_tree(model, rule, budget=UNLIMITED, early_stop=None):
+        return enumerate_leaves(model, rule, (), BranchPolicy("probfirst"), budget, early_stop,
+                                keep_tree=True)
+
+    result = run_tree(fig_tree_model, FIG_RULE, budget=Budget(max_leaves=4))
     stats = result.stats
-    assert sum(l.new_tokens for l in result.leaves) + stats.wasted_tokens == stats.model_calls
-    assert stats.generated_tokens == stats.model_calls
+    assert sum(l.new_tokens for l in result.leaves) + stats.wasted_tokens == steps(result)
+    assert stats.generated_tokens == steps(result)
     for seed in range(10):
         model = random_model_factory(seed + 50)
-        res = run(model, TopP(p=0.9), early_stop=EarlyStopConfig(n=1))
+        res = run_tree(model, TopP(p=0.9), early_stop=EarlyStopConfig(n=1))
         assert (sum(l.new_tokens for l in res.leaves) + res.stats.wasted_tokens
-                == res.stats.model_calls)
+                == steps(res))
+    res = run_tree(fig_tree_model, FIG_RULE, budget=Budget(max_new_tokens=7))
+    assert res.stats.discarded_tokens > 0
+    assert res.stats.generated_tokens == steps(res)
 
 
 def test_leaf_length_accounting(fig_tree_model):
@@ -391,33 +403,35 @@ _POINT_FIELDS = st.tuples(
 def test_frontier_pops_match_the_linear_scan(kind, seed, batches):
     # Each batch is followed by up to 12 picks, so randbranch frontiers
     # compact (half their entries picked) at many sizes and mid-run.
+    # Node ids are handed out in discovery order, as `expand_node` does.
     policy = BranchPolicy(kind, seed=seed if kind == "randbranch" else None)
-    rng = substream(seed, "randbranch") if kind == "randbranch" else None
+    rng = random.Random(mix(seed, "randbranch")) if kind == "randbranch" else None
     frontier = Frontier(policy)
-    reference: list[BranchPoint] = []
+    reference: list[ScanRecord] = []
     discovered = 0
     picks, expected = [], []
 
     def pick_both():
         picks.append(select_branch(frontier))
-        expected.append(reference.pop(linear_select_branch(reference, policy, rng)))
+        expected.append(reference.pop(linear_select_branch(reference, policy, rng)).node_id)
 
     for batch, picks_after in batches:
-        points = []
-        for log_mass, position, token_id, edge_weight in batch:
+        nodes = []
+        for log_mass, position, token, edge_weight in batch:
             discovered += 1
-            points.append(BranchPoint(node_id=discovered, position=position, token_id=token_id,
-                                      log_mass=log_mass, edge_weight=edge_weight,
-                                      discovered=discovered))
-        frontier.extend(points)
-        reference.extend(points)
+            nodes.append(TreeNode(id=discovered, parent=None, token=token,
+                                  edge_weight=edge_weight, log_mass=log_mass,
+                                  depth=position + 1))
+            reference.append(ScanRecord(discovered, position, token, log_mass, edge_weight,
+                                        discovered))
+        frontier.extend(nodes)
         for _ in range(min(picks_after, len(reference))):
             pick_both()
             assert len(frontier) == len(reference)
     while reference:
         pick_both()
     assert len(frontier) == 0
-    assert [bp.discovered for bp in picks] == [bp.discovered for bp in expected]
+    assert picks == expected
 
 
 class FailingContextModel:
@@ -567,6 +581,9 @@ def test_sibling_index_matches_the_leaf_scan(model, rule, policy, max_leaves, ma
         indexed = enumerate_leaves(*args, keep_tree=True)
         index_rounds, rounds = rounds, []
         scanned = scan_enumerate_leaves(*args, keep_tree=True)
+    # The scan's ties end on its own discovery counter and the engine's on
+    # node ids, so equal results show that node ids number branch points in
+    # discovery order.
     assert (indexed.leaves, indexed.stats, indexed.frontier_exhausted) == \
         (scanned.leaves, scanned.stats, scanned.frontier_exhausted)
     assert indexed.tree.to_dict() == scanned.tree.to_dict()

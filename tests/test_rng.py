@@ -1,5 +1,10 @@
-from dle.rng import mix, substream, substream_family
-from reference import np_substream
+import random
+
+from hypothesis import given
+from hypothesis import strategies as st
+
+from dle.rng import substream_family
+from reference import mix, np_substream
 
 
 def test_mix_is_stable_and_sensitive():
@@ -15,17 +20,22 @@ def test_mix_known_value_pins_cross_platform_behavior():
 
 
 def test_substreams_are_independent_and_reproducible():
-    a = substream(7, "x").random()
-    b = substream(7, "x").random()
-    c = substream(7, "y").random()
+    a = substream_family(7, "x")().random()
+    b = substream_family(7, "x")().random()
+    c = substream_family(7, "y")().random()
     assert a == b
     assert a != c
 
 
-def test_substream_family_matches_direct_derivation():
-    family = substream_family(13, "baseline-draw")
-    for draw in (0, 1, 2, 100):
-        assert family(draw).random() == substream(13, "baseline-draw", draw).random()
+_SEEDS = st.one_of(st.integers(-2 ** 70, 2 ** 70), st.integers(2 ** 64, 2 ** 80))
+_PARTS = st.lists(st.one_of(_SEEDS, st.text(max_size=4), st.binary(max_size=4)), max_size=3)
+
+
+@given(seed=_SEEDS, prefix=_PARTS, tail=_PARTS)
+def test_substream_family_matches_direct_derivation(seed, prefix, tail):
+    # Negative ints and ints >= 2**64 are reduced modulo 2**64.
+    stream = substream_family(seed, *prefix)(*tail)
+    assert stream.getstate() == random.Random(mix(seed, *prefix, *tail)).getstate()
 
 
 def test_np_substream_reproducible():

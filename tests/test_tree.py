@@ -16,20 +16,30 @@ def make_active(pairs):
     return ActiveSet(token_ids=ids, weights=weights, raw_mass=float(weights.sum()))
 
 
+def extend_path(tree, node_id, token, edge_weight):
+    """Expand node_id with `token` at edge_weight and a second, filler
+    child (token 99); return the id of the `token` child."""
+    children = tree.expand_node(node_id, make_active([(token, edge_weight),
+                                                      (99, 1.0 - edge_weight)]))
+    return next(c.id for c in children if c.token == token)
+
+
 def test_branching_children_inherit_scaled_mass():
     tree = PrunedTree()
-    node = tree.add_child(tree.root, token=0, edge_weight=0.9)
+    node = extend_path(tree, tree.root, token=0, edge_weight=0.9)
     children = tree.expand_node(node, make_active([(1, 0.7), (2, 0.3)]))
-    masses = [math.exp(tree.node(c).log_mass) for c in children]
+    masses = [math.exp(c.log_mass) for c in children]
     assert masses == pytest.approx([0.63, 0.27])
+    assert [c.depth for c in children] == [2, 2]
 
 
 def test_singleton_expansion_keeps_mass():
     tree = PrunedTree()
-    node = tree.add_child(tree.root, token=0, edge_weight=0.4)
-    children = tree.expand_node(node, make_active([(3, 1.0)]))
-    child = tree.node(children[0])
+    node = extend_path(tree, tree.root, token=0, edge_weight=0.4)
+    [child] = tree.expand_node(node, make_active([(3, 1.0)]))
+    assert child.token == 3
     assert child.edge_weight == 1.0
+    assert child.log_mass == tree.node(node).log_mass  # bit-exact
     assert math.exp(child.log_mass) == pytest.approx(0.4)
 
 
@@ -37,7 +47,7 @@ def test_symmetric_split_halves_mass():
     tree = PrunedTree()
     children = tree.expand_node(tree.root, make_active([(0, 0.5), (1, 0.5)]))
     for c in children:
-        assert math.exp(tree.node(c).log_mass) == pytest.approx(0.5)
+        assert math.exp(c.log_mass) == pytest.approx(0.5)
 
 
 def test_expanding_twice_raises():
@@ -56,7 +66,7 @@ def test_child_weights_sum_to_one_random():
         pairs = [(i, w / total) for i, w in enumerate(raw)]
         tree = PrunedTree()
         children = tree.expand_node(tree.root, make_active(pairs))
-        weight_sum = sum(tree.node(c).edge_weight for c in children)
+        weight_sum = sum(c.edge_weight for c in children)
         assert abs(weight_sum - 1.0) <= 1e-9
 
 
@@ -67,29 +77,30 @@ def test_path_mass_recomputes_from_edges():
     log_product = 0.0
     for _ in range(40):
         w = rng.uniform(0.05, 1.0)
-        node = tree.add_child(node, token=0, edge_weight=w)
+        node = extend_path(tree, node, token=0, edge_weight=w)
         log_product += math.log(w)
     assert tree.node(node).log_mass == pytest.approx(log_product, abs=1e-9)
-    assert len(tree.path_tokens(node)) == 40
+    assert len(tree.path_tokens(node)) == tree.node(node).depth == 40
 
 
 def test_path_tokens_walks_parents():
     tree = PrunedTree()
-    a = tree.add_child(tree.root, token=4, edge_weight=0.5)
-    b = tree.add_child(a, token=7, edge_weight=0.5)
+    a = extend_path(tree, tree.root, token=4, edge_weight=0.5)
+    b = extend_path(tree, a, token=7, edge_weight=0.5)
     assert tree.path_tokens(b) == (4, 7)
     assert tree.path_tokens(tree.root) == ()
 
 
 def test_dump_format():
     tree = PrunedTree()
-    node = tree.add_child(tree.root, token=1, edge_weight=0.25)
+    node = extend_path(tree, tree.root, token=1, edge_weight=0.25)
     tree.node(node).status = LEAF
     doc = json.loads(json.dumps(tree.to_dict()))
-    assert {n["id"] for n in doc["nodes"]} == {0, 1}
-    entry = doc["nodes"][1]
+    assert {n["id"] for n in doc["nodes"]} == {0, 1, 2}
+    entry = doc["nodes"][node]
     assert entry["parent"] == 0
     assert entry["token"] == 1
     assert entry["edge_weight"] == 0.25
     assert entry["status"] == "leaf"
+    assert "depth" not in entry
     assert entry["log_mass"] == pytest.approx(math.log(0.25))
