@@ -51,8 +51,9 @@ class _StepCache:
         if entry is None:
             probs = self.model.next_distribution(self.prompt, generated)
             probs = apply_temperature(probs, self.temperature)
-            ids, weights, log_weights = active_set(probs, self.rule).edges
-            entry = (ids, log_weights, list(itertools.accumulate(weights)))
+            active = active_set(probs, self.rule)
+            entry = (active.token_ids, active.log_weights,
+                     tuple(itertools.accumulate(active.weights)))
             self.cache[key] = entry
         return entry
 

@@ -53,6 +53,14 @@ def _read_prompts(path: str | None, model) -> list[tuple[int, ...]]:
     return [model.encode_prompt(line) for line in lines]
 
 
+def _single_prompt(args, model) -> tuple[int, ...]:
+    """The prompt of a command that runs one prompt; a file with more is an error."""
+    prompts = _read_prompts(args.prompt_file, model)
+    if len(prompts) > 1:
+        raise ConfigError(f"{args.command} supports single-prompt runs only")
+    return prompts[0]
+
+
 def _parse_k_range(text: str) -> list[int]:
     lo, sep, hi = text.partition("..")
     try:
@@ -325,7 +333,8 @@ def cmd_sample(args) -> int:
 
     _, degraded = _run_prompts(args, model, _read_prompts(args.prompt_file, model), "sample", {
         "model": args.model, "rule": args.rule, "k": args.k, "seed": args.seed,
-        "temperature": args.temperature, "prompt_file": args.prompt_file,
+        "temperature": args.temperature, "max_seq_len": args.max_seq_len,
+        "prompt_file": args.prompt_file,
     }, run_one, rows_of)
     return _degraded_exit(degraded, "degraded sample run (model errors)")
 
@@ -397,7 +406,7 @@ def cmd_compare(args) -> int:
     model = parse_model_spec(args.model)
     rule = parse_rule(args.rule)
     policy = BranchPolicy.parse(args.policy)
-    prompt_ids = _read_prompts(args.prompt_file, model)[0]
+    prompt_ids = _single_prompt(args, model)
     with_tokens = args.command == "compare"
     ks = _parse_k_range(args.k) if with_tokens else list(range(1, args.k_max + 1))
     rows = _compare_rows(model, rule, prompt_ids, ks, policy, args.sample_seeds,
@@ -405,9 +414,10 @@ def cmd_compare(args) -> int:
     out = Path(args.out)
     _write_csv(out, rows)
     config = {"model": args.model, "rule": args.rule, "policy": args.policy,
-              "sample_seeds": args.sample_seeds}
+              "sample_seeds": args.sample_seeds, "temperature": args.temperature,
+              "max_seq_len": args.max_seq_len, "prompt_file": args.prompt_file}
     if with_tokens:
-        config.update(k=args.k, temperature=args.temperature)
+        config["k"] = args.k
     else:
         config["k_max"] = args.k_max
     _write_manifest(out, args.command, config)
@@ -457,7 +467,7 @@ def cmd_ngram_train(args) -> int:
 def cmd_oracle(args) -> int:
     model = parse_model_spec(args.model)
     rule = parse_rule(args.rule)
-    prompt_ids = _read_prompts(args.prompt_file, model)[0]
+    prompt_ids = _single_prompt(args, model)
     oracle_set = enumerate_all_leaves(model, rule, prompt_ids, max_depth=args.max_depth)
     _emit_json(args.out, {
         "leaves": [{"tokens": list(tokens), "text": model.decode(tokens), "q": q}

@@ -569,8 +569,10 @@ def parse_model_spec(spec: str) -> Model:
         if not path:
             raise ConfigError("ngram model spec needs a path")
         if path.endswith(".json"):
+            if query:
+                raise ConfigError(f"a .json n-gram model takes no options, got ?{query}")
             return NgramModel.from_file(path)
-        options = _parse_options(query, sep="&")
+        options = _parse_options(query, "&", ("order", "alpha", "tokenize"))
         return train_ngram_model(
             read_corpus(path),
             order=_number(options, "order", int, 1),
@@ -578,7 +580,7 @@ def parse_model_spec(spec: str) -> Model:
             tokenization=options.get("tokenize", "whitespace"),
         )
     if kind == "remote":
-        options = _parse_options(rest, sep=",")
+        options = _parse_options(rest, ",", ("top_n", "eos", "url"))
         kwargs = {}
         if "top_n" in options:
             kwargs["top_n"] = _number(options, "top_n", int)
@@ -590,13 +592,16 @@ def parse_model_spec(spec: str) -> Model:
     raise ConfigError(f"unknown model kind {kind!r} (use table, ngram, or remote)")
 
 
-def _parse_options(text: str, sep: str) -> dict[str, str]:
+def _parse_options(text: str, sep: str, allowed: tuple[str, ...]) -> dict[str, str]:
     options: dict[str, str] = {}
     for item in filter(None, text.split(sep)):
         key, eq, value = item.partition("=")
         if not eq:
             raise ConfigError(f"bad option {item!r}, expected key=value")
-        options[key.strip()] = value.strip()
+        key = key.strip()
+        if key not in allowed:
+            raise ConfigError(f"unknown model option {key!r} (allowed: {', '.join(allowed)})")
+        options[key] = value.strip()
     return options
 
 

@@ -50,7 +50,7 @@ def enumerate_all_leaves(model, rule: TruncationRule, prompt: Sequence[int] = ()
             raise DepthExceeded(f"path {generated!r} reached the depth limit {max_depth} without eos "
                                 "(--max-seq-len; --max-depth for oracle)")
         active = active_set(model.next_distribution(prompt, generated), rule)
-        children = [(generated + (int(token),), mass * float(weight), int(token) == eos_id)
+        children = [(generated + (token,), mass * weight, token == eos_id)
                     for token, weight in zip(active.token_ids, active.weights)]
         stack.extend(reversed(children))
     total = 0.0

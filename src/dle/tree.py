@@ -79,7 +79,7 @@ class PrunedTree:
             raise ExpandingExpandedNode(f"node {node_id} has status {node.status!r}")
         nodes, base, depth = self.nodes, node.log_mass, node.depth + 1
         first = len(nodes)
-        for token, weight, log_weight in zip(*active.edges):
+        for token, weight, log_weight in zip(active.token_ids, active.weights, active.log_weights):
             nodes.append(TreeNode(len(nodes), node_id, token, weight, base + log_weight, depth))
         children = nodes[first:]
         node.children.extend(range(first, len(nodes)))

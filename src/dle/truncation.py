@@ -14,9 +14,11 @@ Rule syntax used by the CLI and config files::
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
+import operator
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -80,28 +82,28 @@ class Composite:
 TruncationRule = Union[TopK, TopP, MinP, Epsilon, Composite]
 
 
-@dataclass(frozen=True)
+# Below this many tokens a step finishes on Python floats. numpy's sum adds
+# fewer than 8 float64 values left to right, as a loop does, and pairwise from
+# 8 on, so only below 8 do Python floats give the same bits.
+SMALL_POOL = 8
+
+
+@dataclass(frozen=True, slots=True)
 class ActiveSet:
     """Surviving tokens with renormalized weights.
 
-    token_ids / weights are parallel arrays in canonical order: weight
-    descending, token id ascending. A singleton carries weight exactly 1.0.
-    raw_mass is the un-renormalized probability retained by the rule.
+    token_ids / weights / log_weights are parallel tuples in canonical order:
+    weight descending, token id ascending. A singleton carries weight exactly
+    1.0. raw_mass is the un-renormalized probability retained by the rule.
     """
 
-    token_ids: np.ndarray
-    weights: np.ndarray
+    token_ids: tuple[int, ...]
+    weights: tuple[float, ...]
+    log_weights: tuple[float, ...]
     raw_mass: float
 
     def __len__(self) -> int:
         return len(self.token_ids)
-
-    @cached_property
-    def edges(self) -> tuple[list[int], list[float], list[float]]:
-        """Token ids, weights and log weights as Python lists, in canonical
-        order, built once per active set so a reused set skips the conversion."""
-        weights = self.weights.tolist()
-        return self.token_ids.tolist(), weights, list(map(math.log, weights))
 
 
 def greedy_token(probs: np.ndarray) -> int:
@@ -128,8 +130,9 @@ def _top_k_mask(probs: np.ndarray, k: int) -> np.ndarray:
     return keep
 
 
-def _member_ids(probs: np.ndarray, rule: TruncationRule) -> np.ndarray:
-    """Token ids satisfying the rule's criterion (no degenerate fallback), ascending.
+def _pool(probs: np.ndarray, rule: TruncationRule) -> tuple[np.ndarray, list[float]]:
+    """Ids passing every threshold and top-k rule, ascending, and the top-p
+    thresholds still to apply to them.
 
     Every rule keeps a prefix of one ranking, probability descending and then
     token id ascending, so a composite keeps the shortest of its rules'
@@ -150,7 +153,7 @@ def _member_ids(probs: np.ndarray, rule: TruncationRule) -> np.ndarray:
             keep = probs >= sub.p_min * probs.max()
         elif isinstance(sub, Composite):
             keep = np.zeros(len(probs), dtype=bool)
-            keep[_member_ids(probs, sub)] = True
+            keep[_top_p_cut(probs, *_pool(probs, sub))] = True
         elif isinstance(sub, TopK):
             top_k = sub.k if top_k is None else min(top_k, sub.k)
             continue
@@ -167,6 +170,12 @@ def _member_ids(probs: np.ndarray, rule: TruncationRule) -> np.ndarray:
         ids = np.nonzero(mask)[0]
         if top_k is not None and len(ids) > top_k:
             ids = ids[_top_k_mask(probs[ids], top_k)]
+    return ids, top_ps
+
+
+def _top_p_cut(probs: np.ndarray, ids: np.ndarray, top_ps: list[float]) -> np.ndarray:
+    """The pool's members within every top-p threshold, ascending: the rule's
+    members, with no degenerate fallback."""
     if not top_ps:
         return ids
     pool = probs[ids]
@@ -177,31 +186,53 @@ def _member_ids(probs: np.ndarray, rule: TruncationRule) -> np.ndarray:
     return np.sort(ids[ranked[:length]])
 
 
+def _small_active_set(probs: np.ndarray, ids: np.ndarray, top_ps: list[float]) -> ActiveSet:
+    """The rest of a step on Python floats, for fewer than SMALL_POOL ids,
+    with numpy's bits: a stable sort of ascending ids breaks ties by id as
+    `lexsort` does (`reverse=True` keeps it stable), `accumulate` and
+    `bisect_left` are `cumsum` and `searchsorted`, and the loop adds in the
+    order numpy's sum uses below SMALL_POOL values."""
+    raw = probs[ids].tolist()
+    ids = ids.tolist()
+    if top_ps:
+        ranked = sorted(range(len(raw)), key=raw.__getitem__, reverse=True)
+        cum = list(itertools.accumulate(map(raw.__getitem__, ranked)))
+        kept = sorted(ranked[:min(bisect.bisect_left(cum, p - 1e-12) + 1 for p in top_ps)])
+        ids, raw = [ids[i] for i in kept], [raw[i] for i in kept]
+    if len(ids) <= 1:
+        # Every rule keeps a prefix of the ranking, so a lone survivor is the argmax.
+        g = ids[0] if ids else greedy_token(probs)
+        return ActiveSet((g,), (1.0,), (0.0,), float(probs[g]))
+    raw_mass = 0.0
+    for value in raw:  # not sum(), which is compensated from Python 3.12
+        raw_mass += value
+    weights = [value / raw_mass for value in raw]
+    canonical = operator.itemgetter(*sorted(range(len(ids)), key=weights.__getitem__,
+                                            reverse=True))
+    weights = canonical(weights)
+    return ActiveSet(canonical(ids), weights, tuple(map(math.log, weights)), raw_mass)
+
+
 def active_set(probs: np.ndarray, rule: TruncationRule) -> ActiveSet:
     """Apply a truncation rule to one next-token distribution.
 
     Fewer than two survivors (possible for the absolute-threshold rule when
     even the argmax falls below the cutoff) degenerates to a point mass on
-    the argmax token with weight exactly 1.0.
+    the argmax token with weight exactly 1.0. The O(V) narrowing runs in
+    numpy; a pool of fewer than SMALL_POOL tokens finishes on Python floats.
     """
-    ids = _member_ids(probs, rule)
-    if len(ids) <= 1:
-        g = greedy_token(probs)
-        return ActiveSet(
-            token_ids=np.array([g], dtype=np.int64),
-            weights=np.array([1.0]),
-            raw_mass=float(probs[g]),
-        )
+    ids, top_ps = _pool(probs, rule)
+    if top_ps and len(ids) >= SMALL_POOL:
+        ids, top_ps = _top_p_cut(probs, ids, top_ps), []
+    if len(ids) < SMALL_POOL:
+        return _small_active_set(probs, ids, top_ps)
     raw = probs[ids]
     raw_mass = float(raw.sum())
     weights = raw / raw_mass
     # Canonical order: weight descending, token id ascending.
     order = np.lexsort((ids, -weights))
-    return ActiveSet(
-        token_ids=ids[order].astype(np.int64),
-        weights=weights[order],
-        raw_mass=raw_mass,
-    )
+    weights = tuple(weights[order].tolist())
+    return ActiveSet(tuple(ids[order].tolist()), weights, tuple(map(math.log, weights)), raw_mass)
 
 
 def apply_temperature(probs: np.ndarray, temperature: float) -> np.ndarray:

@@ -23,11 +23,12 @@ from dle.baseline import sample_sequences
 from dle.cache_sim import PrefixCache
 from dle.engine import (Budget, BranchPolicy, EnumerationResult, TokenStats,
                         enumerate_leaves)
+from dle.errors import ConfigError
 from dle.metrics import _check_masses, compensated_sum, coverage_curve
 from dle.model import NgramModel, Vocabulary, _tokenize
 from dle.oracle import enumerate_all_leaves
 from dle.tree import PrunedTree
-from dle.truncation import Composite, Epsilon, MinP, TopK, TopP, active_set
+from dle.truncation import Composite, Epsilon, MinP, TopK, TopP, active_set, greedy_token
 
 
 class UnmemoizedModel:
@@ -190,6 +191,81 @@ def sorting_member_ids(probs: np.ndarray, rule) -> np.ndarray:
             return np.nonzero(probs >= rule.eps)[0]
         return np.nonzero(probs > rule.eps)[0]
     raise TypeError(f"unknown truncation rule: {rule!r}")
+
+
+def _numpy_top_k_mask(probs: np.ndarray, k: int) -> np.ndarray:
+    """Mask of the k positive tokens ranked first (probability descending, id ascending).
+
+    One partition finds the k-th largest probability; of the tokens tied on
+    it, the highest ids are dropped until k remain, so nothing is sorted.
+    """
+    if k >= len(probs):
+        return probs > 0.0
+    kth = np.partition(probs, len(probs) - k)[len(probs) - k]
+    if kth <= 0.0:
+        return probs > 0.0
+    keep = probs >= kth
+    surplus = int(np.count_nonzero(keep)) - k
+    if surplus:
+        tied = np.nonzero(probs == kth)[0]
+        keep[tied[len(tied) - surplus:]] = False
+    return keep
+
+
+def _numpy_member_ids(probs: np.ndarray, rule) -> np.ndarray:
+    """Token ids satisfying the rule's criterion (no degenerate fallback), ascending."""
+    rules = rule.rules if isinstance(rule, Composite) else (rule,)
+    mask = None
+    top_k = None
+    top_ps = []
+    for sub in rules:
+        if isinstance(sub, Epsilon):
+            keep = probs >= sub.eps if sub.inclusive else probs > sub.eps
+        elif isinstance(sub, MinP):
+            keep = probs >= sub.p_min * probs.max()
+        elif isinstance(sub, Composite):
+            keep = np.zeros(len(probs), dtype=bool)
+            keep[_numpy_member_ids(probs, sub)] = True
+        elif isinstance(sub, TopK):
+            top_k = sub.k if top_k is None else min(top_k, sub.k)
+            continue
+        elif isinstance(sub, TopP):
+            top_ps.append(sub.p)
+            continue
+        else:
+            raise ConfigError(f"unknown truncation rule: {sub!r}")
+        mask = keep if mask is None else mask & keep
+    if mask is None:
+        ids = np.nonzero(probs > 0.0 if top_k is None else _numpy_top_k_mask(probs, top_k))[0]
+    else:
+        # Threshold rules keep positive probabilities only.
+        ids = np.nonzero(mask)[0]
+        if top_k is not None and len(ids) > top_k:
+            ids = ids[_numpy_top_k_mask(probs[ids], top_k)]
+    if not top_ps:
+        return ids
+    pool = probs[ids]
+    ranked = np.lexsort((ids, -pool))
+    cum = np.cumsum(pool[ranked])
+    # First index where cumulative mass reaches the threshold is included.
+    length = min(int(np.searchsorted(cum, p - 1e-12, side="left")) + 1 for p in top_ps)
+    return np.sort(ids[ranked[:length]])
+
+
+def numpy_active_set(probs: np.ndarray, rule) -> tuple[np.ndarray, np.ndarray, float]:
+    """(token ids, weights, raw mass) of the truncated step, every stage in
+    numpy whatever the number of survivors: `truncation.active_set` before
+    small pools finished on Python floats."""
+    ids = _numpy_member_ids(probs, rule)
+    if len(ids) <= 1:
+        g = greedy_token(probs)
+        return np.array([g], dtype=np.int64), np.array([1.0]), float(probs[g])
+    raw = probs[ids]
+    raw_mass = float(raw.sum())
+    weights = raw / raw_mass
+    # Canonical order: weight descending, token id ascending.
+    order = np.lexsort((ids, -weights))
+    return ids[order].astype(np.int64), weights[order], raw_mass
 
 
 def dict_ngram_counts(corpus: str, order: int, tokenize) -> tuple[tuple[str, ...], dict, dict]:
@@ -430,10 +506,9 @@ def sequence_probability(model, rule, prompt, completion) -> float:
     generated: list[int] = []
     for token in completion:
         active = active_set(model.next_distribution(tuple(prompt), tuple(generated)), rule)
-        hits = np.nonzero(active.token_ids == token)[0]
-        if not len(hits):
+        if token not in active.token_ids:
             return 0.0
-        log_q += math.log(float(active.weights[hits[0]]))
+        log_q += math.log(active.weights[active.token_ids.index(token)])
         generated.append(int(token))
     return math.exp(log_q)
 

@@ -13,7 +13,7 @@ from conftest import make_random_table_model
 from dle import cli
 from dle.cli import _compare_rows, main
 from dle.engine import BranchPolicy
-from dle.model import train_ngram_model
+from dle.model import TableModel, train_ngram_model
 from dle.truncation import parse_rule
 from reference import reference_compare_rows
 
@@ -102,6 +102,53 @@ def test_dump_tree_with_several_prompts_exits_2_before_running(fig_tree_path, tm
     assert code == 2
     assert capsys.readouterr().err == "error: --dump-tree supports single-prompt runs only\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["fig_tree.json", "prompts.txt"]
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("compare", ["--k", "1..2", "--sample-seeds", "1"]),
+    ("coverage-curve", ["--k-max", "2", "--sample-seeds", "1"]),
+    ("oracle", []),
+])
+def test_single_prompt_commands_exit_2_on_several_prompts(command, extra, fig_tree_path,
+                                                         tmp_path, capsys, monkeypatch):
+    prompts = tmp_path / "prompts.txt"
+    prompts.write_text("a\nb\n")
+
+    def no_query(*_):
+        raise AssertionError("the model was queried")
+
+    monkeypatch.setattr(TableModel, "next_distribution", no_query)
+    code = main([command, "--model", f"table:{fig_tree_path}", "--rule", "epsilon_ge:0.1",
+                 "--prompt-file", str(prompts), *extra, "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {command} supports single-prompt runs only\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fig_tree.json", "prompts.txt"]
+
+
+_COMMON_CONFIG = {"model", "rule", "max_seq_len", "prompt_file"}
+
+
+@pytest.mark.parametrize("command, extra, keys", [
+    ("enumerate", ["--k", "2"],
+     {"policy", "k", "token_budget", "early_stop_n"}),
+    ("sample", ["--k", "2"], {"k", "seed", "temperature"}),
+    ("compare", ["--k", "1..2", "--sample-seeds", "1"],
+     {"policy", "k", "sample_seeds", "temperature"}),
+    ("coverage-curve", ["--k-max", "2", "--sample-seeds", "1"],
+     {"policy", "k_max", "sample_seeds", "temperature"}),
+])
+def test_manifest_config_echoes_every_option_that_shapes_the_output(command, extra, keys,
+                                                                    fig_tree_path, tmp_path):
+    prompts = tmp_path / "prompts.txt"
+    prompts.write_text("a\n")
+    out = tmp_path / "out"
+    assert main([command, "--model", f"table:{fig_tree_path}", "--rule", "epsilon_ge:0.1",
+                 "--prompt-file", str(prompts), "--max-seq-len", "8", *extra,
+                 "--out", str(out)]) == 0
+    config = json.loads((tmp_path / "out.manifest.json").read_text())["config"]
+    assert set(config) == _COMMON_CONFIG | keys
+    assert config["max_seq_len"] == 8
+    assert config["prompt_file"] == str(prompts)
 
 
 def test_enumerate_batch_prompts(fig_tree_path, tmp_path):
@@ -612,12 +659,20 @@ def test_out_of_range_values_exit_2_without_traceback(command, flag, value, mess
     ("remote:top_n=x", "model option top_n must be an integer, got 'x'"),
     ("ngram:{corpus}?alpha=nan", "alpha must be a finite number > 0, got nan"),
     ("ngram:{corpus}?alpha=inf", "alpha must be a finite number > 0, got inf"),
+    ("ngram:{corpus}?alpah=0.5",
+     "unknown model option 'alpah' (allowed: order, alpha, tokenize)"),
+    ("ngram:{model}?order=5", "a .json n-gram model takes no options, got ?order=5"),
+    ("remote:topn=5,url=http://localhost:1",
+     "unknown model option 'topn' (allowed: top_n, eos, url)"),
 ])
 def test_bad_model_spec_options_exit_2_without_traceback(spec, message, tmp_path, capsys):
     corpus = tmp_path / "corpus.txt"
     corpus.write_text("a b\nb a\n")
+    model = tmp_path / "model.json"
+    main(["ngram-train", "--corpus", str(corpus), "--out", str(model)])
+    capsys.readouterr()
     out = tmp_path / "out"
-    code = main(["enumerate", "--model", spec.format(corpus=corpus), "--rule", "top_k:2",
+    code = main(["enumerate", "--model", spec.format(corpus=corpus, model=model), "--rule", "top_k:2",
                  "--k", "3", "--out", str(out)])
     assert code == 2
     assert capsys.readouterr().err == f"error: {message}\n"

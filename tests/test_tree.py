@@ -2,7 +2,6 @@ import json
 import math
 import random
 
-import numpy as np
 import pytest
 
 from dle.errors import ExpandingExpandedNode
@@ -11,9 +10,10 @@ from dle.truncation import ActiveSet
 
 
 def make_active(pairs):
-    ids = np.array([t for t, _ in pairs], dtype=np.int64)
-    weights = np.array([w for _, w in pairs])
-    return ActiveSet(token_ids=ids, weights=weights, raw_mass=float(weights.sum()))
+    ids = tuple(t for t, _ in pairs)
+    weights = tuple(w for _, w in pairs)
+    return ActiveSet(token_ids=ids, weights=weights, log_weights=tuple(map(math.log, weights)),
+                     raw_mass=math.fsum(weights))
 
 
 def extend_path(tree, node_id, token, edge_weight):
