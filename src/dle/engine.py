@@ -28,7 +28,7 @@ import numpy as np
 from .errors import ConfigError, EmptyFrontier, ModelError
 from .rng import substream_family
 from .tree import (FAILED, LEAF, PRUNED_EARLY_STOP, STOP_EOS, STOP_LENGTH_CAP,
-                   Leaf, PrunedTree, TreeNode)
+                   Leaf, PrunedTree)
 from .truncation import TruncationRule, active_set
 
 POLICIES = ("probfirst", "divfirst", "randbranch", "globalprob", "dfs")
@@ -124,14 +124,16 @@ class EnumerationResult:
     tree: PrunedTree | None = None
 
 
-# Heap entry per deterministic policy: the policy's tie-break tuple, ending on
-# the node id. A branch's position is its depth - 1, so depth orders alike.
-_HEAP_ENTRIES = {
-    "probfirst": lambda n: (-n.log_mass, n.depth, n.token, n.id),
-    "divfirst": lambda n: (n.depth, n.token, n.id),
-    "globalprob": lambda n: (-n.edge_weight, n.depth, n.token, n.id),
-    "dfs": lambda n: (-n.depth, n.token, n.id),
-}
+# A deterministic policy's heap entry for a node id, read from the tree's lists:
+# its tie-break tuple, ending on the node id. Depth orders as position does.
+def _heap_entry(kind: str, tree: PrunedTree):
+    mass, weight, depth, token = tree.log_mass, tree.edge_weight, tree.depth, tree.token
+    return {
+        "probfirst": lambda i: (-mass[i], depth[i], token[i], i),
+        "divfirst": lambda i: (depth[i], token[i], i),
+        "globalprob": lambda i: (-weight[i], depth[i], token[i], i),
+        "dfs": lambda i: (-depth[i], token[i], i),
+    }.get(kind)
 
 
 class Frontier:
@@ -147,10 +149,11 @@ class Frontier:
     a left-to-right scan over the live masses.
     """
 
-    __slots__ = ("_entry", "_heap", "_ids", "_masses", "_live", "_rng")
+    __slots__ = ("_entry", "_log_mass", "_heap", "_ids", "_masses", "_live", "_rng")
 
-    def __init__(self, policy: BranchPolicy):
-        self._entry = _HEAP_ENTRIES.get(policy.kind)
+    def __init__(self, policy: BranchPolicy, tree: PrunedTree):
+        self._entry = _heap_entry(policy.kind, tree)
+        self._log_mass = tree.log_mass
         self._heap: list[tuple] = []
         self._ids: list[int | None] = []  # None marks a picked entry
         self._masses = np.empty(0)
@@ -160,15 +163,16 @@ class Frontier:
     def __len__(self) -> int:
         return len(self._heap) if self._entry is not None else self._live
 
-    def extend(self, branches: Sequence[TreeNode]) -> None:
+    def extend(self, branch_ids: Sequence[int]) -> None:
         if self._entry is not None:
-            for node in branches:
-                heapq.heappush(self._heap, self._entry(node))
-        elif branches:
-            self._ids.extend(node.id for node in branches)
+            for node_id in branch_ids:
+                heapq.heappush(self._heap, self._entry(node_id))
+        elif branch_ids:
+            log_mass = self._log_mass
+            self._ids.extend(branch_ids)
             self._masses = np.concatenate(
-                (self._masses, [math.exp(node.log_mass) for node in branches]))
-            self._live += len(branches)
+                (self._masses, [math.exp(log_mass[i]) for i in branch_ids]))
+            self._live += len(branch_ids)
 
     def pop(self) -> int:
         """Remove and return the id of the branch node the policy picks next."""
@@ -220,8 +224,8 @@ def greedy_rollout(model, rule: TruncationRule, tree: PrunedTree, start_node: in
     """Greedy generation from start_node until termination.
 
     Follows the highest-weight child at every step (ties to the lowest token
-    id) and hands back the unexpanded child node of every non-followed
-    alternative as a branch. Stops at end-of-sequence, at the length cap,
+    id) and hands back the ids of the unexpanded children of the non-followed
+    alternatives as branches. Stops at end-of-sequence, at the length cap,
     when the token budget runs out, or when its first n tokens after the
     branch point equal those of a sibling leaf. `sibling_leaves` holds the
     tokens of completed leaves that share every token before the branch
@@ -239,19 +243,18 @@ def greedy_rollout(model, rule: TruncationRule, tree: PrunedTree, start_node: in
     prefix = list(tree.path_tokens(start_node))
     inherited = len(prefix)
     appended: list[int] = []
-    branches: list[TreeNode] = []
+    branches: list[int] = []
     eos_id = model.vocab.eos_id
     check_merges = early_stop is not None and start_node != tree.root
     candidates = sibling_leaves
 
     def make_leaf(stop_reason: str) -> Leaf:
-        node = tree.node(node_id)
-        node.status = LEAF
+        tree.status[node_id] = LEAF
         stats.new_tokens += len(appended)
         return Leaf(
             tokens=tuple(prefix),
-            q=math.exp(node.log_mass),
-            log_q=node.log_mass,
+            q=math.exp(tree.log_mass[node_id]),
+            log_q=tree.log_mass[node_id],
             stop_reason=stop_reason,
             new_tokens=len(appended),
             reused_prefix_len=len(prompt) + inherited,
@@ -285,8 +288,8 @@ def greedy_rollout(model, rule: TruncationRule, tree: PrunedTree, start_node: in
         children = tree.expand_node(node_id, active)
         branches += children[1:]
         position = len(prefix)
-        node_id = children[0].id
-        token = children[0].token
+        node_id = children[0]
+        token = active.token_ids[0]
         prefix.append(token)
         appended.append(token)
 
@@ -319,16 +322,14 @@ def _index_leaf(siblings: dict[int, list[tuple[int, ...]]], tree: PrunedTree,
     """
     if len(leaf.tokens) <= n:
         return
-    nodes = tree.nodes
-    node = nodes[leaf.node_id]
+    parent, children = tree.parent, tree.children
+    node = leaf.node_id
     for _ in range(n + 1):
-        node = nodes[node.parent]
-    while True:
-        if len(node.children) > 1:
-            siblings.setdefault(node.id, []).append(leaf.tokens)
-        if node.parent is None:
-            return
-        node = nodes[node.parent]
+        node = parent[node]
+    while node is not None:
+        if len(children[node]) > 1:
+            siblings.setdefault(node, []).append(leaf.tokens)
+        node = parent[node]
 
 
 def enumerate_leaves(model, rule: TruncationRule, prompt: Sequence[int],
@@ -348,7 +349,7 @@ def enumerate_leaves(model, rule: TruncationRule, prompt: Sequence[int],
     """
     tree = PrunedTree()
     stats = TokenStats()
-    frontier = Frontier(policy)
+    frontier = Frontier(policy, tree)
     leaves: list[Leaf] = []
     if steps is None:
         steps = {}  # context -> active set
@@ -367,7 +368,7 @@ def enumerate_leaves(model, rule: TruncationRule, prompt: Sequence[int],
     while True:
         candidates = ()
         if merge_n is not None and start != tree.root:
-            candidates = siblings.get(tree.node(start).parent, ())
+            candidates = siblings.get(tree.parent[start], ())
         try:
             outcome = greedy_rollout(model, rule, tree, start, prompt, budget, stats,
                                      early_stop, candidates, order=len(leaves), steps=steps)

@@ -394,16 +394,18 @@ def train_ngram_model(corpus: str, order: int, alpha: float,
     # The token strings are not needed while the rows are built. fromiter
     # stops at its count, so the unfinished chain would keep them alive.
     del tokens_with_eos, lines
-    heads, totals, pairs = _count_windows(ids, lengths, order, vocab.size)
+    # No context reaches past its line start: a wider window adds no row.
+    window = min(order, int(lengths.max()))
+    heads, totals, pairs = _count_windows(ids, lengths, window, vocab.size)
     del ids
 
     # The context tuples of each length, built from one int object per id.
     shared = np.array(range(vocab.size), dtype=object)
     known = (heads >= 0).sum(axis=0)
     rows: dict[tuple[int, ...], int] = {}
-    for size in range(order):
+    for size in range(window):
         of_size = np.flatnonzero(known == size)
-        columns = shared[heads[order - 1 - size:, of_size]].tolist()
+        columns = shared[heads[window - 1 - size:, of_size]].tolist()
         rows.update(zip(zip(*columns) if size else [()] * len(of_size), of_size.tolist()))
     return NgramModel(vocab, order, alpha, tokenization, rows, totals, pairs)
 

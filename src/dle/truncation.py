@@ -245,16 +245,18 @@ def apply_temperature(probs: np.ndarray, temperature: float) -> np.ndarray:
         raise ConfigError(f"temperature must be >= 0, got {temperature}")
     if temperature == 1.0:
         return probs
-    if temperature == 0.0:
-        out = np.zeros_like(probs)
-        out[greedy_token(probs)] = 1.0
-        return out
     out = np.zeros_like(probs)
-    positive = probs > 0.0
-    logits = np.log(probs[positive]) / temperature
-    logits -= logits.max()
-    scaled = np.exp(logits)
-    out[positive] = scaled / scaled.sum()
+    if temperature > 0.0:
+        positive = probs > 0.0
+        with np.errstate(over="ignore"):
+            logits = np.log(probs[positive]) / temperature
+        top = logits.max()
+        # A T so small that the largest scaled logit overflows takes its limit, T=0.
+        if math.isfinite(top):
+            scaled = np.exp(logits - top)
+            out[positive] = scaled / scaled.sum()
+            return out
+    out[greedy_token(probs)] = 1.0
     return out
 
 

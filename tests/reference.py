@@ -14,7 +14,7 @@ import itertools
 import math
 import random
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,11 +23,12 @@ from dle.baseline import sample_sequences
 from dle.cache_sim import PrefixCache
 from dle.engine import (Budget, BranchPolicy, EnumerationResult, TokenStats,
                         enumerate_leaves)
-from dle.errors import ConfigError
+from dle.errors import ConfigError, ExpandingExpandedNode, ModelError
 from dle.metrics import _check_masses, compensated_sum, coverage_curve
 from dle.model import NgramModel, Vocabulary, _tokenize
 from dle.oracle import enumerate_all_leaves
-from dle.tree import PrunedTree
+from dle.tree import (EXPANDED, FAILED, LEAF, PRUNED_EARLY_STOP, STOP_EOS, STOP_LENGTH_CAP,
+                      UNEXPANDED, Leaf, PrunedTree)
 from dle.truncation import Composite, Epsilon, MinP, TopK, TopP, active_set, greedy_token
 
 
@@ -151,9 +152,10 @@ def scan_enumerate_leaves(model, rule, prompt, policy, budget, early_stop=None,
             siblings = scan_sibling_leaves(leaves, tree, start, early_stop.n)
         outcome = engine.greedy_rollout(model, rule, tree, start, prompt, budget, stats,
                                         early_stop, siblings, order=len(leaves), steps=steps)
-        for node in outcome.branches:
-            records.append(ScanRecord(node.id, len(tree.path_tokens(node.id)) - 1, node.token,
-                                      node.log_mass, node.edge_weight, next(discovery)))
+        for node_id in outcome.branches:
+            records.append(ScanRecord(node_id, len(tree.path_tokens(node_id)) - 1,
+                                      tree.token[node_id], tree.log_mass[node_id],
+                                      tree.edge_weight[node_id], next(discovery)))
         if outcome.leaf is not None:
             leaves.append(outcome.leaf)
         if ((budget.max_leaves is not None and len(leaves) >= budget.max_leaves)
@@ -164,6 +166,173 @@ def scan_enumerate_leaves(model, rule, prompt, policy, budget, early_stop=None,
         start = records.pop(linear_select_branch(records, policy, rng)).node_id
     return EnumerationResult(leaves=leaves, frontier_exhausted=not records, stats=stats,
                              tree=tree if keep_tree else None)
+
+
+@dataclass(slots=True)
+class TreeNode:
+    id: int
+    parent: int | None
+    token: int | None            # incoming token id; None for the root
+    edge_weight: float           # renormalized step weight, or exactly 1.0 when forced
+    log_mass: float              # log of the path probability from the root
+    depth: int = 0               # generated tokens from the root to this node
+    status: str = UNEXPANDED
+    children: list[int] = field(default_factory=list)
+
+
+class NodeTree:
+    """`PrunedTree` as one `TreeNode` object per node, each with its own
+    children list, as the package stored it before the parallel lists."""
+
+    root = 0
+
+    def __init__(self):
+        self.nodes: list[TreeNode] = [TreeNode(id=0, parent=None, token=None,
+                                               edge_weight=1.0, log_mass=0.0)]
+
+    def expand_node(self, node_id: int, active) -> list[TreeNode]:
+        node = self.nodes[node_id]
+        if node.status != UNEXPANDED:
+            raise ExpandingExpandedNode(f"node {node_id} has status {node.status!r}")
+        nodes, base, depth = self.nodes, node.log_mass, node.depth + 1
+        first = len(nodes)
+        for token, weight, log_weight in zip(active.token_ids, active.weights, active.log_weights):
+            nodes.append(TreeNode(len(nodes), node_id, token, weight, base + log_weight, depth))
+        node.children.extend(range(first, len(nodes)))
+        node.status = EXPANDED
+        return nodes[first:]
+
+    def path_tokens(self, node_id: int) -> tuple[int, ...]:
+        out: list[int] = []
+        node = self.nodes[node_id]
+        while node.parent is not None:
+            out.append(node.token)
+            node = self.nodes[node.parent]
+        return tuple(reversed(out))
+
+    def mark_path(self, node_id: int, stop_node_id: int, status: str) -> None:
+        node = self.nodes[node_id]
+        while True:
+            node.status = status
+            if node.id == stop_node_id or node.parent is None:
+                break
+            node = self.nodes[node.parent]
+
+    def to_dict(self) -> dict:
+        return {"nodes": [{"id": n.id, "parent": n.parent, "token": n.token,
+                           "edge_weight": n.edge_weight, "log_mass": n.log_mass,
+                           "status": n.status} for n in self.nodes]}
+
+
+def node_greedy_rollout(model, rule, tree: NodeTree, start_node: int, prompt, budget,
+                        stats: TokenStats, early_stop, sibling_leaves, order: int, steps: dict):
+    """`engine.greedy_rollout` on a `NodeTree`: (leaf or None, branch nodes)."""
+    stats.rollouts += 1
+    node_id = start_node
+    prefix = list(tree.path_tokens(start_node))
+    inherited = len(prefix)
+    appended: list[int] = []
+    branches: list[TreeNode] = []
+    eos_id = model.vocab.eos_id
+    check_merges = early_stop is not None and start_node != tree.root
+    candidates = sibling_leaves
+
+    def make_leaf(stop_reason: str) -> Leaf:
+        node = tree.nodes[node_id]
+        node.status = LEAF
+        stats.new_tokens += len(appended)
+        return Leaf(tokens=tuple(prefix), q=math.exp(node.log_mass), log_q=node.log_mass,
+                    stop_reason=stop_reason, new_tokens=len(appended),
+                    reused_prefix_len=len(prompt) + inherited, order=order, node_id=node_id)
+
+    if prefix and prefix[-1] == eos_id:
+        return make_leaf(STOP_EOS), branches
+    while True:
+        if len(prefix) >= budget.max_seq_len:
+            return make_leaf(STOP_LENGTH_CAP), branches
+        spent = stats.generated_tokens + len(appended)
+        if budget.max_new_tokens is not None and spent >= budget.max_new_tokens:
+            stats.discarded_tokens += len(appended)
+            return None, branches
+        context = model.context(prompt, prefix)
+        active = steps.get(context)
+        if active is None:
+            try:
+                probs = model.next_distribution(tuple(prompt), tuple(prefix))
+            except ModelError:
+                tree.mark_path(node_id, start_node, FAILED)
+                stats.discarded_tokens += len(appended)
+                raise
+            active = steps[context] = active_set(probs, rule)
+        children = tree.expand_node(node_id, active)
+        branches += children[1:]
+        position = len(prefix)
+        node_id = children[0].id
+        token = children[0].token
+        prefix.append(token)
+        appended.append(token)
+        if token == eos_id:
+            return make_leaf(STOP_EOS), branches
+        if check_merges:
+            candidates = [c for c in candidates if c[position] == token]
+            if not candidates:
+                check_merges = False
+            elif len(appended) == early_stop.n:
+                tree.mark_path(node_id, start_node, PRUNED_EARLY_STOP)
+                stats.wasted_tokens += len(appended)
+                stats.early_stop_triggers += 1
+                return None, branches
+
+
+def node_enumerate_leaves(model, rule, prompt, policy, budget, early_stop=None,
+                          keep_tree=False, steps=None) -> EnumerationResult:
+    """`enumerate_leaves` on a `NodeTree`: a completed leaf is filed under each
+    ancestor whose `children` list has more than one entry, and each branch
+    is picked by `linear_select_branch`, whose ties end on the node id."""
+    tree = NodeTree()
+    stats = TokenStats()
+    records: list[ScanRecord] = []
+    rng = random.Random(mix(policy.seed, "randbranch")) if policy.kind == "randbranch" else None
+    leaves: list[Leaf] = []
+    if steps is None:
+        steps = {}
+    siblings: dict[int, list[tuple[int, ...]]] = {}
+    degraded = False
+    start = tree.root
+    while True:
+        candidates = ()
+        if early_stop is not None and start != tree.root:
+            candidates = siblings.get(tree.nodes[start].parent, ())
+        try:
+            leaf, branches = node_greedy_rollout(model, rule, tree, start, prompt, budget, stats,
+                                                 early_stop, candidates, len(leaves), steps)
+        except ModelError:
+            if not leaves:
+                raise
+            degraded = True
+            break
+        records += [ScanRecord(node.id, node.depth - 1, node.token, node.log_mass,
+                               node.edge_weight, node.id) for node in branches]
+        if leaf is not None:
+            leaves.append(leaf)
+            if early_stop is not None and len(leaf.tokens) > early_stop.n:
+                node = tree.nodes[leaf.node_id]
+                for _ in range(early_stop.n + 1):
+                    node = tree.nodes[node.parent]
+                while True:
+                    if len(node.children) > 1:
+                        siblings.setdefault(node.id, []).append(leaf.tokens)
+                    if node.parent is None:
+                        break
+                    node = tree.nodes[node.parent]
+        if ((budget.max_leaves is not None and len(leaves) >= budget.max_leaves)
+                or (budget.max_new_tokens is not None
+                    and stats.generated_tokens >= budget.max_new_tokens)
+                or not records):
+            break
+        start = records.pop(linear_select_branch(records, policy, rng)).node_id
+    return EnumerationResult(leaves=leaves, frontier_exhausted=not records, stats=stats,
+                             degraded=degraded, tree=tree if keep_tree else None)
 
 
 def sorting_member_ids(probs: np.ndarray, rule) -> np.ndarray:

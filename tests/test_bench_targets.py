@@ -82,7 +82,7 @@ def test_step_memo_calls_the_traced_names_once_per_context():
     finally:
         tracer.uninstall()
     tree = result.tree
-    expanded = [node.id for node in tree.nodes if node.children]
+    expanded = list(tree.children)
     contexts = {model.context((), tree.path_tokens(node_id)) for node_id in expanded}
     assert len(contexts) < len(expanded) == result.stats.generated_tokens
     names = [span.name for span in tracer.spans]
@@ -133,8 +133,8 @@ def test_multi_prompt_enumerate_queries_each_context_of_the_run_once_on_the_main
         prompt = model.encode_prompt(line)
         tree = engine.enumerate_leaves(model, rule, prompt, BranchPolicy("probfirst"), budget,
                                        engine.EarlyStopConfig(10), keep_tree=True).tree
-        per_prompt.append({model.context(prompt, tree.path_tokens(node.id))
-                           for node in tree.nodes if node.children})
+        per_prompt.append({model.context(prompt, tree.path_tokens(node_id))
+                           for node_id in tree.children})
     distinct = set().union(*per_prompt)
     assert len(distinct) < sum(map(len, per_prompt))
 

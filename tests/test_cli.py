@@ -1,6 +1,8 @@
 import csv
+import hashlib
 import json
 import math
+import random
 import subprocess
 import sys
 import threading
@@ -231,6 +233,21 @@ def test_sample_command_outputs_draws(two_leaf_path, tmp_path):
     assert len(rows) == 20
     assert [r["draw"] for r in rows] == list(range(20))
     assert {r["text"] for r in rows} <= {"a <eos>", "b <eos>"}
+
+
+def test_sample_at_a_tiny_temperature_draws_the_greedy_sequence(tmp_path):
+    # log(p) / 1e-320 overflows for every token; the draws are then greedy.
+    table = tmp_path / "table.json"
+    table.write_text(json.dumps({
+        "vocab": ["a", "b", "c", "<eos>"], "eos": "<eos>",
+        "transitions": {"": {"a": 0.2, "b": 0.5, "c": 0.3}, "a": {"<eos>": 1.0},
+                        "b": {"c": 0.6, "<eos>": 0.4}, "b c": {"<eos>": 1.0},
+                        "c": {"<eos>": 1.0}}}))
+    out = tmp_path / "samples.jsonl"
+    code = main(["sample", "--model", f"table:{table}", "--rule", "epsilon:0.005",
+                 "--temperature", "1e-320", "--k", "3", "--out", str(out)])
+    assert code == 0
+    assert [(r["text"], r["q"]) for r in read_jsonl(out)] == [("b c <eos>", 1.0)] * 3
 
 
 def test_compare_reports_closed_form(two_leaf_path, tmp_path):
@@ -679,6 +696,25 @@ def test_bad_model_spec_options_exit_2_without_traceback(spec, message, tmp_path
     assert not out.exists()
 
 
+def test_ngram_train_counts_a_huge_order_within_the_longest_line(tmp_path):
+    # No context reaches past its line start, so an order above the longest
+    # line (3 tokens and eos) counts the rows of order 4.
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("a b c\nb a\nc\n")
+    models = {}
+    for order in ["4", "99999999999"]:
+        models[order] = tmp_path / f"model-{order}.json"
+        code = main(["ngram-train", "--corpus", str(corpus), "--order", order,
+                     "--out", str(models[order])])
+        assert code == 0
+    huge, small = (json.loads(models[order].read_text()) for order in ["99999999999", "4"])
+    assert (huge.pop("order"), small.pop("order")) == (99999999999, 4)
+    assert huge == small
+    out = tmp_path / "leaves.jsonl"
+    assert main(["enumerate", "--model", f"ngram:{models['99999999999']}", "--rule", "top_k:2",
+                 "--k", "3", "--out", str(out)]) == 0
+
+
 @pytest.mark.parametrize("alpha", ["nan", "inf"])
 def test_ngram_train_rejects_a_non_finite_alpha(alpha, tmp_path, capsys):
     corpus = tmp_path / "corpus.txt"
@@ -707,3 +743,37 @@ def test_unwritable_output_directory_exits_2_without_traceback(command, two_leaf
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot write {blocked}: ")
     assert "Traceback" not in err
+
+
+def _seeded_corpus(seed: int, lines: int) -> str:
+    rng = random.Random(seed)
+    words = "the a cat dog sat ran on mat".split()
+    return "\n".join(" ".join(rng.choice(words) for _ in range(rng.randint(2, 7)))
+                     for _ in range(lines)) + "\n"
+
+
+# SHA-256 of `dle enumerate --dump-tree` output per policy. The tree's
+# storage may change; node ids, statuses and floats, and so these bytes, may not.
+DUMP_TREE_SHA256 = {
+    "probfirst": "a4b526abeb45b2e33d417b43068f5b568957cace2a2124287a93a977f7366c83",
+    "divfirst": "af55c0dc2b4e3fac3e06758b84559f433c192af7c792a0fc0bdcab9ead1b70bc",
+    "randbranch:5": "184e704e1578fcf1c06527ecec72a85dbb78e9547bd74515b33653cdd5ef51d1",
+    "globalprob": "a46bc869b4e5c97c99a528d675e4d330936933efd8d711e054760f75ccd4a5bb",
+    "dfs": "d07d5636ddd0c547c03fc611aee4204287d349155fd53e6bd2f4f999fb8cc3a3",
+}
+
+
+@pytest.mark.parametrize("policy", sorted(DUMP_TREE_SHA256))
+def test_dump_tree_bytes_are_pinned(policy, tmp_path):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text(_seeded_corpus(11, 40))
+    tree_path = tmp_path / "tree.json"
+    code = main(["enumerate", "--model", f"ngram:{corpus}?order=2&alpha=0.5&tokenize=char",
+                 "--rule", "top_p:0.7+top_k:3", "--policy", policy, "--k", "40",
+                 "--max-seq-len", "8", "--early-stop-n", "2", "--out", str(tmp_path / "l.jsonl"),
+                 "--dump-tree", str(tree_path)])
+    assert code == 0
+    doc = json.loads(tree_path.read_text())
+    assert {"leaf", "pruned-early-stop", "expanded", "unexpanded"} <= {
+        n["status"] for n in doc["nodes"]}
+    assert hashlib.sha256(tree_path.read_bytes()).hexdigest() == DUMP_TREE_SHA256[policy]

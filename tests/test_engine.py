@@ -16,10 +16,10 @@ from dle.engine import (POLICIES, Budget, BranchPolicy, EarlyStopConfig, Frontie
 from dle.errors import ConfigError, EmptyFrontier, ModelError
 from dle.model import TableModel, train_ngram_model
 from dle.oracle import enumerate_all_leaves
-from dle.tree import PrunedTree, TreeNode
+from dle.tree import UNEXPANDED, PrunedTree
 from dle.truncation import Epsilon, MinP, TopK, TopP, parse_rule
 from reference import (ScanRecord, UnmemoizedModel, early_stop_check, linear_select_branch, mix,
-                       scan_enumerate_leaves)
+                       node_enumerate_leaves, scan_enumerate_leaves)
 
 FIG_RULE = Epsilon(eps=0.1, inclusive=True)
 UNLIMITED = Budget(max_leaves=10 ** 9)
@@ -45,7 +45,7 @@ def test_root_rollout_reproduces_worked_tree(fig_tree_model):
                              UNLIMITED, stats, None)
     leaf = outcome.leaf
     assert leaf.q == pytest.approx(0.504, abs=1e-12)
-    masses = sorted(math.exp(node.log_mass) for node in outcome.branches)
+    masses = sorted(math.exp(tree.log_mass[node_id]) for node_id in outcome.branches)
     assert masses == pytest.approx([0.1, 0.126, 0.27], abs=1e-12)
 
 
@@ -97,20 +97,28 @@ def test_first_leaf_is_always_greedy():
     assert result.leaves[0].tokens[0] == 1  # greedy first step follows b
 
 
-def test_select_branch_matches_worked_frontier():
-    def branch(node_id, position, token, mass, edge):
-        return TreeNode(id=node_id, parent=None, token=token, edge_weight=edge,
-                        log_mass=math.log(mass), depth=position + 1)
+def add_branch(tree, position, token, log_mass, edge_weight):
+    """Append a node with these fields to the tree's lists, whatever its
+    parent's; return its id, the next in discovery order."""
+    for values, value in [(tree.parent, tree.root), (tree.token, token),
+                          (tree.edge_weight, edge_weight), (tree.log_mass, log_mass),
+                          (tree.depth, position + 1), (tree.status, UNEXPANDED)]:
+        values.append(value)
+    return len(tree.status) - 1
 
-    points = [branch(1, 0, 1, 0.1, 0.1), branch(2, 1, 3, 0.27, 0.3),
-              branch(3, 2, 5, 0.126, 0.2)]
+
+def test_select_branch_matches_worked_frontier():
+    tree = PrunedTree()
+    points = [add_branch(tree, 0, 1, math.log(0.1), 0.1),
+              add_branch(tree, 1, 3, math.log(0.27), 0.3),
+              add_branch(tree, 2, 5, math.log(0.126), 0.2)]
 
     def first_pick(kind):
-        frontier = Frontier(BranchPolicy(kind))
+        frontier = Frontier(BranchPolicy(kind), tree)
         frontier.extend(points)
         picked = select_branch(frontier)
         assert len(frontier) == 2
-        return [node.id for node in points].index(picked)
+        return points.index(picked)
 
     assert first_pick("probfirst") == 1
     assert first_pick("divfirst") == 0
@@ -143,9 +151,9 @@ def test_select_branch_tie_breaks_on_earlier_position():
 
 def test_empty_frontier_raises():
     with pytest.raises(EmptyFrontier):
-        select_branch(Frontier(BranchPolicy("probfirst")))
+        select_branch(Frontier(BranchPolicy("probfirst"), PrunedTree()))
     with pytest.raises(EmptyFrontier):
-        select_branch(Frontier(BranchPolicy("randbranch", seed=0)))
+        select_branch(Frontier(BranchPolicy("randbranch", seed=0), PrunedTree()))
 
 
 def test_policy_parsing():
@@ -281,7 +289,7 @@ def test_token_accounting_matches_model_calls(fig_tree_model, random_model_facto
     # Each decoding step, memoized or not, expands one tree node and appends
     # one token, so the expanded nodes count the steps.
     def steps(result):
-        return sum(1 for node in result.tree.nodes if node.children)
+        return len(result.tree.children)
 
     def run_tree(model, rule, budget=UNLIMITED, early_stop=None):
         return enumerate_leaves(model, rule, (), BranchPolicy("probfirst"), budget, early_stop,
@@ -406,9 +414,9 @@ def test_frontier_pops_match_the_linear_scan(kind, seed, batches):
     # Node ids are handed out in discovery order, as `expand_node` does.
     policy = BranchPolicy(kind, seed=seed if kind == "randbranch" else None)
     rng = random.Random(mix(seed, "randbranch")) if kind == "randbranch" else None
-    frontier = Frontier(policy)
+    tree = PrunedTree()
+    frontier = Frontier(policy, tree)
     reference: list[ScanRecord] = []
-    discovered = 0
     picks, expected = [], []
 
     def pick_both():
@@ -416,15 +424,12 @@ def test_frontier_pops_match_the_linear_scan(kind, seed, batches):
         expected.append(reference.pop(linear_select_branch(reference, policy, rng)).node_id)
 
     for batch, picks_after in batches:
-        nodes = []
+        branch_ids = []
         for log_mass, position, token, edge_weight in batch:
-            discovered += 1
-            nodes.append(TreeNode(id=discovered, parent=None, token=token,
-                                  edge_weight=edge_weight, log_mass=log_mass,
-                                  depth=position + 1))
-            reference.append(ScanRecord(discovered, position, token, log_mass, edge_weight,
-                                        discovered))
-        frontier.extend(nodes)
+            branch_ids.append(add_branch(tree, position, token, log_mass, edge_weight))
+            reference.append(ScanRecord(branch_ids[-1], position, token, log_mass, edge_weight,
+                                        branch_ids[-1]))
+        frontier.extend(branch_ids)
         for _ in range(min(picks_after, len(reference))):
             pick_both()
             assert len(frontier) == len(reference)
@@ -451,12 +456,13 @@ class FailingContextModel:
         return self.inner.next_distribution(prompt, generated)
 
 
-def enumeration_outcome(model, rule, prompt, policy, budget, early_stop, steps=None):
+def enumeration_outcome(model, rule, prompt, policy, budget, early_stop, steps=None,
+                        enumerate_fn=enumerate_leaves):
     """Everything an enumeration reports, the dumped tree included, or
     "raised" when a model error propagates."""
     try:
-        result = enumerate_leaves(model, rule, prompt, policy, budget, early_stop,
-                                  keep_tree=True, steps=steps)
+        result = enumerate_fn(model, rule, prompt, policy, budget, early_stop,
+                              keep_tree=True, steps=steps)
     except ModelError:
         return "raised"
     return (result.leaves, result.stats, result.frontier_exhausted, result.degraded,
@@ -500,8 +506,8 @@ def test_step_memo_changes_no_output(data, model, rule, policy, max_leaves, max_
     # A model error on one context the run reaches gives the same result, or
     # the same propagated error, with and without the memo.
     tree = enumerate_leaves(model, *args, keep_tree=True).tree
-    contexts = sorted({repr(model.context(prompt, tree.path_tokens(node.id))): node.id
-                       for node in tree.nodes if node.children}.items())
+    contexts = sorted({repr(model.context(prompt, tree.path_tokens(node_id))): node_id
+                       for node_id in sorted(tree.children)}.items())
     _, node_id = data.draw(st.sampled_from(contexts))
     failing = FailingContextModel(model, model.context(prompt, tree.path_tokens(node_id)))
     assert enumeration_outcome(failing, *args) == enumeration_outcome(UnmemoizedModel(failing), *args)
@@ -597,14 +603,49 @@ def test_sibling_index_matches_the_leaf_scan(model, rule, policy, max_leaves, ma
         # branch point (the greedy path below it) equal a sibling's, unless
         # the last of them is eos, which completes the leaf first.
         position = len(tree.path_tokens(start)) - 1
-        head, node = [], tree.node(start)
-        while node.children and len(head) < n:
-            node = tree.node(node.children[0])
-            head.append(node.token)
+        head, node = [], start
+        while node in tree.children and len(head) < n:
+            node = tree.children[node][0]
+            head.append(tree.token[node])
         suffixes = [c[position + 1:] for c in candidates]
         assert stopped_early == (early_stop_check(head, suffixes, n)
                                  and model.vocab.eos_id not in head)
     assert indexed.stats.early_stop_triggers == sum(r[2] for r in index_rounds)
+
+
+_MERGING_MODEL = train_ngram_model("abcab\nbcabc\ncab", order=3, alpha=0.5, tokenization="char")
+
+
+@settings(max_examples=150, deadline=None)
+@given(model=_memo_models(), prompt=st.lists(st.integers(0, 4), max_size=2),
+       rule=st.sampled_from(["epsilon:0.05", "top_k:2", "top_p:0.9", "min_p:0.3",
+                             "top_p:0.8+top_k:3", "min_p:0.1+top_k:2"]),
+       policy=st.sampled_from(["probfirst", "divfirst", "randbranch:7", "globalprob", "dfs"]),
+       max_leaves=st.one_of(st.none(), st.integers(1, 30)),
+       max_new_tokens=st.one_of(st.none(), st.integers(1, 120)), max_seq_len=st.integers(1, 9),
+       early_stop_n=st.one_of(st.none(), st.integers(1, 3)),
+       allowed_calls=st.one_of(st.none(), st.integers(0, 12)))
+# Early stops on many branches, then the same run cut by a model error.
+@example(model=_MERGING_MODEL, prompt=[], rule="top_p:0.9", policy="dfs", max_leaves=20,
+         max_new_tokens=None, max_seq_len=7, early_stop_n=1, allowed_calls=None)
+@example(model=_MERGING_MODEL, prompt=[], rule="top_p:0.9", policy="randbranch:7",
+         max_leaves=20, max_new_tokens=None, max_seq_len=7, early_stop_n=1, allowed_calls=12)
+def test_list_tree_matches_the_node_object_tree(model, prompt, rule, policy, max_leaves,
+                                                max_new_tokens, max_seq_len, early_stop_n,
+                                                allowed_calls):
+    # The outcomes are compared as text: repr and json.dumps write floats
+    # with repr, which round-trips every bit, -0.0 and 0.0 told apart.
+    prompt = tuple(token % model.vocab.size for token in prompt)
+    budget = Budget(max_leaves=max_leaves if max_new_tokens else max_leaves or 25,
+                    max_new_tokens=max_new_tokens, max_seq_len=max_seq_len)
+    args = (parse_rule(rule), prompt, BranchPolicy.parse(policy), budget,
+            None if early_stop_n is None else EarlyStopConfig(n=early_stop_n))
+
+    def subject():  # a fresh model per run, failing after its first calls if any
+        return model if allowed_calls is None else FlakyModel(model, allowed_calls)
+
+    assert repr(enumeration_outcome(subject(), *args)) == \
+        repr(enumeration_outcome(subject(), *args, enumerate_fn=node_enumerate_leaves))
 
 
 def test_model_error_on_one_context_degrades_alike_with_and_without_the_memo(fig_tree_model):

@@ -317,11 +317,15 @@ def _corpora(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(corpus=_corpora(), order=st.integers(1, 6),
+@given(corpus=_corpora(), order=st.one_of(st.integers(1, 6), st.integers(7, 20)),
        alpha=st.sampled_from([1.0, 0.5, 0.1, 1e-3]),
        tokenization=st.sampled_from(["char", "whitespace"]))
 @example(corpus="d c b a\nd c b a\nb\n\nc a", order=6, alpha=0.5, tokenization="whitespace")
 @example(corpus="dcba\ndcba\nb\nca", order=5, alpha=0.5, tokenization="char")
+# Orders above the longest line (5 tokens with eos included): every context
+# stops at its line start.
+@example(corpus="dcba\ndcba\nb\nca", order=6, alpha=0.5, tokenization="char")
+@example(corpus="d c b a\nb\n\nc a", order=40, alpha=0.5, tokenization="whitespace")
 def test_ngram_rows_match_the_count_dicts(corpus, order, alpha, tokenization):
     tokenize = lambda line: _tokenize(line, tokenization)  # noqa: E731
     assume(any(tokenize(line) for line in corpus.splitlines()))

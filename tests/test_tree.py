@@ -21,33 +21,35 @@ def extend_path(tree, node_id, token, edge_weight):
     child (token 99); return the id of the `token` child."""
     children = tree.expand_node(node_id, make_active([(token, edge_weight),
                                                       (99, 1.0 - edge_weight)]))
-    return next(c.id for c in children if c.token == token)
+    return next(c for c in children if tree.token[c] == token)
 
 
 def test_branching_children_inherit_scaled_mass():
     tree = PrunedTree()
     node = extend_path(tree, tree.root, token=0, edge_weight=0.9)
     children = tree.expand_node(node, make_active([(1, 0.7), (2, 0.3)]))
-    masses = [math.exp(c.log_mass) for c in children]
+    masses = [math.exp(tree.log_mass[c]) for c in children]
     assert masses == pytest.approx([0.63, 0.27])
-    assert [c.depth for c in children] == [2, 2]
+    assert [tree.depth[c] for c in children] == [2, 2]
+    assert tree.children[node] == children == range(3, 5)
+    assert [tree.parent[c] for c in children] == [node, node]
 
 
 def test_singleton_expansion_keeps_mass():
     tree = PrunedTree()
     node = extend_path(tree, tree.root, token=0, edge_weight=0.4)
     [child] = tree.expand_node(node, make_active([(3, 1.0)]))
-    assert child.token == 3
-    assert child.edge_weight == 1.0
-    assert child.log_mass == tree.node(node).log_mass  # bit-exact
-    assert math.exp(child.log_mass) == pytest.approx(0.4)
+    assert tree.token[child] == 3
+    assert tree.edge_weight[child] == 1.0
+    assert tree.log_mass[child] == tree.log_mass[node]  # bit-exact
+    assert math.exp(tree.log_mass[child]) == pytest.approx(0.4)
 
 
 def test_symmetric_split_halves_mass():
     tree = PrunedTree()
     children = tree.expand_node(tree.root, make_active([(0, 0.5), (1, 0.5)]))
     for c in children:
-        assert math.exp(c.log_mass) == pytest.approx(0.5)
+        assert math.exp(tree.log_mass[c]) == pytest.approx(0.5)
 
 
 def test_expanding_twice_raises():
@@ -66,7 +68,7 @@ def test_child_weights_sum_to_one_random():
         pairs = [(i, w / total) for i, w in enumerate(raw)]
         tree = PrunedTree()
         children = tree.expand_node(tree.root, make_active(pairs))
-        weight_sum = sum(c.edge_weight for c in children)
+        weight_sum = sum(tree.edge_weight[c] for c in children)
         assert abs(weight_sum - 1.0) <= 1e-9
 
 
@@ -79,8 +81,8 @@ def test_path_mass_recomputes_from_edges():
         w = rng.uniform(0.05, 1.0)
         node = extend_path(tree, node, token=0, edge_weight=w)
         log_product += math.log(w)
-    assert tree.node(node).log_mass == pytest.approx(log_product, abs=1e-9)
-    assert len(tree.path_tokens(node)) == tree.node(node).depth == 40
+    assert tree.log_mass[node] == pytest.approx(log_product, abs=1e-9)
+    assert len(tree.path_tokens(node)) == tree.depth[node] == 40
 
 
 def test_path_tokens_walks_parents():
@@ -94,7 +96,7 @@ def test_path_tokens_walks_parents():
 def test_dump_format():
     tree = PrunedTree()
     node = extend_path(tree, tree.root, token=1, edge_weight=0.25)
-    tree.node(node).status = LEAF
+    tree.status[node] = LEAF
     doc = json.loads(json.dumps(tree.to_dict()))
     assert {n["id"] for n in doc["nodes"]} == {0, 1, 2}
     entry = doc["nodes"][node]

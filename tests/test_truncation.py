@@ -167,6 +167,31 @@ def test_apply_temperature_identity_and_greedy_limit():
     assert hot.sum() == pytest.approx(1.0)
 
 
+_DISTRIBUTIONS = st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8).filter(
+    lambda values: sum(values) > 0.0).map(lambda values: np.array(values) / sum(values))
+
+
+@settings(max_examples=300, deadline=None)
+@given(probs=_DISTRIBUTIONS,
+       temperature=st.one_of(st.floats(0.0, 1e300, exclude_min=True),
+                             st.sampled_from([5e-324, 1e-320, 1e-310, 1e-306, 1e-300])))
+# So small a T overflows every scaled logit to -inf; a tied maximum stays finite.
+@example(probs=np.array([0.5, 0.3, 0.2]), temperature=1e-320)
+@example(probs=np.array([0.3, 0.3, 0.4 - 1e-300]), temperature=1e-306)
+def test_apply_temperature_gives_a_distribution_for_any_positive_temperature(probs, temperature):
+    out = apply_temperature(probs, temperature)
+    assert np.isfinite(out).all()
+    assert math.fsum(out) == pytest.approx(1.0, abs=1e-12)
+    assert out[greedy_token(probs)] == out.max()
+
+
+def test_apply_temperature_overflow_takes_the_greedy_limit():
+    probs = np.array([0.2, 0.5, 0.3])
+    assert apply_temperature(probs, 1e-320).tolist() == [0.0, 1.0, 0.0]
+    # A tied maximum whose scaled logit is finite keeps its share.
+    assert apply_temperature(np.array([0.5, 0.5, 1e-300]), 1e-306).tolist() == [0.5, 0.5, 0.0]
+
+
 def test_parse_rule_examples():
     assert parse_rule("epsilon:0.05") == Epsilon(eps=0.05)
     assert parse_rule("epsilon_ge:0.1") == Epsilon(eps=0.1, inclusive=True)
