@@ -359,8 +359,8 @@ def _sampled_curve(run, ks) -> tuple[list[float], list[int]]:
     return covs, [tokens[h] for h in heads]
 
 
-def _compare_rows(model, rule, prompt_ids, ks, policy, seeds, temperature,
-                  max_seq_len, with_tokens) -> list[dict]:
+def _compare_rows(model, rule, prompt_ids, ks, policy, seeds, max_seq_len,
+                  with_tokens) -> list[dict]:
     oracle_set = enumerate_all_leaves(model, rule, prompt_ids, max_depth=max_seq_len)
     masses = np.asarray(oracle_set.masses(), dtype=np.float64)
     max_k = max(ks)
@@ -370,9 +370,9 @@ def _compare_rows(model, rule, prompt_ids, ks, policy, seeds, temperature,
     dle_curve = coverage_curve([(lf.tokens, lf.q) for lf in result.leaves])
     dle_tokens = list(itertools.accumulate(leaf.new_tokens for leaf in result.leaves))
 
-    steps: dict = {}  # the seeds share model, rule and temperature, so one step memo
+    steps: dict = {}  # the seeds share model and rule, so one step memo
     sampled = [_sampled_curve(sample_sequences(model, rule, prompt_ids, max_k, seed,
-                                               temperature, max_seq_len, steps), ks)
+                                               max_seq_len=max_seq_len, steps=steps), ks)
                for seed in range(seeds)]
 
     rows = []
@@ -410,12 +410,12 @@ def cmd_compare(args) -> int:
     with_tokens = args.command == "compare"
     ks = _parse_k_range(args.k) if with_tokens else list(range(1, args.k_max + 1))
     rows = _compare_rows(model, rule, prompt_ids, ks, policy, args.sample_seeds,
-                         args.temperature, args.max_seq_len, with_tokens)
+                         args.max_seq_len, with_tokens)
     out = Path(args.out)
     _write_csv(out, rows)
     config = {"model": args.model, "rule": args.rule, "policy": args.policy,
-              "sample_seeds": args.sample_seeds, "temperature": args.temperature,
-              "max_seq_len": args.max_seq_len, "prompt_file": args.prompt_file}
+              "sample_seeds": args.sample_seeds, "max_seq_len": args.max_seq_len,
+              "prompt_file": args.prompt_file}
     if with_tokens:
         config["k"] = args.k
     else:
@@ -515,7 +515,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--policy", default="probfirst")
     p.add_argument("--k", required=True, help="k range, e.g. 1..32 or 8")
     p.add_argument("--sample-seeds", type=_count, default=10)
-    p.add_argument("--temperature", type=_temperature, default=1.0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_compare)
 
@@ -524,7 +523,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--policy", default="probfirst")
     p.add_argument("--k-max", type=_count, required=True)
     p.add_argument("--sample-seeds", type=_count, default=10)
-    p.add_argument("--temperature", type=_temperature, default=1.0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_compare)
 

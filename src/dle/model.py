@@ -22,6 +22,7 @@ with a semaphore and retries transient failures with exponential backoff.
 
 from __future__ import annotations
 
+import array
 import itertools
 import json
 import logging
@@ -247,7 +248,10 @@ class NgramModel:
     Counts are stored as compressed rows: ``_rows`` maps each context to a
     row r, ``_totals[r]`` is the context's count, and the observed
     continuations are ``_next_ids[_indptr[r]:_indptr[r + 1]]`` (ascending)
-    with their counts at the same offsets of ``_next_counts``.
+    with their counts at the same offsets of ``_next_counts`` and their
+    smoothed counts, count + alpha, at those of ``_next_weights``.
+    ``_indptr`` is an ``array.array``: a row's bounds come out as Python
+    ints, at numpy's 8 bytes per row.
     """
 
     def __init__(self, vocab: Vocabulary, order: int, alpha: float, tokenization: str,
@@ -272,10 +276,13 @@ class NgramModel:
         by_key = np.argsort(key)
         if (np.diff(key[by_key]) == 0).any():
             raise ConfigError("duplicate pair count")
+        del key  # freed first, so the per-pair arrays below add nothing to the peak memory
         self._next_ids = next_ids[by_key]
         self._next_counts = pairs[by_key, 2]
-        self._indptr = np.zeros(len(totals) + 1, dtype=np.int64)
-        np.cumsum(np.bincount(row_of, minlength=len(totals)), out=self._indptr[1:])
+        self._next_weights = self._next_counts + alpha
+        indptr = np.zeros(len(totals) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(row_of, minlength=len(totals)), out=indptr[1:])
+        self._indptr = array.array("q", indptr.tobytes())
 
     def context(self, prompt: Sequence[int], generated: Sequence[int]) -> tuple[int, ...]:
         """The trailing (order - 1)-token window of prompt + generated, read
@@ -292,8 +299,8 @@ class NgramModel:
         denom = ctx_count + self.alpha * size
         probs = np.full(size, self.alpha / denom)
         if ctx_count:
-            lo, hi = self._indptr[row:row + 2]
-            probs[self._next_ids[lo:hi]] = (self._next_counts[lo:hi] + self.alpha) / denom
+            lo, hi = self._indptr[row], self._indptr[row + 1]
+            probs[self._next_ids[lo:hi]] = self._next_weights[lo:hi] / denom
         return probs
 
     def encode_prompt(self, text: str) -> tuple[int, ...]:

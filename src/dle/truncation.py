@@ -6,6 +6,11 @@ mass; with fewer than two the step degenerates to a point mass on the argmax
 token. Sequence-level probability is the product of the per-step weights,
 accumulated in log space.
 
+Every rule keeps a prefix of one ranking of the tokens, probability
+descending and then token id ascending. The threshold rules (min_p,
+epsilon) are O(V) masks; top-k and top-p cut one stable ranking of what the
+masks keep, so a truncation sorts its pool at most once.
+
 Rule syntax used by the CLI and config files::
 
     top_k:10  top_p:0.9  min_p:0.1  epsilon:0.05  epsilon_ge:0.05
@@ -111,36 +116,18 @@ def greedy_token(probs: np.ndarray) -> int:
     return int(np.argmax(probs))
 
 
-def _top_k_mask(probs: np.ndarray, k: int) -> np.ndarray:
-    """Mask of the k positive tokens ranked first (probability descending, id ascending).
-
-    One partition finds the k-th largest probability; of the tokens tied on
-    it, the highest ids are dropped until k remain, so nothing is sorted.
-    """
-    if k >= len(probs):
-        return probs > 0.0
-    kth = np.partition(probs, len(probs) - k)[len(probs) - k]
-    if kth <= 0.0:
-        return probs > 0.0
-    keep = probs >= kth
-    surplus = int(np.count_nonzero(keep)) - k
-    if surplus:
-        tied = np.nonzero(probs == kth)[0]
-        keep[tied[len(tied) - surplus:]] = False
-    return keep
-
-
-def _pool(probs: np.ndarray, rule: TruncationRule) -> tuple[np.ndarray, list[float]]:
-    """Ids passing every threshold and top-k rule, ascending, and the top-p
-    thresholds still to apply to them.
+def _pool(probs: np.ndarray, rule: TruncationRule) -> tuple[np.ndarray, list[float], bool]:
+    """The rule's members before any top-p cut, the top-p thresholds still to
+    apply to them, and whether the members are ranked (else they ascend).
 
     Every rule keeps a prefix of one ranking, probability descending and then
     token id ascending, so a composite keeps the shortest of its rules'
-    prefixes. Threshold masks narrow the pool first, in O(V); top-k then cuts
-    only that pool, and the full vector is partitioned only when no threshold
-    narrowed it. Only top-p has to rank, and it ranks only the pool. The
-    ranked pool is a prefix of the full ranking, so its cumulative sums equal
-    the full ones bit for bit.
+    prefixes. Threshold masks narrow the pool first, in O(V), and leave it in
+    ascending id order. A top-p rule, or a top-k rule that cuts the pool,
+    then ranks it with one stable sort, of the whole row when no threshold
+    narrowed it, and top-k keeps the ranking's first k. The ranked pool is a
+    prefix of the full ranking, so its cumulative sums equal the full ones
+    bit for bit.
     """
     rules = rule.rules if isinstance(rule, Composite) else (rule,)
     mask = None
@@ -153,7 +140,7 @@ def _pool(probs: np.ndarray, rule: TruncationRule) -> tuple[np.ndarray, list[flo
             keep = probs >= sub.p_min * probs.max()
         elif isinstance(sub, Composite):
             keep = np.zeros(len(probs), dtype=bool)
-            keep[_top_p_cut(probs, *_pool(probs, sub))] = True
+            keep[_top_p_cut(probs, *_pool(probs, sub)[:2])] = True
         elif isinstance(sub, TopK):
             top_k = sub.k if top_k is None else min(top_k, sub.k)
             continue
@@ -163,50 +150,51 @@ def _pool(probs: np.ndarray, rule: TruncationRule) -> tuple[np.ndarray, list[flo
         else:
             raise ConfigError(f"unknown truncation rule: {sub!r}")
         mask = keep if mask is None else mask & keep
+    # Threshold rules keep positive probabilities only.
+    ids = np.nonzero(probs > 0.0 if mask is None else mask)[0]
+    if not top_ps and (top_k is None or len(ids) <= top_k):
+        return ids, top_ps, False
     if mask is None:
-        ids = np.nonzero(probs > 0.0 if top_k is None else _top_k_mask(probs, top_k))[0]
+        # Zero probabilities rank last.
+        ranked = np.argsort(-probs, kind="stable")[:len(ids)]
     else:
-        # Threshold rules keep positive probabilities only.
-        ids = np.nonzero(mask)[0]
-        if top_k is not None and len(ids) > top_k:
-            ids = ids[_top_k_mask(probs[ids], top_k)]
-    return ids, top_ps
+        ranked = ids[np.argsort(-probs[ids], kind="stable")]
+    return ranked[:top_k], top_ps, True
 
 
-def _top_p_cut(probs: np.ndarray, ids: np.ndarray, top_ps: list[float]) -> np.ndarray:
-    """The pool's members within every top-p threshold, ascending: the rule's
+def _top_p_cut(probs: np.ndarray, ranked: np.ndarray, top_ps: list[float]) -> np.ndarray:
+    """The prefix of a ranked pool within every top-p threshold: the rule's
     members, with no degenerate fallback."""
     if not top_ps:
-        return ids
-    pool = probs[ids]
-    ranked = np.lexsort((ids, -pool))
-    cum = np.cumsum(pool[ranked])
+        return ranked
+    cum = np.cumsum(probs[ranked])
     # First index where cumulative mass reaches the threshold is included.
-    length = min(int(np.searchsorted(cum, p - 1e-12, side="left")) + 1 for p in top_ps)
-    return np.sort(ids[ranked[:length]])
+    return ranked[:min(int(np.searchsorted(cum, p - 1e-12, side="left")) + 1 for p in top_ps)]
 
 
-def _small_active_set(probs: np.ndarray, ids: np.ndarray, top_ps: list[float]) -> ActiveSet:
+def _small_active_set(probs: np.ndarray, ids: np.ndarray, top_ps: list[float],
+                      ranked: bool) -> ActiveSet:
     """The rest of a step on Python floats, for fewer than SMALL_POOL ids,
-    with numpy's bits: a stable sort of ascending ids breaks ties by id as
-    `lexsort` does (`reverse=True` keeps it stable), `accumulate` and
-    `bisect_left` are `cumsum` and `searchsorted`, and the loop adds in the
-    order numpy's sum uses below SMALL_POOL values."""
+    with numpy's bits: `accumulate` and `bisect_left` are `cumsum` and
+    `searchsorted`, and the loop adds in the order numpy's sum uses below
+    SMALL_POOL values."""
     raw = probs[ids].tolist()
     ids = ids.tolist()
     if top_ps:
-        ranked = sorted(range(len(raw)), key=raw.__getitem__, reverse=True)
-        cum = list(itertools.accumulate(map(raw.__getitem__, ranked)))
-        kept = sorted(ranked[:min(bisect.bisect_left(cum, p - 1e-12) + 1 for p in top_ps)])
-        ids, raw = [ids[i] for i in kept], [raw[i] for i in kept]
+        cum = list(itertools.accumulate(raw))
+        length = min(bisect.bisect_left(cum, p - 1e-12) + 1 for p in top_ps)
+        ids, raw = ids[:length], raw[:length]
     if len(ids) <= 1:
         # Every rule keeps a prefix of the ranking, so a lone survivor is the argmax.
         g = ids[0] if ids else greedy_token(probs)
         return ActiveSet((g,), (1.0,), (0.0,), float(probs[g]))
+    if ranked:
+        ids, raw = zip(*sorted(zip(ids, raw)))
     raw_mass = 0.0
     for value in raw:  # not sum(), which is compensated from Python 3.12
         raw_mass += value
     weights = [value / raw_mass for value in raw]
+    # A stable sort of ascending ids breaks weight ties by id (`reverse=True` keeps it stable).
     canonical = operator.itemgetter(*sorted(range(len(ids)), key=weights.__getitem__,
                                             reverse=True))
     weights = canonical(weights)
@@ -218,14 +206,18 @@ def active_set(probs: np.ndarray, rule: TruncationRule) -> ActiveSet:
 
     Fewer than two survivors (possible for the absolute-threshold rule when
     even the argmax falls below the cutoff) degenerates to a point mass on
-    the argmax token with weight exactly 1.0. The O(V) narrowing runs in
-    numpy; a pool of fewer than SMALL_POOL tokens finishes on Python floats.
+    the argmax token with weight exactly 1.0. The O(V) narrowing and the one
+    ranking run in numpy; a pool of fewer than SMALL_POOL tokens finishes on
+    Python floats. Ranked survivors go back to ascending id order, the order
+    the raw mass is summed in.
     """
-    ids, top_ps = _pool(probs, rule)
+    ids, top_ps, ranked = _pool(probs, rule)
     if top_ps and len(ids) >= SMALL_POOL:
         ids, top_ps = _top_p_cut(probs, ids, top_ps), []
     if len(ids) < SMALL_POOL:
-        return _small_active_set(probs, ids, top_ps)
+        return _small_active_set(probs, ids, top_ps, ranked)
+    if ranked:
+        ids = np.sort(ids)
     raw = probs[ids]
     raw_mass = float(raw.sum())
     weights = raw / raw_mass

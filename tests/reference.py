@@ -564,8 +564,8 @@ def neumaier_loop_sum(values) -> float:
     return total + comp
 
 
-def reference_compare_rows(model, rule, prompt_ids, ks, policy, seeds, temperature,
-                           max_seq_len, with_tokens) -> list[dict]:
+def reference_compare_rows(model, rule, prompt_ids, ks, policy, seeds, max_seq_len,
+                           with_tokens) -> list[dict]:
     """`compare`/`coverage-curve` rows with the closed form and the sampled
     coverage summed by the loop for every k, re-deduplicating each seed's
     first k draws."""
@@ -584,7 +584,7 @@ def reference_compare_rows(model, rule, prompt_ids, ks, policy, seeds, temperatu
     sampled_cov: dict[int, list[float]] = {k: [] for k in ks}
     sampled_tok: dict[int, list[int]] = {k: [] for k in ks}
     for seed in range(seeds):
-        run = sample_sequences(model, rule, prompt_ids, max_k, seed, temperature, max_seq_len)
+        run = sample_sequences(model, rule, prompt_ids, max_k, seed, max_seq_len=max_seq_len)
         for k in ks:
             head = run.sequences[:k]
             unique: dict[tuple[int, ...], float] = {}

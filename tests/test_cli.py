@@ -134,10 +134,9 @@ _COMMON_CONFIG = {"model", "rule", "max_seq_len", "prompt_file"}
     ("enumerate", ["--k", "2"],
      {"policy", "k", "token_budget", "early_stop_n"}),
     ("sample", ["--k", "2"], {"k", "seed", "temperature"}),
-    ("compare", ["--k", "1..2", "--sample-seeds", "1"],
-     {"policy", "k", "sample_seeds", "temperature"}),
+    ("compare", ["--k", "1..2", "--sample-seeds", "1"], {"policy", "k", "sample_seeds"}),
     ("coverage-curve", ["--k-max", "2", "--sample-seeds", "1"],
-     {"policy", "k_max", "sample_seeds", "temperature"}),
+     {"policy", "k_max", "sample_seeds"}),
 ])
 def test_manifest_config_echoes_every_option_that_shapes_the_output(command, extra, keys,
                                                                     fig_tree_path, tmp_path):
@@ -248,6 +247,21 @@ def test_sample_at_a_tiny_temperature_draws_the_greedy_sequence(tmp_path):
                  "--temperature", "1e-320", "--k", "3", "--out", str(out)])
     assert code == 0
     assert [(r["text"], r["q"]) for r in read_jsonl(out)] == [("b c <eos>", 1.0)] * 3
+
+
+@pytest.mark.parametrize("command, extra", [("compare", ["--k", "1..2"]),
+                                            ("coverage-curve", ["--k-max", "2"])])
+def test_compare_takes_no_temperature(command, extra, fig_tree_path, tmp_path, capsys):
+    # Coverage is T=1 mass, so draws at another temperature would mix units:
+    # at T=0.001 the one greedy draw read as coverage 1.0, its T=1 mass 0.504.
+    out = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--model", f"table:{fig_tree_path}", "--rule", "epsilon_ge:0.1", *extra,
+              "--sample-seeds", "3", "--temperature", "0.001", "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == "dle: error: unrecognized arguments: --temperature 0.001"
+    assert not out.exists()
 
 
 def test_compare_reports_closed_form(two_leaf_path, tmp_path):
@@ -506,14 +520,13 @@ def test_compare_on_a_looping_ngram_exits_2_without_traceback(tmp_path, capsys):
        rule=st.sampled_from(["epsilon:0.05", "top_k:2", "top_p:0.9", "min_p:0.3"]),
        policy=st.sampled_from(["probfirst", "divfirst", "randbranch:3"]),
        k_lo=st.integers(1, 12), k_span=st.integers(0, 12),
-       seeds=st.integers(1, 3), temperature=st.sampled_from([1.0, 0.6, 1.7]),
-       with_tokens=st.booleans())
+       seeds=st.integers(1, 3), with_tokens=st.booleans())
 def test_compare_rows_match_the_per_k_reference(model_seed, rule, policy, k_lo, k_span, seeds,
-                                                temperature, with_tokens):
+                                                with_tokens):
     # with_tokens=True gives compare's rows, False coverage-curve's.
     model = make_random_table_model(model_seed)
     args = (model, parse_rule(rule), (), list(range(k_lo, k_lo + k_span + 1)),
-            BranchPolicy.parse(policy), seeds, temperature, 8, with_tokens)
+            BranchPolicy.parse(policy), seeds, 8, with_tokens)
     rows = _compare_rows(*args)
     expected = reference_compare_rows(*args)
     assert rows == expected
@@ -539,7 +552,7 @@ class CountingModel:
 
 @pytest.mark.parametrize("model_seed", [3, 11, 40])
 def test_compare_sample_seeds_query_each_context_once(model_seed, monkeypatch):
-    # The --sample-seeds runs share model, rule and temperature, so together
+    # The --sample-seeds runs share model and rule, so together
     # they ask the model once per distinct context they draw.
     model = CountingModel(make_random_table_model(model_seed))
     runs = []
@@ -552,8 +565,7 @@ def test_compare_sample_seeds_query_each_context_once(model_seed, monkeypatch):
         return run
 
     monkeypatch.setattr(cli, "sample_sequences", counting_sample)
-    args = (model, parse_rule("top_p:0.9"), (), [1, 4, 16], BranchPolicy("probfirst"), 6,
-            1.0, 8, True)
+    args = (model, parse_rule("top_p:0.9"), (), [1, 4, 16], BranchPolicy("probfirst"), 6, 8, True)
     rows = _compare_rows(*args)
     assert len(runs) == 6
     drawn = {model.context((), tokens[:i]) for run, _ in runs
@@ -640,9 +652,8 @@ def test_malformed_model_documents_exit_2_without_traceback(kind, doc, message, 
     (["cache-sim"], "--capacity", "abc", "expected an integer, got 'abc'"),
     (["cache-sim"], "--capacity", "-1", "must be >= 0, got -1"),
     (["sample", "--k", "3"], "--temperature", "nan", "must be a number >= 0, got nan"),
-    (["compare", "--k", "1..3"], "--temperature", "nan", "must be a number >= 0, got nan"),
-    (["coverage-curve", "--k-max", "3"], "--temperature", "nan",
-     "must be a number >= 0, got nan"),
+    (["compare", "--k", "1..3"], "--sample-seeds", "0", "must be >= 1, got 0"),
+    (["coverage-curve", "--k-max", "3"], "--sample-seeds", "nan", "expected an integer, got 'nan'"),
     (["sample", "--k", "3"], "--max-seq-len", "0", "must be >= 1, got 0"),
     (["enumerate", "--k", "3"], "--max-seq-len", "-2", "must be >= 1, got -2"),
     (["compare", "--k", "1..3"], "--max-seq-len", "x", "expected an integer, got 'x'"),

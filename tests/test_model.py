@@ -336,6 +336,13 @@ def test_ngram_rows_match_the_count_dicts(corpus, order, alpha, tokenization):
     assert model.vocab.tokens == reference.vocab.tokens == tokens
     assert set(model._rows) == set(reference._rows) == set(context_counts)
 
+    doc = model.to_dict()
+    text = json.dumps(doc, sort_keys=True)
+    assert json.dumps(reference.to_dict(), sort_keys=True) == text
+    assert json.dumps({**doc, **dict_count_lists(context_counts, pair_counts)}, sort_keys=True) == text
+    loaded = NgramModel.from_dict(json.loads(text))
+    assert json.dumps(loaded.to_dict(), sort_keys=True) == text
+
     # Every context, plus unseen ones: eos never ends a window, and a short
     # window of the first token may never start a line.
     eos = len(tokens) - 1
@@ -344,9 +351,4 @@ def test_ngram_rows_match_the_count_dicts(corpus, order, alpha, tokenization):
         expected = loop_next_distribution(context_counts, pair_counts, ctx, alpha, len(tokens))
         assert model.next_distribution(ctx, ()).tobytes() == expected.tobytes()
         assert reference.next_distribution(ctx, ()).tobytes() == expected.tobytes()
-
-    doc = model.to_dict()
-    text = json.dumps(doc, sort_keys=True)
-    assert json.dumps(reference.to_dict(), sort_keys=True) == text
-    assert json.dumps({**doc, **dict_count_lists(context_counts, pair_counts)}, sort_keys=True) == text
-    assert json.dumps(NgramModel.from_dict(json.loads(text)).to_dict(), sort_keys=True) == text
+        assert loaded.next_distribution(ctx, ()).tobytes() == expected.tobytes()

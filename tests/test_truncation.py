@@ -39,6 +39,21 @@ def test_top_p_cut_tolerates_rounding_below_the_threshold():
     assert active_set(probs, TopP(p=5 / 7)).token_ids == (3, 0)
 
 
+@pytest.mark.parametrize("positive", [3, 12])
+def test_top_p_keeps_no_zero_of_a_row_summing_below_one(positive):
+    # Model rows may sum to 1 within 1e-9, so top_p:1.0 can run out of
+    # positive tokens before its threshold; the zeros ranked after them stay out.
+    probs = np.zeros(2 * positive)
+    probs[::2] = (1.0 - 5e-10) / positive
+    for rule in (TopP(p=1.0), Composite(rules=(TopP(p=1.0), TopK(k=2 * positive)))):
+        active = active_set(probs, rule)
+        assert sorted(active.token_ids) == list(range(0, 2 * positive, 2))
+        ids, weights, raw_mass = numpy_active_set(probs, rule)
+        assert active.token_ids == tuple(ids.tolist())
+        assert active.weights == tuple(weights.tolist())
+        assert active.raw_mass == raw_mass
+
+
 def test_min_p_relative_threshold():
     active = active_set(DIST, MinP(p_min=0.2))
     # threshold = 0.2 * 0.5 = 0.1
@@ -216,16 +231,30 @@ def test_rule_parameter_validation():
         Composite(rules=())
 
 
+def _ngram_row(counts, floor, alpha, positions):
+    """An add-alpha row: `floor` tokens at weight alpha, and count + alpha
+    for each count, inserted at the given positions."""
+    row = [alpha] * floor
+    for count, at in zip(counts, positions):
+        row.insert(at, count + alpha)
+    return row
+
+
 # Small integer weights: zero probabilities, ties at the top-k boundary, and
 # cumulative sums that land exactly on a top-p threshold are all common. The
 # second kind looks like a smoothed n-gram row: a few peaks over many tokens
-# tied at one floor weight, which a top-k cut can fall inside. The third has
-# float magnitudes from 1e-9 to 1, where a left-to-right sum of 7 to 9
-# survivors often differs from numpy's pairwise one.
+# tied at one floor weight, which a top-k cut can fall inside. The third is
+# an add-alpha n-gram row of a real vocabulary's size: 1 to 4 peaks over 100
+# to 400 tied floor weights. The fourth has float magnitudes from 1e-9 to 1,
+# where a left-to-right sum of 7 to 9 survivors often differs from numpy's
+# pairwise one.
 _WEIGHTS = st.one_of(
     st.lists(st.integers(0, 4), min_size=1, max_size=12).filter(any),
     st.tuples(st.lists(st.integers(2, 9), max_size=4), st.integers(2, 60), st.integers(0, 5))
     .flatmap(lambda t: st.permutations(t[0] + [1] * t[1] + [0] * t[2])),
+    st.builds(_ngram_row, st.lists(st.integers(1, 60), min_size=1, max_size=4),
+              st.integers(100, 400), st.sampled_from([1.0, 0.01]),
+              st.lists(st.integers(0, 400), min_size=4, max_size=4)),
     st.lists(st.builds(lambda m, e: m * 10.0 ** -e, st.floats(1.0, 10.0), st.integers(0, 9)),
              min_size=1, max_size=12),
 )
@@ -285,17 +314,25 @@ def _cases():
 
 # Exactly 7 and exactly 8 survivors whose left-to-right sum differs from a
 # pairwise one: the last pool that finishes on Python floats, the first that
-# stays in numpy.
+# stays in numpy, unranked and ranked (top-p). Then one peak over 370 tied
+# floor weights, where top_k:4 cuts inside the tie. Last, zeros inside the
+# top-k of a row with no threshold rule, unranked and ranked (top-p), where
+# the whole row is ranked and its zero tail dropped.
 @settings(max_examples=500, deadline=None)
 @given(case=_cases())
 @example(case=([1.385, 8.412e-4, 5.255e-6, 7.427e-6, 4.555e-9, 0.05002, 0.891], TopP(p=1.0)))
 @example(case=([7.642, 6.304, 9.67e-4, 6.652e-4, 6.334e-5, 0.02597, 3.814e-5, 8.595e-4],
                Epsilon(eps=1e-12)))
+@example(case=([7.642, 6.304, 9.67e-4, 6.652e-4, 6.334e-5, 0.02597, 3.814e-5, 8.595e-4],
+               TopP(p=1.0)))
+@example(case=(_ngram_row([1], 370, 0.01, [100]), Composite(rules=(TopP(p=0.5), TopK(k=4)))))
+@example(case=([0, 2, 0, 1, 0, 0, 1], TopK(k=5)))
+@example(case=([0, 2, 0, 1, 0, 0, 1], Composite(rules=(TopP(p=1.0), TopK(k=5)))))
 def test_active_set_matches_the_sorting_reference(case):
     weights, rule = case
     probs = np.array(weights, dtype=np.float64) / sum(weights)
     new = active_set(probs, rule)
-    members = truncation._top_p_cut(probs, *truncation._pool(probs, rule))
+    members = np.sort(truncation._top_p_cut(probs, *truncation._pool(probs, rule)[:2]))
     assert np.array_equal(members, sorting_member_ids(probs, rule))
     if len(new) > 1:
         assert sorted(new.token_ids) == sorting_member_ids(probs, rule).tolist()
