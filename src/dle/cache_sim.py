@@ -6,6 +6,7 @@ contributes the length of its longest prefix shared with any earlier stream
 are served in generation order, each one first matched against the cache and
 then inserted in full, subject to block granularity, capacity, and eviction.
 With unlimited capacity and token granularity the two counts coincide.
+Both tries keep a node as one dict, not as an object of its own class.
 """
 
 from __future__ import annotations
@@ -47,41 +48,29 @@ class CacheStats:
         }
 
 
-class _TrieNode:
-    __slots__ = ("children", "last_access", "parent", "key")
-
-    def __init__(self, parent: "_TrieNode | None" = None, key: tuple = ()):
-        self.children: dict[tuple, "_TrieNode"] = {}
-        self.last_access = 0
-        self.parent = parent  # None for the root and for evicted blocks
-        self.key = key
-
-
 def theoretical_hit_count(streams: Sequence[Sequence[int]]) -> int:
     """Reuse ceiling: sum over streams of the longest shared prefix length.
 
-    Implemented with a token trie over all earlier streams, so a prefix
-    counts when it matches a prefix of any previously generated stream.
+    Implemented with a trie of nested dicts keyed by token over all earlier
+    streams, so a prefix counts when it matches a prefix of any previously
+    generated stream. Once a stream leaves the trie, its rest is new.
     """
     if not streams:
         raise ConfigError("theoretical_hit_count needs at least one stream")
-    root = _TrieNode()
+    root: dict = {}
     total = 0
     for stream in streams:
         node = root
-        matched = 0
-        missed = False
-        for token in stream:
-            key = (token,)
-            child = node.children.get(key)
-            if child is None:
-                missed = True
-                child = _TrieNode()
-                node.children[key] = child
-            elif not missed:
-                matched += 1
+        tokens = iter(stream)
+        for token in tokens:
+            child = node.get(token)
+            if child is None:  # store a new dict under `node`, then descend into it
+                node[token] = node = {}
+                for token in tokens:
+                    node[token] = node = {}
+                break
+            total += 1
             node = child
-        total += matched
     return total
 
 
@@ -94,6 +83,10 @@ class PrefixCache:
     stops inserting once full; "lru" evicts least-recently-used childless
     blocks until the new insertion fits. Childless blocks wait in a heap
     keyed on their last access, as in RadixAttention's leaf LRU.
+
+    The trie is parallel lists indexed by block id, root at id 0: children
+    (block -> child id), parent (-1 for the root and evicted blocks), block
+    key, and the tick of the block's last match or insert.
     """
 
     def __init__(self, block_size: int = 1, capacity: int | None = None,
@@ -107,56 +100,61 @@ class PrefixCache:
         self.block_size = block_size
         self.capacity = capacity
         self.eviction = eviction
-        self._root = _TrieNode()
+        self._children: list[dict[tuple, int]] = [{}]
+        self._parent: list[int] = [-1]
+        self._key: list[tuple] = [()]
+        self._last_access: list[int] = [0]
         self._cached_tokens = 0
         self._clock = 0
-        # (last_access, block) for childless blocks; stale entries are dropped on pop
-        self._leaves: list[tuple[int, _TrieNode]] = []
+        # (last_access, id) for childless blocks; stale entries are dropped on pop
+        self._leaves: list[tuple[int, int]] = []
 
-    def _blocks(self, stream: Sequence[int]) -> list[tuple]:
-        size = self.block_size
-        count = len(stream) // size
-        return [tuple(stream[i * size:(i + 1) * size]) for i in range(count)]
+    def _blocks(self, stream: Sequence[int]):
+        """The full blocks of `stream` as tuples (zip on one shared iterator)."""
+        return zip(*[iter(stream)] * self.block_size)
 
-    def _tick(self) -> int:
-        self._clock += 1
-        return self._clock
-
-    def _settle(self, node: _TrieNode) -> None:
+    def _settle(self, node: int) -> None:
         """Queue `node` for eviction if it is a childless block.
 
         Along a touched path only the last node can be childless, so this
         runs once per match or insert.
         """
-        if self.eviction == "lru" and node.parent is not None and not node.children:
-            heapq.heappush(self._leaves, (node.last_access, node))
+        if self.eviction == "lru" and self._parent[node] >= 0 and not self._children[node]:
+            heapq.heappush(self._leaves, (self._last_access[node], node))
 
     def match(self, stream: Sequence[int]) -> int:
         """Tokens served from cache for this stream (block-aligned)."""
-        node = self._root
+        children, last_access = self._children, self._last_access
+        node = 0
         matched = 0
         for block in self._blocks(stream):
-            child = node.children.get(block)
+            child = children[node].get(block)
             if child is None:
                 break
-            child.last_access = self._tick()
+            self._clock += 1
+            last_access[child] = self._clock
             matched += self.block_size
             node = child
         self._settle(node)
         return matched
 
     def insert(self, stream: Sequence[int]) -> None:
-        node = self._root
+        children, parent, last_access = self._children, self._parent, self._last_access
+        node = 0
         for block in self._blocks(stream):
-            child = node.children.get(block)
+            child = children[node].get(block)
             if child is None:
                 if self.capacity is not None and self._cached_tokens + self.block_size > self.capacity:
                     if self.eviction != "lru" or not self._evict_one():
                         break
-                child = _TrieNode(node, block)
-                node.children[block] = child
+                child = children[node][block] = len(parent)
+                children.append({})
+                parent.append(node)
+                self._key.append(block)
+                last_access.append(0)
                 self._cached_tokens += self.block_size
-            child.last_access = self._tick()
+            self._clock += 1
+            last_access[child] = self._clock
             node = child
         self._settle(node)
 
@@ -171,11 +169,11 @@ class PrefixCache:
         """
         while self._leaves:
             tick, node = heapq.heappop(self._leaves)
-            if node.last_access != tick or node.children or node.parent is None:
+            parent = self._parent[node]
+            if self._last_access[node] != tick or self._children[node] or parent < 0:
                 continue
-            parent = node.parent
-            del parent.children[node.key]
-            node.parent = None
+            del self._children[parent][self._key[node]]
+            self._parent[node] = -1
             self._cached_tokens -= self.block_size
             self._settle(parent)
             return True

@@ -194,6 +194,8 @@ def _column(path: str, rows: list[tuple[int, dict]], key: str, convert,
 
 def _tokens(value) -> tuple:
     """A token sequence: an array of hashable tokens."""
+    if not isinstance(value, list):
+        raise TypeError(value)
     tokens = tuple(value)
     hash(tokens)  # a TypeError for a nested array
     return tokens
@@ -443,7 +445,7 @@ def cmd_vote(args) -> int:
     if not rows:
         raise ConfigError(f"no sequences found in {args.infile}")
     extractor = parse_extractor(args.extract)
-    texts = _column(args.infile, rows, "text", str)
+    texts = _column(args.infile, rows, "text", str.__str__)  # a TypeError for a non-string
     masses = _column(args.infile, rows, "q", _mass)
     result = majority_vote([(extractor(text), q) for text, q in zip(texts, masses)],
                            weighting=args.weighting)

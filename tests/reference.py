@@ -10,6 +10,7 @@ same quantities by a different route than the package does.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 import random
@@ -20,7 +21,6 @@ import numpy as np
 
 from dle import engine
 from dle.baseline import sample_sequences
-from dle.cache_sim import PrefixCache
 from dle.engine import (Budget, BranchPolicy, EnumerationResult, TokenStats,
                         enumerate_leaves)
 from dle.errors import ConfigError, ExpandingExpandedNode, ModelError
@@ -514,7 +514,122 @@ def pairwise_repetition_rate(generations) -> float:
     return pairwise_repeated_tokens(generations) / total if total else 0.0
 
 
-class WalkingPrefixCache(PrefixCache):
+class _TrieNode:
+    __slots__ = ("children", "last_access", "parent", "key")
+
+    def __init__(self, parent: "_TrieNode | None" = None, key: tuple = ()):
+        self.children: dict[tuple, "_TrieNode"] = {}
+        self.last_access = 0
+        self.parent = parent  # None for the root and for evicted blocks
+        self.key = key
+
+
+def node_theoretical_hit_count(streams) -> int:
+    """theoretical_hit_count on a trie of node objects keyed by 1-tuples,
+    looking up every token of a stream."""
+    if not streams:
+        raise ConfigError("theoretical_hit_count needs at least one stream")
+    root = _TrieNode()
+    total = 0
+    for stream in streams:
+        node = root
+        matched = 0
+        missed = False
+        for token in stream:
+            key = (token,)
+            child = node.children.get(key)
+            if child is None:
+                missed = True
+                child = _TrieNode()
+                node.children[key] = child
+            elif not missed:
+                matched += 1
+            node = child
+        total += matched
+    return total
+
+
+class NodePrefixCache:
+    """PrefixCache on a trie of linked node objects, each holding its own
+    children dict, parent, block key and last access; the LRU heap holds
+    (tick, node)."""
+
+    def __init__(self, block_size: int = 1, capacity: int | None = None,
+                 eviction: str = "none"):
+        if block_size < 1:
+            raise ConfigError(f"block_size must be >= 1, got {block_size}")
+        if capacity is not None and capacity < 0:
+            raise ConfigError(f"capacity must be >= 0, got {capacity}")
+        if eviction not in ("none", "lru"):
+            raise ConfigError(f"unknown eviction policy {eviction!r}")
+        self.block_size = block_size
+        self.capacity = capacity
+        self.eviction = eviction
+        self._root = _TrieNode()
+        self._cached_tokens = 0
+        self._clock = 0
+        self._leaves: list[tuple[int, _TrieNode]] = []
+
+    def _blocks(self, stream) -> list[tuple]:
+        size = self.block_size
+        count = len(stream) // size
+        return [tuple(stream[i * size:(i + 1) * size]) for i in range(count)]
+
+    def _tick(self) -> int:
+        self._clock += 1
+        return self._clock
+
+    def _settle(self, node: _TrieNode) -> None:
+        if self.eviction == "lru" and node.parent is not None and not node.children:
+            heapq.heappush(self._leaves, (node.last_access, node))
+
+    def match(self, stream) -> int:
+        node = self._root
+        matched = 0
+        for block in self._blocks(stream):
+            child = node.children.get(block)
+            if child is None:
+                break
+            child.last_access = self._tick()
+            matched += self.block_size
+            node = child
+        self._settle(node)
+        return matched
+
+    def insert(self, stream) -> None:
+        node = self._root
+        for block in self._blocks(stream):
+            child = node.children.get(block)
+            if child is None:
+                if self.capacity is not None and self._cached_tokens + self.block_size > self.capacity:
+                    if self.eviction != "lru" or not self._evict_one():
+                        break
+                child = _TrieNode(node, block)
+                node.children[block] = child
+                self._cached_tokens += self.block_size
+            child.last_access = self._tick()
+            node = child
+        self._settle(node)
+
+    def _evict_one(self) -> bool:
+        while self._leaves:
+            tick, node = heapq.heappop(self._leaves)
+            if node.last_access != tick or node.children or node.parent is None:
+                continue
+            parent = node.parent
+            del parent.children[node.key]
+            node.parent = None
+            self._cached_tokens -= self.block_size
+            self._settle(parent)
+            return True
+        return False
+
+    @property
+    def cached_tokens(self) -> int:
+        return self._cached_tokens
+
+
+class WalkingPrefixCache(NodePrefixCache):
     """PrefixCache whose LRU eviction walks the whole trie for its victim."""
 
     def insert(self, stream) -> None:

@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -8,7 +9,8 @@ from dle.cache_sim import CacheStats, PrefixCache, simulate, theoretical_hit_cou
 from dle.engine import Budget, BranchPolicy, enumerate_leaves
 from dle.errors import ConfigError, InvariantViolation
 from dle.truncation import Epsilon
-from reference import WalkingPrefixCache
+from reference import (NodePrefixCache, WalkingPrefixCache, node_theoretical_hit_count,
+                       pairwise_repeated_tokens)
 
 PROMPT = (100, 101, 102, 103, 104)
 HAND_STREAMS = [PROMPT + (1, 2, 3), PROMPT + (1, 2, 4)]  # abc / abd after a 5-token prompt
@@ -126,6 +128,49 @@ def test_heap_eviction_matches_the_trie_walk(streams, block_size, capacity, evic
         assert cache.match(streams[i // 2]) == walking.match(streams[i // 2])
     assert (simulate(streams, PrefixCache(block_size, capacity, eviction))
             == simulate(streams, WalkingPrefixCache(block_size, capacity, eviction)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(streams=branching_streams(), block_size=st.integers(1, 4),
+       capacity=st.one_of(st.none(), st.integers(0, 40)),
+       eviction=st.sampled_from(["none", "lru"]))
+def test_list_cache_matches_the_node_trie(streams, block_size, capacity, eviction):
+    cache = PrefixCache(block_size, capacity, eviction)
+    node = NodePrefixCache(block_size, capacity, eviction)
+    for i, stream in enumerate(streams):
+        assert cache.match(stream) == node.match(stream)
+        cache.insert(stream)
+        node.insert(stream)
+        assert cache.cached_tokens == node.cached_tokens
+        assert cache.match(streams[i // 2]) == node.match(streams[i // 2])
+    assert (simulate(streams, PrefixCache(block_size, capacity, eviction))
+            == simulate(streams, NodePrefixCache(block_size, capacity, eviction)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(streams=branching_streams(), prompt=st.lists(st.integers(0, 2), max_size=6))
+def test_dict_trie_hit_count_matches_the_node_trie_and_the_pairwise_loop(streams, prompt):
+    behind_prompt = [tuple(prompt) + stream for stream in streams]
+    words = [tuple(("the", "a", "cat")[t] for t in stream) for stream in behind_prompt]
+    for case in (streams, behind_prompt, words):
+        assert (theoretical_hit_count(case) == node_theoretical_hit_count(case)
+                == pairwise_repeated_tokens(case))
+
+
+def test_insert_adds_at_most_two_tracked_objects_per_fresh_block():
+    # A block costs its key tuple and, once it has a child, its children
+    # dict; a per-block node object would make three.
+    blocks = 1000
+    cache = PrefixCache(eviction="none")
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        cache.insert(tuple(range(blocks)))
+        added = len(gc.get_objects()) - before
+    finally:
+        gc.enable()
+    assert cache.cached_tokens == blocks
+    assert added <= 2 * blocks
 
 
 def test_lru_never_evicts_a_block_that_regained_a_child():

@@ -358,6 +358,11 @@ def test_vote_command(tmp_path):
     (["vote"], ['{"text": "a", "q": "abc"}'], "line 1: bad 'q' value 'abc'"),
     (["vote"], ['{"text": "a", "q": null}'], "line 1: bad 'q' value None"),
     (["cache-sim"], ['{"tokens": [1, [2]]}'], "line 1: bad 'tokens' value [1, [2]]"),
+    (["cache-sim"], ['{"tokens": "abc"}'], "line 1: bad 'tokens' value 'abc'"),
+    (["cache-sim"], ['{"tokens": {"a": 1}}'], "line 1: bad 'tokens' value {'a': 1}"),
+    (["vote"], ['{"text": null, "q": 0.5}', '{"text": "None", "q": 0.1}'],
+     "line 1: bad 'text' value None"),
+    (["vote"], ['{"text": ["a"], "q": 0.5}'], "line 1: bad 'text' value ['a']"),
 ])
 def test_bad_input_rows_exit_2_without_traceback(command, lines, message, tmp_path, capsys):
     rows = tmp_path / "rows.jsonl"
@@ -388,6 +393,8 @@ def test_vote_rejects_non_finite_or_negative_masses(q, tmp_path, capsys):
      "{manifest}: 'prompt_tokens' must be an array of token arrays\n"),
     ({"tokens": [1]}, "[[5, 6]]", "{manifest}: 'prompt_tokens' must be an array of token arrays\n"),
     ({"tokens": [1]}, '{"prompt_tokens": [[5, [6]]]}',
+     "{manifest}: 'prompt_tokens' must be an array of token arrays\n"),
+    ({"tokens": [1]}, '{"prompt_tokens": ["xy"]}',
      "{manifest}: 'prompt_tokens' must be an array of token arrays\n"),
 ])
 def test_bad_cache_sim_manifest_exits_2_without_traceback(row, manifest, message, tmp_path,
