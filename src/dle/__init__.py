@@ -14,20 +14,20 @@ from .baseline import SampleRun, sample_sequences
 from .engine import (Budget, BranchPolicy, EarlyStopConfig, EnumerationResult, Frontier,
                      enumerate_leaves, greedy_rollout, select_branch)
 from .metrics import coverage, expected_coverage_closed_form, repetition_rate
-from .model import (NgramModel, RemoteModel, TableModel, Vocabulary,
+from .model import (NgramModel, RemoteModel, SparseRow, TableModel, Vocabulary,
                     parse_model_spec, train_ngram_model)
 from .oracle import enumerate_all_leaves
 from .truncation import (ActiveSet, Composite, Epsilon, MinP, TopK, TopP,
-                         active_set, apply_temperature, greedy_token, parse_rule)
+                         active_set, apply_temperature, parse_rule)
 
 __all__ = [
     "__version__",
     "ActiveSet", "Budget", "BranchPolicy", "Composite", "EarlyStopConfig",
     "EnumerationResult", "Epsilon", "Frontier", "MinP", "NgramModel", "RemoteModel",
-    "SampleRun", "TableModel", "TopK", "TopP", "Vocabulary",
+    "SampleRun", "SparseRow", "TableModel", "TopK", "TopP", "Vocabulary",
     "active_set", "apply_temperature", "coverage",
     "enumerate_all_leaves", "enumerate_leaves",
-    "expected_coverage_closed_form", "greedy_rollout", "greedy_token",
+    "expected_coverage_closed_form", "greedy_rollout",
     "parse_model_spec", "parse_rule", "repetition_rate", "sample_sequences",
     "select_branch", "train_ngram_model",
 ]

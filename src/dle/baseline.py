@@ -49,9 +49,8 @@ class _StepCache:
         key = self.model.context(self.prompt, generated)
         entry = self.cache.get(key)
         if entry is None:
-            probs = self.model.next_distribution(self.prompt, generated)
-            probs = apply_temperature(probs, self.temperature)
-            active = active_set(probs, self.rule)
+            row = self.model.next_distribution(self.prompt, generated)
+            active = active_set(apply_temperature(row, self.temperature), self.rule)
             entry = (active.token_ids, active.log_weights,
                      tuple(itertools.accumulate(active.weights)))
             self.cache[key] = entry

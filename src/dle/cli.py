@@ -187,7 +187,7 @@ def _column(path: str, rows: list[tuple[int, dict]], key: str, convert,
         value = row.get(key, default)
         try:
             values.append(convert(value))
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ConfigError(f"{path} line {lineno}: bad {key!r} value {value!r}") from None
     return values
 
@@ -202,11 +202,20 @@ def _tokens(value) -> tuple:
 
 
 def _mass(value) -> float:
-    """A probability mass: a finite number >= 0."""
+    """A probability mass: a JSON number, finite and >= 0."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(value)
     q = float(value)
     if not 0.0 <= q < math.inf:  # also false for NaN
         raise ValueError(q)
     return q
+
+
+def _index(value) -> int:
+    """A prompt index: a JSON integer."""
+    if isinstance(value, bool):
+        raise TypeError(value)
+    return operator.index(value)
 
 
 def _manifest_prompts(infile: str) -> dict[int, tuple]:
@@ -429,7 +438,7 @@ def cmd_compare(args) -> int:
 def cmd_cache_sim(args) -> int:
     rows = _read_jsonl(args.infile)
     tokens = _column(args.infile, rows, "tokens", _tokens)
-    prompt_of = _column(args.infile, rows, "prompt", operator.index, default=0)
+    prompt_of = _column(args.infile, rows, "prompt", _index, default=0)
     prompts = _manifest_prompts(args.infile)
     streams = [prompts.get(idx, ()) + generated for idx, generated in zip(prompt_of, tokens)]
     if not streams:

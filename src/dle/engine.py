@@ -279,12 +279,12 @@ def greedy_rollout(model, rule: TruncationRule, tree: PrunedTree, start_node: in
         active = steps.get(context)
         if active is None:
             try:
-                probs = model.next_distribution(tuple(prompt), tuple(prefix))
+                row = model.next_distribution(prompt, prefix)
             except ModelError:
                 tree.mark_path(node_id, start_node, FAILED)
                 stats.discarded_tokens += len(appended)
                 raise
-            active = steps[context] = active_set(probs, rule)
+            active = steps[context] = active_set(row, rule)
         children = tree.expand_node(node_id, active)
         branches += children[1:]
         position = len(prefix)

@@ -1,9 +1,10 @@
 """Pluggable conditional next-token probability sources.
 
 Three backends share one protocol: ``next_distribution(prompt, generated)``,
-and ``context(prompt, generated)``, the hashable part of the prefix that the
-next distribution depends on. Two prefixes with equal contexts get the same
-distribution, so callers may reuse a step computed for either:
+which returns a `SparseRow`, and ``context(prompt, generated)``, the hashable
+part of the prefix that the next distribution depends on. Two prefixes with
+equal contexts get the same distribution, so callers may reuse a step
+computed for either:
 
 * TableModel — explicit transition table loaded from JSON. Transition keys
   are space-joined token strings of the generated prefix (prompt excluded),
@@ -34,7 +35,7 @@ import urllib.error
 import urllib.request
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -78,6 +79,47 @@ class Vocabulary:
         except KeyError:
             raise ConfigError(f"token {token!r} not in vocabulary") from None
 
+    def ids_of(self, tokens) -> tuple[int, ...]:
+        """The ids of an iterable of tokens, looked up without a Python call per token."""
+        try:
+            return tuple(map(self._index.__getitem__, tokens))
+        except KeyError as exc:
+            raise ConfigError(f"token {exc.args[0]!r} not in vocabulary") from None
+
+
+class SparseRow(NamedTuple):
+    """A next-token distribution over the ids 0..size-1, stored by its listed entries.
+
+    `ids` ascend, `probs[i]` is the probability of `ids[i]`, and every id not
+    listed has probability `floor`. No listed probability is below the
+    floor. Both are read-only sequences of Python numbers (tuples, or
+    read-only memoryviews of a model's arrays). A model's listed entries are
+    its observed continuations (n-gram), its table entries or its top-N
+    tokens, so a row costs those, not the vocabulary size.
+    """
+
+    ids: Sequence[int]
+    probs: Sequence[float]
+    floor: float
+    size: int
+
+    def dense(self) -> np.ndarray:
+        """The row as one float64 array of `size` probabilities."""
+        probs = np.full(self.size, self.floor)
+        probs[np.asarray(self.ids, dtype=np.intp)] = self.probs
+        return probs
+
+
+def _array(typecode: str, values: np.ndarray) -> memoryview:
+    """`values` as a read-only memoryview of an `array.array` of int64 ('q')
+    or float64 ('d'), copied without an intermediate bytes object. Its items
+    and the items of its slices, which share its memory, come out as Python
+    numbers."""
+    out = array.array(typecode)
+    dtype = {"q": np.int64, "d": np.float64}[typecode]
+    out.frombytes(np.ascontiguousarray(values, dtype=dtype).view(np.uint8))
+    return memoryview(out).toreadonly()
+
 
 def validate_distribution(probs: np.ndarray, vocab_size: int) -> np.ndarray:
     """Check length, finite non-negative entries, and unit mass within tolerance.
@@ -113,33 +155,45 @@ class TableModel:
 
     def __init__(self, vocab: Vocabulary, contexts: Sequence[tuple[int, ...]],
                  rows: np.ndarray, default: np.ndarray | None = None):
-        """rows[i] is the next-token distribution after contexts[i]. The model
-        keeps rows and default without copying and makes them read-only."""
+        """rows[i] is the dense next-token distribution after contexts[i].
+
+        The model validates rows and default, then keeps their entries
+        that are not +0.0 as compressed rows and drops the dense arrays: row
+        r lists ``_ids[_indptr[r]:_indptr[r + 1]]`` (ascending) with their
+        probabilities at the same offsets of ``_probs``, and the default is
+        the row after the last context's. A -0.0 entry is kept, so a row's
+        `dense()` is the given row byte for byte. The three are read-only
+        memoryviews of ``array.array``s, which hold no object the cyclic GC
+        tracks, and a row is a pair of slices of them.
+        """
         self.vocab = vocab
         rows = np.asarray(rows, dtype=np.float64)
         validate_distribution(rows, vocab.size)
-        rows.setflags(write=False)
-        self._transitions = dict(zip(map(tuple, contexts), rows))
+        self._transitions = dict(zip(map(tuple, contexts), range(len(rows))))
+        self._default = None
         if default is not None:
             default = np.asarray(default, dtype=np.float64)
-            default.setflags(write=False)
             validate_distribution(default, vocab.size)
-        self._default = default
+            self._default = len(rows)
+            rows = np.concatenate((rows, default[np.newaxis]))
+        row_of, ids = np.nonzero((rows != 0.0) | np.signbit(rows))
+        self._ids = _array("q", ids)
+        self._probs = _array("d", rows[row_of, ids])
+        self._indptr = _array("q", np.searchsorted(row_of, np.arange(len(rows) + 1)))
 
     def context(self, prompt: Sequence[int], generated: Sequence[int]) -> tuple[int, ...]:
         """The generated tokens: transitions do not depend on the prompt."""
         return tuple(generated)
 
-    def next_distribution(self, prompt: Sequence[int], generated: Sequence[int]) -> np.ndarray:
-        probs = self._transitions.get(tuple(generated))
-        if probs is None:
-            probs = self._default
-        if probs is None:
+    def next_distribution(self, prompt: Sequence[int], generated: Sequence[int]) -> SparseRow:
+        row = self._transitions.get(tuple(generated), self._default)
+        if row is None:
             raise MissingTransition(f"no transition for context {tuple(generated)!r} and no default")
-        return probs
+        lo, hi = self._indptr[row], self._indptr[row + 1]
+        return SparseRow(self._ids[lo:hi], self._probs[lo:hi], 0.0, self.vocab.size)
 
     def encode_prompt(self, text: str) -> tuple[int, ...]:
-        return tuple(self.vocab.id_of(tok) for tok in text.split())
+        return self.vocab.ids_of(text.split())
 
     def decode(self, token_ids: Sequence[int]) -> str:
         return " ".join(self.vocab.tokens[t] for t in token_ids)
@@ -158,7 +212,7 @@ class TableModel:
         for key, weights in raw_transitions.items():
             if not isinstance(weights, dict):
                 raise ConfigError(f"{what} transition {key!r} must be an object")
-            weights_of[tuple(map(vocab.id_of, key.split()))] = weights
+            weights_of[vocab.ids_of(key.split())] = weights
         rows = _weight_rows(vocab, list(weights_of.values()))
         default = None
         if "default" in doc:
@@ -214,7 +268,7 @@ def _field(doc, name: str, kind: str, what: str):
 def _weight_rows(vocab: Vocabulary, weights: list[dict]) -> np.ndarray:
     """A (len(weights), V) array whose row i holds weights[i], a token -> weight map."""
     chain = itertools.chain.from_iterable
-    cols = np.fromiter(chain(map(vocab.id_of, step) for step in weights), np.intp)
+    cols = np.fromiter(chain(map(vocab.ids_of, weights)), np.intp)
     try:
         values = np.fromiter(chain(step.values() for step in weights), np.float64, len(cols))
     except (TypeError, ValueError) as exc:
@@ -250,8 +304,9 @@ class NgramModel:
     continuations are ``_next_ids[_indptr[r]:_indptr[r + 1]]`` (ascending)
     with their counts at the same offsets of ``_next_counts`` and their
     smoothed counts, count + alpha, at those of ``_next_weights``.
-    ``_indptr`` is an ``array.array``: a row's bounds come out as Python
-    ints, at numpy's 8 bytes per row.
+    ``_indptr``, ``_next_ids`` and ``_next_weights`` are read-only
+    memoryviews of ``array.array``s: a slice of one gives Python numbers, at
+    numpy's 8 bytes per item.
     """
 
     def __init__(self, vocab: Vocabulary, order: int, alpha: float, tokenization: str,
@@ -277,12 +332,12 @@ class NgramModel:
         if (np.diff(key[by_key]) == 0).any():
             raise ConfigError("duplicate pair count")
         del key  # freed first, so the per-pair arrays below add nothing to the peak memory
-        self._next_ids = next_ids[by_key]
+        self._next_ids = _array("q", next_ids[by_key])
         self._next_counts = pairs[by_key, 2]
-        self._next_weights = self._next_counts + alpha
+        self._next_weights = _array("d", self._next_counts + alpha)
         indptr = np.zeros(len(totals) + 1, dtype=np.int64)
         np.cumsum(np.bincount(row_of, minlength=len(totals)), out=indptr[1:])
-        self._indptr = array.array("q", indptr.tobytes())
+        self._indptr = _array("q", indptr)
 
     def context(self, prompt: Sequence[int], generated: Sequence[int]) -> tuple[int, ...]:
         """The trailing (order - 1)-token window of prompt + generated, read
@@ -292,19 +347,21 @@ class NgramModel:
             return tuple(generated[tail - width:])
         return tuple(prompt[max(0, len(prompt) - width + tail):]) + tuple(generated)
 
-    def next_distribution(self, prompt: Sequence[int], generated: Sequence[int]) -> np.ndarray:
+    def next_distribution(self, prompt: Sequence[int], generated: Sequence[int]) -> SparseRow:
+        """The observed continuations of the context, with the smoothed
+        weight of an unseen one as the floor."""
         row = self._rows.get(self.context(prompt, generated))
         ctx_count = 0 if row is None else self._totals[row]
         size = self.vocab.size
         denom = ctx_count + self.alpha * size
-        probs = np.full(size, self.alpha / denom)
-        if ctx_count:
-            lo, hi = self._indptr[row], self._indptr[row + 1]
-            probs[self._next_ids[lo:hi]] = self._next_weights[lo:hi] / denom
-        return probs
+        if not ctx_count:
+            return SparseRow((), (), self.alpha / denom, size)
+        lo, hi = self._indptr[row], self._indptr[row + 1]
+        probs = tuple([w / denom for w in self._next_weights[lo:hi]])
+        return SparseRow(self._next_ids[lo:hi], probs, self.alpha / denom, size)
 
     def encode_prompt(self, text: str) -> tuple[int, ...]:
-        return tuple(self.vocab.id_of(tok) for tok in _tokenize(text, self.tokenization))
+        return self.vocab.ids_of(_tokenize(text, self.tokenization))
 
     def decode(self, token_ids: Sequence[int]) -> str:
         sep = "" if self.tokenization == "char" else " "
@@ -532,7 +589,8 @@ class RemoteModel:
         raise RemoteError(f"endpoint unreachable after {self.max_retries + 1} attempts",
                           attempts=self.max_retries + 1, last_status=last_status)
 
-    def next_distribution(self, prompt: Sequence[int], generated: Sequence[int]) -> np.ndarray:
+    def next_distribution(self, prompt: Sequence[int], generated: Sequence[int]) -> SparseRow:
+        """The returned top-N tokens, renormalized, with floor 0."""
         payload = {
             "prompt": self._request_text(prompt, generated),
             "max_tokens": 1,
@@ -552,9 +610,8 @@ class RemoteModel:
         if raw_mass < self.low_mass_warn:
             log.warning("top-%d tokens cover only %.3f raw probability mass; "
                         "truncation thresholds may be unreliable", self.top_n, raw_mass)
-        probs = np.zeros(len(self._tokens))
-        probs[ids] = raw / raw_mass
-        return probs
+        ids, probs = zip(*sorted(zip(ids, (raw / raw_mass).tolist())))
+        return SparseRow(ids, probs, 0.0, len(self._tokens))
 
 
 Model = TableModel | NgramModel | RemoteModel

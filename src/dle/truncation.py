@@ -1,15 +1,18 @@
 """Truncation rules and the renormalized per-step distribution.
 
-A rule selects the surviving tokens of a next-token distribution. With two
-or more survivors their probabilities are renormalized by the retained raw
-mass; with fewer than two the step degenerates to a point mass on the argmax
-token. Sequence-level probability is the product of the per-step weights,
-accumulated in log space.
+A rule selects the surviving tokens of a next-token distribution, a
+`SparseRow`. With two or more survivors their probabilities are renormalized
+by the retained raw mass; with fewer than two the step degenerates to a point
+mass on the argmax token. Sequence-level probability is the product of the
+per-step weights, accumulated in log space.
 
 Every rule keeps a prefix of one ranking of the tokens, probability
-descending and then token id ascending. The threshold rules (min_p,
-epsilon) are O(V) masks; top-k and top-p cut one stable ranking of what the
-masks keep, so a truncation sorts its pool at most once.
+descending and then token id ascending: the row's entries above its floor,
+sorted, then every other id in ascending order, all at the floor. The
+threshold rules (min_p, epsilon) narrow the listed entries, top-k and top-p
+cut the ranking of what they keep, and the floor ids are only enumerated as
+far as a survivor needs them. A step costs the row's listed entries and its
+survivors, not the vocabulary size.
 
 Rule syntax used by the CLI and config files::
 
@@ -24,15 +27,48 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Union
 
 import numpy as np
 
 from .errors import ConfigError
+from .model import SparseRow
+
+
+class _Rule:
+    """Base of the rules. Every rule keeps a prefix of the ranking, so a
+    rule, nested composites flattened, comes down to one plan, made once per
+    rule object: (the smallest k or None, the top-p thresholds, and the
+    thresholds a token's p must pass: p > strict, p >= inclusive and
+    p >= min_p times the row's largest probability)."""
+
+    @cached_property
+    def _plan(self) -> tuple[int | None, tuple[float, ...], float, float, float]:
+        top_k, top_ps, strict, inclusive, min_p = None, [], 0.0, 0.0, 0.0
+        pending = [self]
+        while pending:
+            sub = pending.pop()
+            if isinstance(sub, Composite):
+                pending.extend(sub.rules)
+            elif isinstance(sub, TopK):
+                top_k = sub.k if top_k is None else min(top_k, sub.k)
+            elif isinstance(sub, TopP):
+                top_ps.append(sub.p)
+            elif isinstance(sub, Epsilon):
+                if sub.inclusive:
+                    inclusive = max(inclusive, sub.eps)
+                else:
+                    strict = max(strict, sub.eps)
+            elif isinstance(sub, MinP):
+                min_p = max(min_p, sub.p_min)
+            else:
+                raise ConfigError(f"unknown truncation rule: {sub!r}")
+        return top_k, tuple(top_ps), strict, inclusive, min_p
 
 
 @dataclass(frozen=True)
-class TopK:
+class TopK(_Rule):
     k: int
 
     def __post_init__(self):
@@ -41,7 +77,7 @@ class TopK:
 
 
 @dataclass(frozen=True)
-class TopP:
+class TopP(_Rule):
     p: float
 
     def __post_init__(self):
@@ -50,7 +86,7 @@ class TopP:
 
 
 @dataclass(frozen=True)
-class MinP:
+class MinP(_Rule):
     p_min: float
 
     def __post_init__(self):
@@ -59,7 +95,7 @@ class MinP:
 
 
 @dataclass(frozen=True)
-class Epsilon:
+class Epsilon(_Rule):
     """Absolute probability threshold.
 
     Strict comparison (p > eps) by default. `inclusive=True` keeps tokens
@@ -76,7 +112,7 @@ class Epsilon:
 
 
 @dataclass(frozen=True)
-class Composite:
+class Composite(_Rule):
     rules: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
@@ -87,19 +123,28 @@ class Composite:
 TruncationRule = Union[TopK, TopP, MinP, Epsilon, Composite]
 
 
-# Below this many tokens a step finishes on Python floats. numpy's sum adds
-# fewer than 8 float64 values left to right, as a loop does, and pairwise from
-# 8 on, so only below 8 do Python floats give the same bits.
+# Below this many survivors the raw mass is a left-to-right loop, from 8 on
+# numpy's sum: numpy adds fewer than 8 float64 values left to right, as a loop
+# does, and pairwise from 8 on, so each size keeps the bits of numpy's sum.
 SMALL_POOL = 8
 
+# A row listing at least this many entries ranks them in numpy, and from this
+# many candidates on the top-p and floor-id steps run in numpy too. Measured
+# on random rows: where every candidate survives (top-p, epsilon), numpy's
+# fixed costs are repaid from about 64 tokens; a top-k cut to 8 breaks even
+# nearer 128 and costs up to a fifth more between.
+WIDE_ROW = 64
 
-@dataclass(frozen=True, slots=True)
+
+@dataclass(slots=True)
 class ActiveSet:
     """Surviving tokens with renormalized weights.
 
     token_ids / weights / log_weights are parallel tuples in canonical order:
     weight descending, token id ascending. A singleton carries weight exactly
     1.0. raw_mass is the un-renormalized probability retained by the rule.
+    Step memos share active sets, so they are never changed; the class is not
+    frozen because a frozen dataclass takes about four times as long to build.
     """
 
     token_ids: tuple[int, ...]
@@ -111,134 +156,157 @@ class ActiveSet:
         return len(self.token_ids)
 
 
-def greedy_token(probs: np.ndarray) -> int:
-    """Argmax token id; ties broken by lowest id."""
-    return int(np.argmax(probs))
+def _argmax(row: SparseRow) -> tuple[int, float]:
+    """The first entry of the row's ranking, (token id, probability): the
+    most probable token, ties broken by lowest id."""
+    ids, probs, floor, _ = row
+    top = max(probs) if probs else floor
+    if top > floor:
+        return ids[operator.indexOf(probs, top)], top
+    return 0, floor  # every id sits at the floor
 
 
-def _pool(probs: np.ndarray, rule: TruncationRule) -> tuple[np.ndarray, list[float], bool]:
-    """The rule's members before any top-p cut, the top-p thresholds still to
-    apply to them, and whether the members are ranked (else they ascend).
+def _survivors(row: SparseRow, above: float, at_least: float, top_k: int, top_ps: tuple,
+               floor_kept: bool) -> tuple:
+    """The ids and probabilities of the rule's members, with no degenerate
+    fallback, and whether they are ranked (else they ascend by id).
 
-    Every rule keeps a prefix of one ranking, probability descending and then
-    token id ascending, so a composite keeps the shortest of its rules'
-    prefixes. Threshold masks narrow the pool first, in O(V), and leave it in
-    ascending id order. A top-p rule, or a top-k rule that cuts the pool,
-    then ranks it with one stable sort, of the whole row when no threshold
-    narrowed it, and top-k keeps the ranking's first k. The ranked pool is a
-    prefix of the full ranking, so its cumulative sums equal the full ones
-    bit for bit.
+    The members are the listed entries with p > above and p >= at_least,
+    then, when `floor_kept`, the floor ids. When a top-k or top-p cut applies
+    they are ranked (p descending, id ascending) and cut: top-k to its first
+    top_k, top-p to the first prefix whose cumulative mass reaches each
+    threshold. The floor ids are enumerated only as far as a survivor needs
+    them. A row listing WIDE_ROW entries or more ranks them in numpy, a
+    partition first leaving only those that can reach the first top_k; from
+    WIDE_ROW candidates on the cuts run in numpy too. Fewer than SMALL_POOL
+    survivors come back as lists.
     """
-    rules = rule.rules if isinstance(rule, Composite) else (rule,)
-    mask = None
-    top_k = None
-    top_ps = []
-    for sub in rules:
-        if isinstance(sub, Epsilon):
-            keep = probs >= sub.eps if sub.inclusive else probs > sub.eps
-        elif isinstance(sub, MinP):
-            keep = probs >= sub.p_min * probs.max()
-        elif isinstance(sub, Composite):
-            keep = np.zeros(len(probs), dtype=bool)
-            keep[_top_p_cut(probs, *_pool(probs, sub)[:2])] = True
-        elif isinstance(sub, TopK):
-            top_k = sub.k if top_k is None else min(top_k, sub.k)
-            continue
-        elif isinstance(sub, TopP):
-            top_ps.append(sub.p)
-            continue
-        else:
-            raise ConfigError(f"unknown truncation rule: {sub!r}")
-        mask = keep if mask is None else mask & keep
-    # Threshold rules keep positive probabilities only.
-    ids = np.nonzero(probs > 0.0 if mask is None else mask)[0]
-    if not top_ps and (top_k is None or len(ids) <= top_k):
-        return ids, top_ps, False
-    if mask is None:
-        # Zero probabilities rank last.
-        ranked = np.argsort(-probs, kind="stable")[:len(ids)]
+    ids, probs, floor, size = row
+    if len(ids) < WIDE_ROW:
+        keep = [j for j, p in enumerate(probs) if p > above and p >= at_least]
+        candidates = size if floor_kept else len(keep)
+        length = min(top_k, candidates)
+        ranked = bool(top_ps) or length < candidates
+        if ranked:
+            # A stable sort of ascending ids breaks ties by id (`reverse=True` keeps it stable).
+            keep.sort(key=probs.__getitem__, reverse=True)
+            del keep[length:]
+        ids, raw = [ids[j] for j in keep], [probs[j] for j in keep]
     else:
-        ranked = ids[np.argsort(-probs[ids], kind="stable")]
-    return ranked[:top_k], top_ps, True
-
-
-def _top_p_cut(probs: np.ndarray, ranked: np.ndarray, top_ps: list[float]) -> np.ndarray:
-    """The prefix of a ranked pool within every top-p threshold: the rule's
-    members, with no degenerate fallback."""
-    if not top_ps:
-        return ranked
-    cum = np.cumsum(probs[ranked])
-    # First index where cumulative mass reaches the threshold is included.
-    return ranked[:min(int(np.searchsorted(cum, p - 1e-12, side="left")) + 1 for p in top_ps)]
-
-
-def _small_active_set(probs: np.ndarray, ids: np.ndarray, top_ps: list[float],
-                      ranked: bool) -> ActiveSet:
-    """The rest of a step on Python floats, for fewer than SMALL_POOL ids,
-    with numpy's bits: `accumulate` and `bisect_left` are `cumsum` and
-    `searchsorted`, and the loop adds in the order numpy's sum uses below
-    SMALL_POOL values."""
-    raw = probs[ids].tolist()
-    ids = ids.tolist()
+        raw, ids = np.asarray(probs, dtype=np.float64), np.asarray(ids)
+        keep = (raw > above) & (raw >= at_least)
+        raw, ids = raw[keep], ids[keep]
+        candidates = size if floor_kept else len(raw)
+        length = min(top_k, candidates)
+        ranked = bool(top_ps) or length < candidates
+        if ranked:
+            if length < len(raw):
+                near = raw >= np.partition(raw, len(raw) - length)[len(raw) - length]
+                raw, ids = raw[near], ids[near]
+            order = np.argsort(-raw, kind="stable")[:length]
+            raw, ids = raw[order], ids[order]
+        if length < WIDE_ROW:
+            ids, raw = ids.tolist(), raw.tolist()
+    wide = length >= WIDE_ROW
+    if wide:
+        ids, raw = np.asarray(ids, dtype=np.int64), np.asarray(raw, dtype=np.float64)
     if top_ps:
-        cum = list(itertools.accumulate(raw))
-        length = min(bisect.bisect_left(cum, p - 1e-12) + 1 for p in top_ps)
-        ids, raw = ids[:length], raw[:length]
-    if len(ids) <= 1:
-        # Every rule keeps a prefix of the ranking, so a lone survivor is the argmax.
-        g = ids[0] if ids else greedy_token(probs)
-        return ActiveSet((g,), (1.0,), (0.0,), float(probs[g]))
-    if ranked:
-        ids, raw = zip(*sorted(zip(ids, raw)))
-    raw_mass = 0.0
-    for value in raw:  # not sum(), which is compensated from Python 3.12
-        raw_mass += value
-    weights = [value / raw_mass for value in raw]
-    # A stable sort of ascending ids breaks weight ties by id (`reverse=True` keeps it stable).
-    canonical = operator.itemgetter(*sorted(range(len(ids)), key=weights.__getitem__,
-                                            reverse=True))
-    weights = canonical(weights)
-    return ActiveSet(canonical(ids), weights, tuple(map(math.log, weights)), raw_mass)
+        # Cumulative mass along the ranking, the floor ids after the kept entries.
+        extension = length - len(raw)
+        if wide:
+            cum = np.cumsum(np.concatenate((raw, np.full(extension, floor))))
+        else:
+            cum = list(itertools.accumulate(itertools.chain(raw, itertools.repeat(floor, extension))))
+        # First index where cumulative mass reaches the threshold is included.
+        length = min(length, *(bisect.bisect_left(cum, p - 1e-12) + 1 for p in top_ps))
+    fill = length - len(ids)
+    if fill > 0:
+        # The first floor ids: the ids not kept, ascending.
+        if wide:
+            free = np.ones(size, dtype=bool)
+            free[ids] = False
+            ids = np.concatenate((ids, np.flatnonzero(free)[:fill]))
+            raw = np.concatenate((raw, np.full(fill, floor)))
+        else:
+            listed = set(ids)
+            ids += itertools.islice(itertools.filterfalse(listed.__contains__, range(size)), fill)
+            raw += [floor] * fill
+        ranked = True
+    ids, raw = ids[:length], raw[:length]
+    if wide and length < SMALL_POOL:
+        ids, raw = ids.tolist(), raw.tolist()
+    return ids, raw, ranked
 
 
-def active_set(probs: np.ndarray, rule: TruncationRule) -> ActiveSet:
+def _finish(ids, raw, ranked: bool) -> ActiveSet:
+    """The active set of two or more survivors, in ascending id order unless
+    `ranked`. The raw mass is summed in ascending id order: a loop below
+    SMALL_POOL survivors, numpy's sum from there on."""
+    if len(ids) < SMALL_POOL:
+        if ranked:
+            ids, raw = zip(*sorted(zip(ids, raw)))
+        raw_mass = 0.0
+        for value in raw:  # not sum(), which is compensated from Python 3.12
+            raw_mass += value
+        weights = [value / raw_mass for value in raw]
+        # A stable sort of ascending ids breaks weight ties by id.
+        canonical = operator.itemgetter(*sorted(range(len(ids)), key=weights.__getitem__,
+                                                reverse=True))
+        ids, weights = canonical(ids), canonical(weights)
+    else:
+        ids, values = np.asarray(ids), np.asarray(raw)
+        if ranked:
+            by_id = np.argsort(ids)
+            ids, values = ids[by_id], values[by_id]
+        raw_mass = float(values.sum())
+        weights = values / raw_mass
+        order = np.argsort(-weights, kind="stable")
+        ids, weights = tuple(ids[order].tolist()), tuple(weights[order].tolist())
+    return ActiveSet(ids, weights, tuple(map(math.log, weights)), raw_mass)
+
+
+def active_set(row: SparseRow, rule: TruncationRule) -> ActiveSet:
     """Apply a truncation rule to one next-token distribution.
 
     Fewer than two survivors (possible for the absolute-threshold rule when
     even the argmax falls below the cutoff) degenerates to a point mass on
-    the argmax token with weight exactly 1.0. The O(V) narrowing and the one
-    ranking run in numpy; a pool of fewer than SMALL_POOL tokens finishes on
-    Python floats. Ranked survivors go back to ascending id order, the order
-    the raw mass is summed in.
+    the argmax token with weight exactly 1.0.
     """
-    ids, top_ps, ranked = _pool(probs, rule)
-    if top_ps and len(ids) >= SMALL_POOL:
-        ids, top_ps = _top_p_cut(probs, ids, top_ps), []
-    if len(ids) < SMALL_POOL:
-        return _small_active_set(probs, ids, top_ps, ranked)
-    if ranked:
-        ids = np.sort(ids)
-    raw = probs[ids]
-    raw_mass = float(raw.sum())
-    weights = raw / raw_mass
-    # Canonical order: weight descending, token id ascending.
-    order = np.lexsort((ids, -weights))
-    weights = tuple(weights[order].tolist())
-    return ActiveSet(tuple(ids[order].tolist()), weights, tuple(map(math.log, weights)), raw_mass)
+    _, probs, floor, size = row
+    top_k, top_ps, strict, inclusive, min_p = rule._plan
+    if min_p:
+        # No listed probability is below the floor, so it is the largest when none is listed.
+        if len(probs) >= WIDE_ROW:
+            top = float(np.max(probs))
+        else:
+            top = max(probs) if probs else floor
+        inclusive = max(inclusive, min_p * top)
+    # The floor ids pass the thresholds together; when they do, so does every
+    # entry above them, and they follow those in the ranking.
+    floor_kept = floor > strict and floor >= inclusive
+    ids, raw, ranked = _survivors(row, max(floor, strict), inclusive,
+                                  size if top_k is None else top_k, top_ps, floor_kept)
+    if len(ids) <= 1:
+        # Every rule keeps a prefix of the ranking, so a lone survivor is the argmax.
+        token, mass = (ids[0], raw[0]) if ids else _argmax(row)
+        return ActiveSet((token,), (1.0,), (0.0,), mass)
+    return _finish(ids, raw, ranked)
 
 
-def apply_temperature(probs: np.ndarray, temperature: float) -> np.ndarray:
-    """Rescale a probability vector as p^(1/T), renormalized.
+def apply_temperature(row: SparseRow, temperature: float) -> SparseRow:
+    """Rescale a distribution as p^(1/T), renormalized.
 
-    T=1 returns the input unchanged; T=0 is the greedy limit (point mass on
-    the argmax). Applied before truncation.
+    T=1 returns the row unchanged; T=0 is the greedy limit (point mass on
+    the argmax). Any other T rescales the dense row, and the ids at the floor
+    share one rescaled value. Applied before truncation.
     """
     if not temperature >= 0.0:  # NaN fails every comparison
         raise ConfigError(f"temperature must be >= 0, got {temperature}")
     if temperature == 1.0:
-        return probs
-    out = np.zeros_like(probs)
+        return row
+    ids, _, floor, size = row
     if temperature > 0.0:
+        probs = row.dense()
         positive = probs > 0.0
         with np.errstate(over="ignore"):
             logits = np.log(probs[positive]) / temperature
@@ -246,10 +314,13 @@ def apply_temperature(probs: np.ndarray, temperature: float) -> np.ndarray:
         # A T so small that the largest scaled logit overflows takes its limit, T=0.
         if math.isfinite(top):
             scaled = np.exp(logits - top)
+            out = np.zeros(size)
             out[positive] = scaled / scaled.sum()
-            return out
-    out[greedy_token(probs)] = 1.0
-    return out
+            unlisted = next(itertools.filterfalse(set(ids).__contains__, range(size)), None)
+            floor = 0.0 if floor == 0.0 or unlisted is None else float(out[unlisted])
+            return SparseRow(ids, tuple(out[np.asarray(ids, dtype=np.intp)].tolist()), floor,
+                             size)
+    return SparseRow((_argmax(row)[0],), (1.0,), 0.0, size)
 
 
 def parse_rule(text: str) -> TruncationRule:

@@ -25,11 +25,11 @@ from dle.engine import (Budget, BranchPolicy, EnumerationResult, TokenStats,
                         enumerate_leaves)
 from dle.errors import ConfigError, ExpandingExpandedNode, ModelError
 from dle.metrics import _check_masses, compensated_sum, coverage_curve
-from dle.model import NgramModel, Vocabulary, _tokenize
+from dle.model import NgramModel, SparseRow, Vocabulary, _tokenize
 from dle.oracle import enumerate_all_leaves
 from dle.tree import (EXPANDED, FAILED, LEAF, PRUNED_EARLY_STOP, STOP_EOS, STOP_LENGTH_CAP,
                       UNEXPANDED, Leaf, PrunedTree)
-from dle.truncation import Composite, Epsilon, MinP, TopK, TopP, active_set, greedy_token
+from dle.truncation import Composite, Epsilon, MinP, TopK, TopP, active_set
 
 
 class UnmemoizedModel:
@@ -335,6 +335,39 @@ def node_enumerate_leaves(model, rule, prompt, policy, budget, early_stop=None,
                              degraded=degraded, tree=tree if keep_tree else None)
 
 
+def sparse_row(probs) -> SparseRow:
+    """A dense distribution as a `SparseRow` with floor 0, listing every
+    entry that is not +0.0, as `TableModel` stores its rows."""
+    probs = np.asarray(probs, dtype=np.float64)
+    ids = np.flatnonzero((probs != 0.0) | np.signbit(probs))
+    return SparseRow(tuple(ids.tolist()), tuple(probs[ids].tolist()), 0.0, len(probs))
+
+
+def greedy_token(probs: np.ndarray) -> int:
+    """Argmax token id of a dense distribution; ties broken by lowest id."""
+    return int(np.argmax(probs))
+
+
+def dense_apply_temperature(probs: np.ndarray, temperature: float) -> np.ndarray:
+    """`truncation.apply_temperature` on a dense distribution, as the package
+    did before models returned sparse rows: p^(1/T) renormalized, T=0 and an
+    overflowing T give the argmax point mass."""
+    if temperature == 1.0:
+        return probs
+    out = np.zeros_like(probs)
+    if temperature > 0.0:
+        positive = probs > 0.0
+        with np.errstate(over="ignore"):
+            logits = np.log(probs[positive]) / temperature
+        top = logits.max()
+        if math.isfinite(top):
+            scaled = np.exp(logits - top)
+            out[positive] = scaled / scaled.sum()
+            return out
+    out[greedy_token(probs)] = 1.0
+    return out
+
+
 def sorting_member_ids(probs: np.ndarray, rule) -> np.ndarray:
     """Member ids by sorting the full vocabulary per rank rule, then intersecting."""
     if isinstance(rule, Composite):
@@ -422,9 +455,10 @@ def _numpy_member_ids(probs: np.ndarray, rule) -> np.ndarray:
 
 
 def numpy_active_set(probs: np.ndarray, rule) -> tuple[np.ndarray, np.ndarray, float]:
-    """(token ids, weights, raw mass) of the truncated step, every stage in
-    numpy whatever the number of survivors: `truncation.active_set` before
-    small pools finished on Python floats."""
+    """(token ids, weights, raw mass) of the truncated step on a dense
+    distribution, every stage in numpy whatever the number of survivors:
+    `truncation.active_set` before small pools finished on Python floats and
+    before models returned sparse rows."""
     ids = _numpy_member_ids(probs, rule)
     if len(ids) <= 1:
         g = greedy_token(probs)

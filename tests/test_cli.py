@@ -374,6 +374,27 @@ def test_bad_input_rows_exit_2_without_traceback(command, lines, message, tmp_pa
     assert not out.exists()
 
 
+# JSON booleans are integers to Python and numeric strings convert with
+# float(), but neither is a mass or a prompt index; nor is an integer too
+# large for a float.
+@pytest.mark.parametrize("command, line, message", [
+    (["vote", "--weighting", "prob"], '{"text": "a", "q": true}', "bad 'q' value True"),
+    (["vote", "--weighting", "prob"], '{"text": "a", "q": "0.9"}', "bad 'q' value '0.9'"),
+    (["vote", "--weighting", "prob"], '{"text": "a", "q": 1' + "0" * 400 + "}",
+     "bad 'q' value 1" + "0" * 400),
+    (["cache-sim"], '{"tokens": [1, 2], "prompt": true}', "bad 'prompt' value True"),
+    (["cache-sim"], '{"tokens": [1, 2], "prompt": "0"}', "bad 'prompt' value '0'"),
+], ids=["q-true", "q-string", "q-huge-int", "prompt-true", "prompt-string"])
+def test_boolean_or_string_numbers_in_rows_exit_2(command, line, message, tmp_path, capsys):
+    rows = tmp_path / "rows.jsonl"
+    rows.write_text('{"text": "b", "q": 0.5, "tokens": [3]}\n' + line + "\n")
+    out = tmp_path / "out.json"
+    code = main([*command, "--in", str(rows), "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {rows} line 2: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("q", ['"nan"', '"inf"', '"-inf"', "NaN", "Infinity", "-1", '"-0.5"'])
 def test_vote_rejects_non_finite_or_negative_masses(q, tmp_path, capsys):
     rows = tmp_path / "rows.jsonl"

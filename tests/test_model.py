@@ -16,7 +16,7 @@ def test_table_lookup_matches_document():
     doc = {"vocab": ["a", "b", "<eos>"], "eos": "<eos>",
            "transitions": {"": {"a": 0.9, "b": 0.1}, "a": {"<eos>": 1.0}, "b": {"<eos>": 1.0}}}
     model = TableModel.from_dict(doc)
-    probs = model.next_distribution((), ())
+    probs = model.next_distribution((), ()).dense()
     assert probs.tolist() == [0.9, 0.1, 0.0]
 
 
@@ -25,7 +25,7 @@ def test_table_default_distribution_fallback():
            "transitions": {"": {"a": 1.0}},
            "default": {"<eos>": 1.0}}
     model = TableModel.from_dict(doc)
-    assert model.next_distribution((), (0, 1)).tolist() == [0.0, 0.0, 1.0]
+    assert model.next_distribution((), (0, 1)).dense().tolist() == [0.0, 0.0, 1.0]
 
 
 def test_table_missing_transition_without_default():
@@ -72,16 +72,20 @@ def test_table_rejects_a_bad_default_and_non_numeric_weights():
 
 
 def test_table_rows_are_read_only(fig_tree_model):
-    probs = fig_tree_model.next_distribution((), ())
-    with pytest.raises(ValueError):
-        probs[0] = 0.5
+    row = fig_tree_model.next_distribution((), ())
+    assert (row.ids.tolist(), row.probs.tolist()) == ([0, 1], [0.9, 0.1])
+    assert (row.floor, row.size) == (0.0, 9)
+    with pytest.raises(TypeError):
+        row.probs[0] = 0.5
+    with pytest.raises(AttributeError):
+        row.floor = 0.5
 
 
 def test_table_contexts_spelled_twice_keep_the_last_weights():
     doc = {"vocab": ["a", "b", "<eos>"], "eos": "<eos>",
            "transitions": {"a": {"<eos>": 1.0}, "": {"a": 1.0}, " a ": {"b": 1.0}}}
     model = TableModel.from_dict(doc)
-    assert model.next_distribution((), (0,)).tolist() == [0.0, 1.0, 0.0]
+    assert model.next_distribution((), (0,)).dense().tolist() == [0.0, 1.0, 0.0]
 
 
 def test_table_calls_are_bit_identical():
@@ -90,14 +94,14 @@ def test_table_calls_are_bit_identical():
     model = TableModel.from_dict(doc)
     first = model.next_distribution((), ())
     second = model.next_distribution((), ())
-    assert np.array_equal(first, second)
+    assert first.dense().tobytes() == second.dense().tobytes()
 
 
 def test_table_round_trip_and_prompt_encoding(fig_tree_model, fig_tree_path):
     clone = TableModel.from_file(fig_tree_path)
     for context in ((), (0,), (0, 2), (1,)):
-        assert np.array_equal(clone.next_distribution((), context),
-                              fig_tree_model.next_distribution((), context))
+        assert clone.next_distribution((), context).dense().tobytes() == \
+            fig_tree_model.next_distribution((), context).dense().tobytes()
     assert fig_tree_model.encode_prompt("a c") == (0, 2)
     assert fig_tree_model.decode((0, 2)) == "a c"
 
@@ -105,13 +109,13 @@ def test_table_round_trip_and_prompt_encoding(fig_tree_model, fig_tree_path):
 def test_ngram_single_line_counts():
     # Line "a b" contributes events a, b, eos; vocab {a, b, eos}.
     model = train_ngram_model("a b", order=1, alpha=1.0)
-    probs = model.next_distribution((), ())
+    probs = model.next_distribution((), ()).dense()
     assert probs.tolist() == pytest.approx([2 / 6, 2 / 6, 2 / 6])
 
 
 def test_ngram_alpha_to_zero_recovers_frequencies():
     model = train_ngram_model("a a a b", order=1, alpha=1e-9)
-    probs = model.next_distribution((), ())
+    probs = model.next_distribution((), ()).dense()
     a, b = probs[0], probs[1]
     assert a / (a + b) == pytest.approx(0.75, abs=1e-6)
     assert b / (a + b) == pytest.approx(0.25, abs=1e-6)
@@ -122,8 +126,9 @@ def test_ngram_unseen_context_is_uniform():
     model = train_ngram_model("a b\nb a", order=2, alpha=0.5)
     # The eos token never precedes anything in training, so the context is
     # unseen and the conditional is pure smoothing.
-    probs = model.next_distribution((model.vocab.eos_id,), ())
-    assert probs.tolist() == pytest.approx([1 / 3] * 3)
+    row = model.next_distribution((model.vocab.eos_id,), ())
+    assert row == ((), (), 1 / 3, 3)
+    assert row.dense().tolist() == pytest.approx([1 / 3] * 3)
 
 
 def test_ngram_rejects_bad_parameters():
@@ -141,7 +146,7 @@ def test_ngram_smoothing_floor():
     size = model.vocab.size
     counts = {tuple(ctx): count for ctx, count in model.to_dict()["context_counts"]}
     for ctx in [(), (0,), (1,)]:
-        probs = model.next_distribution(ctx, ())
+        probs = model.next_distribution(ctx, ()).dense()
         ctx_count = counts.get(ctx[-1:], 0)
         floor = 0.25 / (ctx_count + 0.25 * size)
         assert probs.min() >= floor - 1e-15
@@ -155,8 +160,8 @@ def test_ngram_char_tokenization_and_round_trip(tmp_path):
     path = tmp_path / "model.json"
     path.write_text(json.dumps(model.to_dict()))
     clone = NgramModel.from_file(str(path))
-    assert np.array_equal(clone.next_distribution((), (0,)),
-                          model.next_distribution((), (0,)))
+    assert clone.next_distribution((), (0,)).dense().tobytes() == \
+        model.next_distribution((), (0,)).dense().tobytes()
 
 
 def test_ngram_document_with_inconsistent_counts_is_rejected():
@@ -174,8 +179,7 @@ def test_ngram_document_with_inconsistent_counts_is_rejected():
 
 def test_ngram_calls_are_bit_identical():
     model = train_ngram_model("a b a b", order=2, alpha=1.0)
-    assert np.array_equal(model.next_distribution((), (0,)),
-                          model.next_distribution((), (0,)))
+    assert model.next_distribution((), (0,)) == model.next_distribution((), (0,))
 
 
 def test_vocabulary_invariants():
@@ -192,7 +196,7 @@ def test_vocabulary_invariants():
 def test_remote_renormalizes_returned_logprobs(stub_server):
     stub_server.configure({"": {"x": -0.1, "y": -2.3}})
     model = RemoteModel(base_url=stub_server.url, top_n=5)
-    probs = model.next_distribution((), ())
+    probs = model.next_distribution((), ()).dense()
     raw = np.exp([-0.1, -2.3])
     expected = raw / raw.sum()
     x_id, y_id = model._ids["x"], model._ids["y"]
@@ -219,7 +223,7 @@ def test_remote_vocab_is_rebuilt_only_when_a_token_is_interned(stub_server):
 def test_remote_top_one_is_point_mass(stub_server):
     stub_server.configure({"": {"x": -0.1, "y": -2.3}})
     model = RemoteModel(base_url=stub_server.url, top_n=1)
-    probs = model.next_distribution((), ())
+    probs = model.next_distribution((), ()).dense()
     assert probs.max() == pytest.approx(1.0)
     assert (probs > 0).sum() == 1
 
@@ -227,7 +231,7 @@ def test_remote_top_one_is_point_mass(stub_server):
 def test_remote_retries_transient_failures(stub_server):
     stub_server.configure({"": {"x": -0.5}}, fail_first=2)
     model = RemoteModel(base_url=stub_server.url, top_n=1, max_retries=3, backoff=0.01)
-    probs = model.next_distribution((), ())
+    probs = model.next_distribution((), ()).dense()
     assert probs.max() == pytest.approx(1.0)
     assert len(stub_server.state.requests) == 3
 
@@ -349,6 +353,21 @@ def test_ngram_rows_match_the_count_dicts(corpus, order, alpha, tokenization):
     unseen = [(eos,) * (order - 1), (0,) * (order - 1), (eos,) * min(1, order - 1)]
     for ctx in [*context_counts, *unseen]:
         expected = loop_next_distribution(context_counts, pair_counts, ctx, alpha, len(tokens))
-        assert model.next_distribution(ctx, ()).tobytes() == expected.tobytes()
-        assert reference.next_distribution(ctx, ()).tobytes() == expected.tobytes()
-        assert loaded.next_distribution(ctx, ()).tobytes() == expected.tobytes()
+        row = model.next_distribution(ctx, ())
+        assert row.dense().tobytes() == expected.tobytes()
+        # The row lists the observed continuations only.
+        assert list(row.ids) == [t for t in range(len(tokens)) if (ctx, t) in pair_counts]
+        assert reference.next_distribution(ctx, ()).dense().tobytes() == expected.tobytes()
+        assert loaded.next_distribution(ctx, ()).dense().tobytes() == expected.tobytes()
+
+
+def test_ngram_row_over_a_wide_vocabulary_lists_the_observed_continuations():
+    size = 200_001
+    vocab = Vocabulary(tokens=tuple(map(str, range(size))), eos_id=size - 1)
+    pairs = np.array([[0, 7, 2], [0, 199_999, 1], [1, 3, 5]])
+    model = NgramModel(vocab, 2, 1.0, "whitespace", {(5,): 0, (6,): 1}, [3, 5], pairs)
+    row = model.next_distribution((5,), ())
+    assert list(row.ids) == [7, 199_999]
+    assert row.probs == (3 / (3 + size), 2 / (3 + size))
+    assert row.floor == 1 / (3 + size) and row.size == size
+    assert model.next_distribution((4,), ()) == ((), (), 1 / size, size)
