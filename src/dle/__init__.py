@@ -14,8 +14,8 @@ from .baseline import SampleRun, sample_sequences
 from .engine import (Budget, BranchPolicy, EarlyStopConfig, EnumerationResult, Frontier,
                      enumerate_leaves, greedy_rollout, select_branch)
 from .metrics import coverage, expected_coverage_closed_form, repetition_rate
-from .model import (NgramModel, RemoteModel, SparseRow, TableModel, Vocabulary,
-                    parse_model_spec, train_ngram_model)
+from .model import (NgramModel, SparseRow, TableModel, Vocabulary, parse_model_spec,
+                    train_ngram_model)
 from .oracle import enumerate_all_leaves
 from .truncation import (ActiveSet, Composite, Epsilon, MinP, TopK, TopP,
                          active_set, apply_temperature, parse_rule)
@@ -31,3 +31,11 @@ __all__ = [
     "parse_model_spec", "parse_rule", "repetition_rate", "sample_sequences",
     "select_branch", "train_ngram_model",
 ]
+
+
+def __getattr__(name: str):
+    # The remote client imports the HTTP stack, so it loads on first use.
+    if name == "RemoteModel":
+        from .remote import RemoteModel
+        return RemoteModel
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -185,15 +185,17 @@ class PrefixCache:
 
 
 def simulate(streams: Sequence[Sequence[int]], cache: PrefixCache) -> CacheStats:
-    """Replay streams in generation order through the cache."""
+    """Replay streams in generation order through the cache, after counting
+    the reuse ceiling: its trie is freed before the cache fills."""
     if not streams:
         raise ConfigError("simulate needs at least one stream")
+    theoretical = theoretical_hit_count(streams)
     actual = 0
     for stream in streams:
         actual += cache.match(stream)
         cache.insert(stream)
     return CacheStats(
         actual_hits=actual,
-        theoretical_hits=theoretical_hit_count(streams),
+        theoretical_hits=theoretical,
         flat_length=sum(len(s) for s in streams),
     )

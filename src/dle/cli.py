@@ -34,7 +34,7 @@ from .engine import (Budget, BranchPolicy, EarlyStopConfig, EnumerationResult,
 from .errors import ConfigError, DleError, InvariantViolation, ModelError
 from .metrics import (check_coverage, compensated_prefix_sums, coverage, coverage_curve,
                       expected_coverage_closed_form)
-from .model import RemoteModel, parse_model_spec, read_corpus, train_ngram_model
+from .model import NgramModel, TableModel, parse_model_spec, read_corpus, train_ngram_model
 from .oracle import enumerate_all_leaves
 from .truncation import parse_rule
 
@@ -64,25 +64,26 @@ def _single_prompt(args, model) -> tuple[int, ...]:
 def _parse_k_range(text: str) -> list[int]:
     lo, sep, hi = text.partition("..")
     try:
-        if sep:
-            start, stop = int(lo), int(hi)
-        else:
-            start = stop = int(lo)
-    except ValueError as exc:
-        raise ConfigError(f"bad k range {text!r}, expected N or N..M") from exc
-    if start < 1 or stop < start:
+        start = _count(lo)
+        stop = _count(hi) if sep else start
+    except argparse.ArgumentTypeError as exc:
+        raise ConfigError(f"bad k range {text!r}: {exc}") from None
+    if stop < start:
         raise ConfigError(f"bad k range {text!r}")
     return list(range(start, stop + 1))
 
 
 def _count(text: str, minimum: int = 1) -> int:
-    """An integer argument >= minimum."""
+    """An integer argument from minimum to sys.maxsize: a count above that
+    cannot index or size a list."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
     if value < minimum:
         raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+    if value > sys.maxsize:
+        raise argparse.ArgumentTypeError(f"must be <= {sys.maxsize}, got {value}")
     return value
 
 
@@ -242,17 +243,14 @@ def _manifest_prompts(infile: str) -> dict[int, tuple]:
 def _run_prompts(args, model, prompt_ids: list[tuple[int, ...]], command: str, config: dict,
                  run_one, rows_of) -> tuple[list, bool]:
     """Run `run_one(prompt_ids, steps)` on every prompt, then write the rows
-    and the manifest.
-
-    Table and n-gram prompts run in sequence and share one step memo, so a
-    context seen under any prompt is computed once. Remote prompts run on a
-    pool of `--workers` threads, each with its own memo: a remote context
-    holds the whole prompt, so a shared memo would only grow.
+    and the manifest. Table and n-gram prompts run in sequence and share one
+    step memo, so a context seen under any prompt is computed once. Remote
+    prompts run on a pool of `--workers` threads, each with its own memo: a
+    remote context holds the whole prompt, so a shared memo would only grow.
     `rows_of(prompt_ids, result)` turns one result into output rows;
     multi-prompt rows also carry the prompt's index. Returns the results and
-    whether any of them is degraded.
-    """
-    if isinstance(model, RemoteModel) and len(prompt_ids) > 1:
+    whether any of them is degraded."""
+    if not isinstance(model, (TableModel, NgramModel)) and len(prompt_ids) > 1:
         with ThreadPoolExecutor(max_workers=args.workers) as pool:
             results = list(pool.map(run_one, prompt_ids, itertools.repeat(None)))
     else:
@@ -424,14 +422,11 @@ def cmd_compare(args) -> int:
                          args.max_seq_len, with_tokens)
     out = Path(args.out)
     _write_csv(out, rows)
-    config = {"model": args.model, "rule": args.rule, "policy": args.policy,
-              "sample_seeds": args.sample_seeds, "max_seq_len": args.max_seq_len,
-              "prompt_file": args.prompt_file}
-    if with_tokens:
-        config["k"] = args.k
-    else:
-        config["k_max"] = args.k_max
-    _write_manifest(out, args.command, config)
+    _write_manifest(out, args.command, {
+        "model": args.model, "rule": args.rule, "policy": args.policy,
+        "sample_seeds": args.sample_seeds, "max_seq_len": args.max_seq_len,
+        "prompt_file": args.prompt_file,
+        **({"k": args.k} if with_tokens else {"k_max": args.k_max})})
     return 0
 
 
@@ -524,7 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="enumeration vs sampling coverage and tokens")
     add_model_args(p)
     p.add_argument("--policy", default="probfirst")
-    p.add_argument("--k", required=True, help="k range, e.g. 1..32 or 8")
+    p.add_argument("--k", required=True, help=f"k range, e.g. 1..32 or 8; ends <= {sys.maxsize}")
     p.add_argument("--sample-seeds", type=_count, default=10)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_compare)
@@ -532,7 +527,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("coverage-curve", help="per-k coverage CSV")
     add_model_args(p)
     p.add_argument("--policy", default="probfirst")
-    p.add_argument("--k-max", type=_count, required=True)
+    p.add_argument("--k-max", type=_count, required=True, help=f"largest k, <= {sys.maxsize}")
     p.add_argument("--sample-seeds", type=_count, default=10)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_compare)
@@ -541,7 +536,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--capacity", type=_capacity, default="inf",
                    help="max cached tokens, or 'inf'")
-    p.add_argument("--block", type=int, default=1, help="tokens per cache block")
+    p.add_argument("--block", type=_count, default=1,
+                   help=f"tokens per cache block, <= {sys.maxsize}")
     p.add_argument("--evict", default="none", choices=["none", "lru"])
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_cache_sim)

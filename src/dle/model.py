@@ -12,13 +12,12 @@ computed for either:
 * NgramModel — add-alpha smoothed n-gram model trained from plain text, one
   training sequence per line, end-of-sequence appended once per line.
 * RemoteModel — adapter for HTTP endpoints that serve per-token
-  log-probabilities. The returned top-N tokens are treated as the entire
-  support and renormalized; a warning is logged when their raw mass is too
-  small to trust threshold rules.
+  log-probabilities. It lives in `dle.remote`, which `parse_model_spec`
+  imports only for ``remote:`` specs, so local runs never load its HTTP
+  stack.
 
 Table and n-gram models are immutable after construction and safe for
-concurrent read-only queries. The remote client bounds in-flight requests
-with a semaphore and retries transient failures with exponential backoff.
+concurrent read-only queries.
 """
 
 from __future__ import annotations
@@ -26,26 +25,19 @@ from __future__ import annotations
 import array
 import itertools
 import json
-import logging
 import math
-import os
-import threading
-import time
-import urllib.error
-import urllib.request
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, EmptyCorpus, MissingTransition, RemoteError
+from .errors import ConfigError, EmptyCorpus, MissingTransition
 
-log = logging.getLogger(__name__)
+if TYPE_CHECKING:
+    from .remote import RemoteModel
 
 DIST_SUM_TOL = 1e-9
-REMOTE_URL_ENV = "DLE_REMOTE_URL"
-REMOTE_KEY_ENV = "DLE_REMOTE_KEY"
 
 
 @dataclass(frozen=True)
@@ -121,30 +113,6 @@ def _array(typecode: str, values: np.ndarray) -> memoryview:
     return memoryview(out).toreadonly()
 
 
-def validate_distribution(probs: np.ndarray, vocab_size: int) -> np.ndarray:
-    """Check length, finite non-negative entries, and unit mass within tolerance.
-
-    probs is one distribution or a 2-D stack of them, one per row. A stack is
-    checked in one pass, and the error describes the first bad row.
-    """
-    rows = np.atleast_2d(probs)
-    if rows.shape[-1] != vocab_size:
-        raise ConfigError(f"distribution length {rows.shape[-1]} != vocabulary size {vocab_size}")
-    negative = (rows < 0.0).any(axis=1)
-    non_finite = ~np.isfinite(rows).all(axis=1)
-    totals = rows.sum(axis=1)
-    bad = np.flatnonzero(negative | non_finite | (np.abs(totals - 1.0) > DIST_SUM_TOL))
-    if len(bad):
-        row = bad[0]
-        if negative[row]:
-            raise ConfigError("distribution has negative entries")
-        if non_finite[row]:
-            raise ConfigError("distribution has non-finite entries")
-        raise ConfigError(f"distribution sums to {float(totals[row])!r}, "
-                          f"expected 1 within {DIST_SUM_TOL}")
-    return probs
-
-
 class TableModel:
     """Explicit transition table over a fixed vocabulary.
 
@@ -154,32 +122,28 @@ class TableModel:
     """
 
     def __init__(self, vocab: Vocabulary, contexts: Sequence[tuple[int, ...]],
-                 rows: np.ndarray, default: np.ndarray | None = None):
-        """rows[i] is the dense next-token distribution after contexts[i].
+                 lengths: np.ndarray, ids: np.ndarray, probs: np.ndarray):
+        """Row i is the next `lengths[i]` entries of `ids` and `probs`: the
+        distribution after contexts[i] or, one row past them, the default.
 
-        The model validates rows and default, then keeps their entries
-        that are not +0.0 as compressed rows and drops the dense arrays: row
-        r lists ``_ids[_indptr[r]:_indptr[r + 1]]`` (ascending) with their
-        probabilities at the same offsets of ``_probs``, and the default is
-        the row after the last context's. A -0.0 entry is kept, so a row's
-        `dense()` is the given row byte for byte. The three are read-only
-        memoryviews of ``array.array``s, which hold no object the cyclic GC
-        tracks, and a row is a pair of slices of them.
+        Each row is checked from its listed entries (`_check_rows`), and those
+        that are not +0.0 are kept: row r lists ``_ids[_indptr[r]:_indptr[r +
+        1]]`` (ascending) with their probabilities at the same offsets of
+        ``_probs``. Kept -0.0 entries make a row's `dense()` its weights' dense
+        row byte for byte. The three are read-only memoryviews of
+        ``array.array``s, which hold no object the cyclic GC tracks.
         """
         self.vocab = vocab
-        rows = np.asarray(rows, dtype=np.float64)
-        validate_distribution(rows, vocab.size)
-        self._transitions = dict(zip(map(tuple, contexts), range(len(rows))))
-        self._default = None
-        if default is not None:
-            default = np.asarray(default, dtype=np.float64)
-            validate_distribution(default, vocab.size)
-            self._default = len(rows)
-            rows = np.concatenate((rows, default[np.newaxis]))
-        row_of, ids = np.nonzero((rows != 0.0) | np.signbit(rows))
-        self._ids = _array("q", ids)
-        self._probs = _array("d", rows[row_of, ids])
-        self._indptr = _array("q", np.searchsorted(row_of, np.arange(len(rows) + 1)))
+        self._transitions = dict(zip(map(tuple, contexts), range(len(contexts))))
+        self._default = len(contexts) if len(lengths) > len(contexts) else None
+        row_of = np.repeat(np.arange(len(lengths)), lengths)
+        by_id = np.lexsort((ids, row_of))
+        ids, probs = ids[by_id], probs[by_id]
+        _check_rows(lengths, row_of, ids, probs, vocab.size)
+        keep = (probs != 0.0) | np.signbit(probs)
+        self._ids = _array("q", ids[keep])
+        self._probs = _array("d", probs[keep])
+        self._indptr = _array("q", np.searchsorted(row_of[keep], np.arange(len(lengths) + 1)))
 
     def context(self, prompt: Sequence[int], generated: Sequence[int]) -> tuple[int, ...]:
         """The generated tokens: transitions do not depend on the prompt."""
@@ -213,11 +177,10 @@ class TableModel:
             if not isinstance(weights, dict):
                 raise ConfigError(f"{what} transition {key!r} must be an object")
             weights_of[vocab.ids_of(key.split())] = weights
-        rows = _weight_rows(vocab, list(weights_of.values()))
-        default = None
+        parts = [_listed(vocab, list(weights_of.values()))]
         if "default" in doc:
-            default = _weight_rows(vocab, [_field(doc, "default", "an object", what)])[0]
-        return cls(vocab, list(weights_of), rows, default)
+            parts.append(_listed(vocab, [_field(doc, "default", "an object", what)]))
+        return cls(vocab, list(weights_of), *map(np.concatenate, zip(*parts)))
 
     @classmethod
     def from_file(cls, path: str) -> "TableModel":
@@ -265,19 +228,39 @@ def _field(doc, name: str, kind: str, what: str):
     return doc[name]
 
 
-def _weight_rows(vocab: Vocabulary, weights: list[dict]) -> np.ndarray:
-    """A (len(weights), V) array whose row i holds weights[i], a token -> weight map."""
+def _listed(vocab: Vocabulary, weights: list[dict]) -> tuple[np.ndarray, ...]:
+    """(entries per row, token ids, weights) of token -> weight maps, chained."""
     chain = itertools.chain.from_iterable
-    cols = np.fromiter(chain(map(vocab.ids_of, weights)), np.intp)
+    ids = np.fromiter(chain(map(vocab.ids_of, weights)), np.intp)
     try:
-        values = np.fromiter(chain(step.values() for step in weights), np.float64, len(cols))
+        values = np.fromiter(chain(step.values() for step in weights), np.float64, len(ids))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"transition weights must be numbers: {exc}") from None
-    counts = np.fromiter(map(len, weights), np.intp, len(weights))
-    rows = np.repeat(np.arange(len(weights)), counts)
-    out = np.zeros((len(weights), vocab.size))
-    out[rows, cols] = values
-    return out
+    return np.fromiter(map(len, weights), np.intp, len(weights)), ids, values
+
+
+def _check_rows(lengths: np.ndarray, row_of: np.ndarray, ids: np.ndarray, probs: np.ndarray,
+                size: int) -> None:
+    """Raise ConfigError for the first row r, the entries j with row_of[j] == r
+    (row_of ascends), that has a negative or non-finite entry or a sum off 1
+    by more than DIST_SUM_TOL. The sum is numpy's over the dense row. On
+    non-negative entries `bincount`'s sum is within (lengths[r] * eps) * total
+    of it, so only rows that close to the bound, or past it, are made dense.
+    """
+    negative = np.bincount(row_of, probs < 0.0, len(lengths)) > 0
+    non_finite = np.bincount(row_of, ~np.isfinite(probs), len(lengths)) > 0
+    totals = np.bincount(row_of, probs, len(lengths))
+    slack = lengths * 2.0 ** -52 * totals
+    for row in np.flatnonzero(negative | non_finite | (np.abs(totals - 1.0) > DIST_SUM_TOL - slack)):
+        if negative[row]:
+            raise ConfigError("distribution has negative entries")
+        if non_finite[row]:
+            raise ConfigError("distribution has non-finite entries")
+        lo, hi = np.searchsorted(row_of, (row, row + 1))
+        total = SparseRow(ids[lo:hi], probs[lo:hi], 0.0, size).dense().sum()
+        if abs(total - 1.0) > DIST_SUM_TOL:
+            raise ConfigError(f"distribution sums to {float(total)!r}, "
+                              f"expected 1 within {DIST_SUM_TOL}")
 
 
 EOS_TOKEN = "<eos>"
@@ -502,122 +485,7 @@ def _count_windows(ids: np.ndarray, lengths: np.ndarray, order: int,
     return windows[:, starts], totals.tolist(), pairs
 
 
-class RemoteModel:
-    """Adapter for an HTTP endpoint serving top-N next-token log-probabilities.
-
-    The request body carries the prompt text, a request for exactly one new
-    token, and the number of top alternatives. Token strings are interned
-    into a growing vocabulary with stable ids. Base URL and auth token come
-    from the DLE_REMOTE_URL / DLE_REMOTE_KEY environment variables unless
-    given explicitly.
-    """
-
-    def __init__(self, base_url: str | None = None, api_key: str | None = None,
-                 top_n: int = 20, eos_token: str = EOS_TOKEN,
-                 max_retries: int = 3, backoff: float = 0.1, timeout: float = 10.0,
-                 max_in_flight: int = 8, low_mass_warn: float = 0.5):
-        base_url = base_url or os.environ.get(REMOTE_URL_ENV)
-        if not base_url:
-            raise ConfigError(f"remote model needs a base URL ({REMOTE_URL_ENV} unset)")
-        if top_n < 1:
-            raise ConfigError(f"top_n must be >= 1, got {top_n}")
-        self.base_url = base_url
-        self.api_key = api_key if api_key is not None else os.environ.get(REMOTE_KEY_ENV)
-        self.top_n = top_n
-        self.max_retries = max_retries
-        self.backoff = backoff
-        self.timeout = timeout
-        self.low_mass_warn = low_mass_warn
-        self._semaphore = threading.Semaphore(max_in_flight)
-        self._lock = threading.Lock()
-        self._tokens: list[str] = [eos_token]
-        self._ids: dict[str, int] = {eos_token: 0}
-        self._vocab = Vocabulary(tokens=(eos_token,), eos_id=0)
-
-    @property
-    def vocab(self) -> Vocabulary:
-        # Tokens are only ever appended, so the count identifies a generation.
-        with self._lock:
-            if self._vocab.size != len(self._tokens):
-                self._vocab = Vocabulary(tokens=tuple(self._tokens), eos_id=0)
-            return self._vocab
-
-    def _intern(self, token: str) -> int:
-        with self._lock:
-            idx = self._ids.get(token)
-            if idx is None:
-                idx = len(self._tokens)
-                self._tokens.append(token)
-                self._ids[token] = idx
-            return idx
-
-    def encode_prompt(self, text: str) -> tuple[int, ...]:
-        return tuple(self._intern(word) for word in text.split())
-
-    def decode(self, token_ids: Sequence[int]) -> str:
-        return "".join(self._tokens[t] for t in token_ids)
-
-    def context(self, prompt: Sequence[int], generated: Sequence[int]) -> tuple:
-        """The whole prefix: the endpoint may condition on all of it."""
-        return tuple(prompt), tuple(generated)
-
-    def _request_text(self, prompt: Sequence[int], generated: Sequence[int]) -> str:
-        prompt_text = " ".join(self._tokens[t] for t in prompt)
-        return prompt_text + self.decode(tuple(generated))
-
-    def _post(self, payload: dict) -> dict:
-        body = json.dumps(payload).encode("utf-8")
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
-        request = urllib.request.Request(self.base_url, data=body, headers=headers, method="POST")
-        last_status = None
-        for attempt in range(self.max_retries + 1):
-            if attempt:
-                time.sleep(self.backoff * (2 ** (attempt - 1)))
-            try:
-                with self._semaphore:
-                    with urllib.request.urlopen(request, timeout=self.timeout) as resp:
-                        return json.loads(resp.read().decode("utf-8"))
-            except urllib.error.HTTPError as exc:
-                last_status = exc.code
-                if exc.code < 500:
-                    raise RemoteError(f"endpoint rejected request: HTTP {exc.code}",
-                                      attempts=attempt + 1, last_status=exc.code) from exc
-            except (urllib.error.URLError, TimeoutError, OSError, json.JSONDecodeError):
-                pass
-        raise RemoteError(f"endpoint unreachable after {self.max_retries + 1} attempts",
-                          attempts=self.max_retries + 1, last_status=last_status)
-
-    def next_distribution(self, prompt: Sequence[int], generated: Sequence[int]) -> SparseRow:
-        """The returned top-N tokens, renormalized, with floor 0."""
-        payload = {
-            "prompt": self._request_text(prompt, generated),
-            "max_tokens": 1,
-            "logprobs": self.top_n,
-        }
-        doc = self._post(payload)
-        try:
-            top = doc["choices"][0]["logprobs"]["top_logprobs"][0]
-        except (KeyError, IndexError, TypeError) as exc:
-            raise RemoteError(f"malformed endpoint payload: {doc!r}") from exc
-        if not top:
-            raise RemoteError("endpoint returned no log-probabilities")
-
-        ids = [self._intern(tok) for tok in top.keys()]
-        raw = np.exp(np.fromiter(top.values(), dtype=np.float64))
-        raw_mass = float(raw.sum())
-        if raw_mass < self.low_mass_warn:
-            log.warning("top-%d tokens cover only %.3f raw probability mass; "
-                        "truncation thresholds may be unreliable", self.top_n, raw_mass)
-        ids, probs = zip(*sorted(zip(ids, (raw / raw_mass).tolist())))
-        return SparseRow(ids, probs, 0.0, len(self._tokens))
-
-
-Model = TableModel | NgramModel | RemoteModel
-
-
-def parse_model_spec(spec: str) -> Model:
+def parse_model_spec(spec: str) -> TableModel | NgramModel | RemoteModel:
     """Build a model from CLI syntax.
 
     ``table:PATH`` — transition-table JSON document.
@@ -654,6 +522,7 @@ def parse_model_spec(spec: str) -> Model:
             kwargs["eos_token"] = options["eos"]
         if "url" in options:
             kwargs["base_url"] = options["url"]
+        from .remote import RemoteModel
         return RemoteModel(**kwargs)
     raise ConfigError(f"unknown model kind {kind!r} (use table, ngram, or remote)")
 

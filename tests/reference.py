@@ -25,7 +25,8 @@ from dle.engine import (Budget, BranchPolicy, EnumerationResult, TokenStats,
                         enumerate_leaves)
 from dle.errors import ConfigError, ExpandingExpandedNode, ModelError
 from dle.metrics import _check_masses, compensated_sum, coverage_curve
-from dle.model import NgramModel, SparseRow, Vocabulary, _tokenize
+from dle.model import (DIST_SUM_TOL, NgramModel, SparseRow, TableModel, Vocabulary, _array,
+                       _field, _tokenize)
 from dle.oracle import enumerate_all_leaves
 from dle.tree import (EXPANDED, FAILED, LEAF, PRUNED_EARLY_STOP, STOP_EOS, STOP_LENGTH_CAP,
                       UNEXPANDED, Leaf, PrunedTree)
@@ -469,6 +470,88 @@ def numpy_active_set(probs: np.ndarray, rule) -> tuple[np.ndarray, np.ndarray, f
     # Canonical order: weight descending, token id ascending.
     order = np.lexsort((ids, -weights))
     return ids[order].astype(np.int64), weights[order], raw_mass
+
+
+def validate_distribution(probs: np.ndarray, vocab_size: int) -> np.ndarray:
+    """Check length, finite non-negative entries, and unit mass within tolerance.
+
+    probs is one distribution or a 2-D stack of them, one per row. A stack is
+    checked in one pass, and the error describes the first bad row.
+    """
+    rows = np.atleast_2d(probs)
+    if rows.shape[-1] != vocab_size:
+        raise ConfigError(f"distribution length {rows.shape[-1]} != vocabulary size {vocab_size}")
+    negative = (rows < 0.0).any(axis=1)
+    non_finite = ~np.isfinite(rows).all(axis=1)
+    totals = rows.sum(axis=1)
+    bad = np.flatnonzero(negative | non_finite | (np.abs(totals - 1.0) > DIST_SUM_TOL))
+    if len(bad):
+        row = bad[0]
+        if negative[row]:
+            raise ConfigError("distribution has negative entries")
+        if non_finite[row]:
+            raise ConfigError("distribution has non-finite entries")
+        raise ConfigError(f"distribution sums to {float(totals[row])!r}, "
+                          f"expected 1 within {DIST_SUM_TOL}")
+    return probs
+
+
+def _weight_rows(vocab: Vocabulary, weights: list[dict]) -> np.ndarray:
+    """A (len(weights), V) array whose row i holds weights[i], a token -> weight map."""
+    chain = itertools.chain.from_iterable
+    cols = np.fromiter(chain(map(vocab.ids_of, weights)), np.intp)
+    try:
+        values = np.fromiter(chain(step.values() for step in weights), np.float64, len(cols))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"transition weights must be numbers: {exc}") from None
+    counts = np.fromiter(map(len, weights), np.intp, len(weights))
+    rows = np.repeat(np.arange(len(weights)), counts)
+    out = np.zeros((len(weights), vocab.size))
+    out[rows, cols] = values
+    return out
+
+
+class DenseTableModel(TableModel):
+    """`TableModel` loaded through a dense (contexts x V) stack, as the
+    package did before it checked each row from its listed weights: the
+    stack is validated in one pass, then its entries that are not +0.0 are
+    kept as the same compressed rows."""
+
+    def __init__(self, vocab: Vocabulary, contexts, rows: np.ndarray, default=None):
+        self.vocab = vocab
+        rows = np.asarray(rows, dtype=np.float64)
+        validate_distribution(rows, vocab.size)
+        self._transitions = dict(zip(map(tuple, contexts), range(len(rows))))
+        self._default = None
+        if default is not None:
+            default = np.asarray(default, dtype=np.float64)
+            validate_distribution(default, vocab.size)
+            self._default = len(rows)
+            rows = np.concatenate((rows, default[np.newaxis]))
+        row_of, ids = np.nonzero((rows != 0.0) | np.signbit(rows))
+        self._ids = _array("q", ids)
+        self._probs = _array("d", rows[row_of, ids])
+        self._indptr = _array("q", np.searchsorted(row_of, np.arange(len(rows) + 1)))
+
+    @classmethod
+    def from_dict(cls, doc: dict) -> "DenseTableModel":
+        what = "table model"
+        tokens = tuple(_field(doc, "vocab", "an array of strings", what))
+        eos_token = _field(doc, "eos", "a string", what)
+        raw_transitions = _field(doc, "transitions", "an object", what)
+        if eos_token not in tokens:
+            raise ConfigError(f"eos token {eos_token!r} not in vocab")
+        vocab = Vocabulary(tokens=tokens, eos_id=tokens.index(eos_token))
+        weights_of: dict[tuple[int, ...], dict] = {}
+        for key, weights in raw_transitions.items():
+            if not isinstance(weights, dict):
+                raise ConfigError(f"{what} transition {key!r} must be an object")
+            weights_of[vocab.ids_of(key.split())] = weights
+        rows = _weight_rows(vocab, list(weights_of.values()))
+        default = None
+        if "default" in doc:
+            default = _weight_rows(vocab, [_field(doc, "default", "an object", what)])[0]
+        return cls(vocab, list(weights_of), rows, default)
 
 
 def dict_ngram_counts(corpus: str, order: int, tokenize) -> tuple[tuple[str, ...], dict, dict]:

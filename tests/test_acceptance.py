@@ -17,8 +17,9 @@ from dle.baseline import sample_sequences
 from dle.cache_sim import PrefixCache, simulate
 from dle.engine import Budget, BranchPolicy, EarlyStopConfig, enumerate_leaves
 from dle.metrics import coverage, coverage_curve, expected_coverage_closed_form, repetition_rate
-from dle.model import RemoteModel, TableModel
+from dle.model import TableModel
 from dle.oracle import enumerate_all_leaves
+from dle.remote import RemoteModel
 from dle.truncation import Epsilon, MinP, TopK, TopP
 from reference import marginal_gain_closed_form, monte_carlo_coverage_from_masses, top_k_by_mass
 

@@ -1,5 +1,6 @@
 import gc
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -171,6 +172,37 @@ def test_insert_adds_at_most_two_tracked_objects_per_fresh_block():
         gc.enable()
     assert cache.cached_tokens == blocks
     assert added <= 2 * blocks
+
+
+def _traced_peak(run) -> int:
+    """Peak bytes traced while `run()` runs."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _replay(streams) -> None:
+    cache = PrefixCache()
+    for stream in streams:
+        cache.match(stream)
+        cache.insert(stream)
+
+
+def test_simulate_holds_one_trie_at_a_time():
+    rng = random.Random(0)
+    streams = [tuple(rng.randrange(50) for _ in range(40))]
+    while len(streams) < 500:
+        base = rng.choice(streams)
+        streams.append(base[:rng.randrange(len(base))]
+                       + tuple(rng.randrange(50) for _ in range(rng.randrange(5, 40))))
+    trie = _traced_peak(lambda: theoretical_hit_count(streams))
+    cache = _traced_peak(lambda: _replay(streams))
+    both = _traced_peak(lambda: simulate(streams, PrefixCache()))
+    # Holding the counting trie during the replay would peak near the sum.
+    assert both < max(trie, cache) + min(trie, cache) / 2, (trie, cache, both)
 
 
 def test_lru_never_evicts_a_block_that_regained_a_child():

@@ -532,6 +532,44 @@ def test_non_positive_counts_exit_2_without_traceback(command, flag, fig_tree_pa
     assert "Traceback" not in err
 
 
+# Counts above sys.maxsize used to overflow in `PrefixCache._blocks` or in
+# `list(range(...))`. Only values past the bound are run: a huge count
+# within it is a real request and would start allocating.
+@pytest.mark.parametrize("command, flag, value", [
+    (["cache-sim"], "--block", "99999999999999999999"),
+    (["coverage-curve"], "--k-max", "99999999999999999999"),
+    (["compare"], "--k", "1..99999999999999999999"),
+    (["compare"], "--k", "99999999999999999999..99999999999999999999"),
+])
+def test_counts_past_sys_maxsize_exit_2_without_traceback(command, flag, value, two_leaf_path,
+                                                         tmp_path, capsys):
+    if command[0] == "cache-sim":
+        leaves = tmp_path / "leaves.jsonl"
+        leaves.write_text('{"tokens": [0, 2]}\n')
+        source = ["--in", str(leaves)]
+    else:
+        source = ["--model", f"table:{two_leaf_path}", "--rule", "top_k:2"]
+    out = tmp_path / "out"
+    try:
+        code = main([*command, *source, flag, value, "--out", str(out)])
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"must be <= {sys.maxsize}, got 99999999999999999999" in err.splitlines()[-1]
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_count_flags_document_their_bound(capsys):
+    for command, flag in [("cache-sim", "--block"), ("coverage-curve", "--k-max"),
+                          ("compare", "--k")]:
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        options = " ".join(capsys.readouterr().out.split("options:", 1)[1].split())
+        assert f"<= {sys.maxsize}" in options.split(f"{flag} ", 1)[1].split(" --", 1)[0]
+
+
 def test_compare_on_a_looping_ngram_exits_2_without_traceback(tmp_path, capsys):
     corpus = tmp_path / "corpus.txt"
     corpus.write_text("the cat sat on the mat\nthe dog sat on the log\n")

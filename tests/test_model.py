@@ -1,14 +1,23 @@
 import json
+import math
+import os
+import subprocess
+import sys
+import time
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import dle
 from dle.errors import ConfigError, EmptyCorpus, MissingTransition, RemoteError
-from dle.model import (NgramModel, RemoteModel, TableModel, Vocabulary, _tokenize,
-                       parse_model_spec, train_ngram_model)
-from reference import (dict_count_lists, dict_ngram_counts, dict_train_ngram_model,
+from dle.model import (NgramModel, TableModel, Vocabulary, _tokenize, parse_model_spec,
+                       train_ngram_model)
+from dle.remote import RemoteModel
+from reference import (DenseTableModel, dict_count_lists, dict_ngram_counts, dict_train_ngram_model,
                        loop_next_distribution)
 
 
@@ -104,6 +113,88 @@ def test_table_round_trip_and_prompt_encoding(fig_tree_model, fig_tree_path):
             fig_tree_model.next_distribution((), context).dense().tobytes()
     assert fig_tree_model.encode_prompt("a c") == (0, 2)
     assert fig_tree_model.decode((0, 2)) == "a c"
+
+
+# Weights that make a table row invalid.
+BAD_WEIGHTS = [math.nan, math.inf, -math.inf, -0.25, "x", None, [1.0]]
+
+
+@st.composite
+def _weight_maps(draw, tokens):
+    """A token -> weight map: probabilities that sum to 1, sometimes off by
+    about the tolerance or more, with listed zeros of either sign and, now
+    and then, an unknown token, a numeric string or a bad weight."""
+    unknown = ["zz"] * draw(st.sampled_from([0] * 9 + [1]))
+    listed = draw(st.lists(st.sampled_from(tokens + unknown), min_size=1,
+                           max_size=min(len(tokens), 12), unique=True))
+    raw = draw(st.lists(st.floats(1e-3, 1.0), min_size=len(listed), max_size=len(listed)))
+    scale = draw(st.sampled_from([1.0] * 12 + [1 + 1e-9, 1 - 1e-9, 1 + 3e-9, 1.1, 0.5]))
+    weights = dict(zip(listed, [w / math.fsum(raw) * scale for w in raw]))
+    for token in draw(st.lists(st.sampled_from(tokens), max_size=3)):
+        weights.setdefault(token, draw(st.sampled_from([0.0, -0.0])))
+    if draw(st.sampled_from([False] * 19 + [True])):
+        weights[draw(st.sampled_from(listed))] = draw(st.sampled_from(BAD_WEIGHTS + ["0.5"]))
+    return weights
+
+
+@st.composite
+def _table_docs(draw):
+    tokens = [f"t{i}" for i in range(draw(st.sampled_from([1, 2, 5, 9, 30, 140])))] + ["<eos>"]
+    words = st.sampled_from(tokens[:4] + ["zz"] * draw(st.sampled_from([0] * 9 + [1])))
+    # Few contexts over few words, spelled with stray spaces: keys often repeat one.
+    spell = st.builds(lambda ctx, sep, pad: pad + sep.join(ctx) + pad,
+                      st.lists(words, max_size=2), st.sampled_from([" ", "  "]),
+                      st.sampled_from(["", "", " "]))
+    doc = {"vocab": tokens, "eos": "<eos>",
+           "transitions": draw(st.dictionaries(spell, _weight_maps(tokens), max_size=6))}
+    default = draw(st.sampled_from(["absent"] * 4 + ["map"] * 3 + ["list"]))
+    if default != "absent":
+        doc["default"] = draw(_weight_maps(tokens)) if default == "map" else []
+    return doc
+
+
+def _loaded(loader, doc):
+    """The compressed arrays a loader keeps, or its ConfigError text."""
+    try:
+        model = loader(doc)
+    except ConfigError as exc:
+        return str(exc)
+    return (bytes(model._ids), bytes(model._probs), bytes(model._indptr), model._transitions,
+            model._default)
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=_table_docs())
+# numpy's dense sum is 1.1 where the listed entries, added in order, give
+# 1.0999999999999999; and 1.000000001, past the tolerance, where they give
+# 1.0000000009999999.
+@example(doc={"vocab": [f"t{i}" for i in range(16)] + ["<eos>"], "eos": "<eos>", "transitions": {
+    "": {"t5": 0.21801242236024845, "t8": 0.5403726708074533, "t12": 0.34161490683229817}}})
+@example(doc={"vocab": [f"t{i}" for i in range(16)] + ["<eos>"], "eos": "<eos>", "transitions": {
+    "": {"t4": 0.7349397597710843, "t9": 0.19277108453012048, "t12": 0.07228915669879518}}})
+@example(doc={"vocab": ["a", "<eos>"], "eos": "<eos>", "transitions": {},
+              "default": {"<eos>": 1.0, "a": -0.0}})
+def test_sparse_table_load_matches_the_dense_loader(doc):
+    assert _loaded(TableModel.from_dict, doc) == _loaded(DenseTableModel.from_dict, doc)
+
+
+def test_table_load_holds_its_listed_entries_not_a_dense_stack():
+    vocab = [f"t{i}" for i in range(4_999)] + ["<eos>"]
+    rng = np.random.default_rng(0)
+    doc = {"vocab": vocab, "eos": "<eos>", "transitions": {
+        f"t{i}": dict(zip(rng.choice(vocab, 3, replace=False).tolist(), [0.5, 0.25, 0.25]))
+        for i in range(1_000)}}
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        model = TableModel.from_dict(doc)
+        seconds = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(model._probs) == 3_000
+    # A dense 1,000 x 5,000 float64 stack alone is 40 MB.
+    assert peak < 4 * 2**20, f"peak {peak / 2**20:.2f} MiB in {seconds:.3f} s"
 
 
 def test_ngram_single_line_counts():
@@ -303,6 +394,27 @@ def test_parse_model_spec_variants(fig_tree_path, tmp_path, monkeypatch):
         parse_model_spec("magic:stuff")
     with pytest.raises(ConfigError):
         parse_model_spec("table:")
+
+
+FOOTPRINT_SCRIPT = """
+import sys
+import dle, dle.cli
+from dle.model import parse_model_spec
+parse_model_spec("table:" + sys.argv[1])
+parse_model_spec("ngram:" + sys.argv[2] + "?order=2")
+print(sorted({"urllib.request", "http.client", "ssl", "email"} & set(sys.modules)))
+remote = parse_model_spec("remote:url=http://127.0.0.1:9/nowhere")
+print(type(remote) is dle.RemoteModel, type(remote).__module__)
+"""
+
+
+def test_local_models_load_no_http_stack(fig_tree_path, tmp_path):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("a b\nb a\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(dle.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", FOOTPRINT_SCRIPT, str(fig_tree_path), str(corpus)],
+                         capture_output=True, text=True, env=env, check=True, timeout=60)
+    assert out.stdout.splitlines() == ["[]", "True dle.remote"]
 
 
 def test_remote_requires_url(monkeypatch):
