@@ -3,8 +3,9 @@
 The theoretical hit count is the reuse ceiling: each stream after the first
 contributes the length of its longest prefix shared with any earlier stream
 (prompt included). The simulator defines the actual count by replay: streams
-are served in generation order, each one first matched against the cache and
-then inserted in full, subject to block granularity, capacity, and eviction.
+are served in generation order, each one inserted in full, subject to block
+granularity, capacity, and eviction, in one walk that counts the tokens it
+found already cached.
 With unlimited capacity and token granularity the two counts coincide.
 Both tries keep a node as one dict, not as an object of its own class.
 """
@@ -138,9 +139,16 @@ class PrefixCache:
         self._settle(node)
         return matched
 
-    def insert(self, stream: Sequence[int]) -> None:
+    def insert(self, stream: Sequence[int]) -> int:
+        """Cache the stream's full blocks and return the tokens found already
+        cached: what `match` would have returned just before (block-aligned).
+
+        Every block after the first one not cached hangs below a new block,
+        so none of them is found: only the blocks before that one count.
+        """
         children, parent, last_access = self._children, self._parent, self._last_access
         node = 0
+        matched = 0
         for block in self._blocks(stream):
             child = children[node].get(block)
             if child is None:
@@ -153,10 +161,13 @@ class PrefixCache:
                 self._key.append(block)
                 last_access.append(0)
                 self._cached_tokens += self.block_size
+            else:
+                matched += self.block_size
             self._clock += 1
             last_access[child] = self._clock
             node = child
         self._settle(node)
+        return matched
 
     def _evict_one(self) -> bool:
         """Drop the least-recently-used childless block, if any.
@@ -190,12 +201,8 @@ def simulate(streams: Sequence[Sequence[int]], cache: PrefixCache) -> CacheStats
     if not streams:
         raise ConfigError("simulate needs at least one stream")
     theoretical = theoretical_hit_count(streams)
-    actual = 0
-    for stream in streams:
-        actual += cache.match(stream)
-        cache.insert(stream)
     return CacheStats(
-        actual_hits=actual,
+        actual_hits=sum(map(cache.insert, streams)),
         theoretical_hits=theoretical,
         flat_length=sum(len(s) for s in streams),
     )

@@ -383,6 +383,7 @@ def _compare_rows(model, rule, prompt_ids, ks, policy, seeds, max_seq_len,
     sampled = [_sampled_curve(sample_sequences(model, rule, prompt_ids, max_k, seed,
                                                max_seq_len=max_seq_len, steps=steps), ks)
                for seed in range(seeds)]
+    closed = expected_coverage_closed_form(masses, ks)
 
     rows = []
     for i, k in enumerate(ks):
@@ -391,7 +392,7 @@ def _compare_rows(model, rule, prompt_ids, ks, policy, seeds, max_seq_len,
         row = {
             "k": k,
             "coverage_dle": dle_curve[idx] if dle_curve else 0.0,
-            "expected_coverage_closed": expected_coverage_closed_form(masses, k),
+            "expected_coverage_closed": closed[i],
             "coverage_sampled_mean": statistics.fmean(covs),
             "coverage_sampled_std": statistics.pstdev(covs) if seeds > 1 else 0.0,
         }
@@ -500,8 +501,10 @@ def build_parser() -> argparse.ArgumentParser:
     add_model_args(p)
     p.add_argument("--policy", default="probfirst",
                    help="probfirst|divfirst|randbranch:SEED|globalprob|dfs")
-    p.add_argument("--k", type=int, default=None, help="maximum number of leaves")
-    p.add_argument("--token-budget", type=int, default=None, help="maximum generated tokens")
+    p.add_argument("--k", type=_count, default=None,
+                   help=f"maximum number of leaves, <= {sys.maxsize}")
+    p.add_argument("--token-budget", type=_count, default=None,
+                   help=f"maximum generated tokens, <= {sys.maxsize}")
     p.add_argument("--early-stop-n", type=_early_stop_n, default="10",
                    help="merge length n, or 'off'")
     p.add_argument("--out", required=True)
@@ -551,7 +554,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ngram-train", help="train an add-alpha n-gram model")
     p.add_argument("--corpus", required=True)
-    p.add_argument("--order", type=int, default=2)
+    p.add_argument("--order", type=_count, default=2, help=f"n-gram order, <= {sys.maxsize}")
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--tokenize", default="whitespace", choices=["char", "whitespace"])
     p.add_argument("--out", required=True)

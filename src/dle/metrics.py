@@ -92,12 +92,31 @@ def _check_masses(masses: Sequence[float]) -> np.ndarray:
     return arr
 
 
-def expected_coverage_closed_form(masses: Sequence[float], k: int) -> float:
-    """Expected unique-set coverage of k i.i.d. draws with replacement."""
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
+def expected_coverage_closed_form(masses: Sequence[float], ks: Sequence[int]) -> list[float]:
+    """Expected unique-set coverage of k i.i.d. draws with replacement, for
+    each k in `ks`.
+
+    The masses are checked and 1 - q computed once for the whole curve. Each
+    point is a Neumaier sum of the terms q * (1 - (1 - q)^k), bit-identical
+    to adding them one at a time with Neumaier's loop. Every term and every
+    running total is >= 0, so whichever branch the loop takes, its
+    compensation term is (max(prev, v) - total) + min(prev, v).
+    """
+    for k in ks:
+        if k < 0:
+            raise ValueError(f"k must be >= 0, got {k}")
     arr = _check_masses(masses)
-    return compensated_sum(arr * (1.0 - (1.0 - arr) ** k))
+    if not len(arr):
+        return [0.0] * len(ks)
+    rest = 1.0 - arr
+    curve = []
+    for k in ks:
+        terms = arr * (1.0 - rest ** k)
+        total = np.cumsum(terms)
+        prev = np.concatenate(([0.0], total[:-1]))
+        comp = np.cumsum((np.maximum(prev, terms) - total) + np.minimum(prev, terms))
+        curve.append(float(total[-1] + comp[-1]))
+    return curve
 
 
 def repetition_rate(generations: Sequence[Sequence[int]]) -> float:

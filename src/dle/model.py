@@ -231,7 +231,7 @@ def _field(doc, name: str, kind: str, what: str):
 def _listed(vocab: Vocabulary, weights: list[dict]) -> tuple[np.ndarray, ...]:
     """(entries per row, token ids, weights) of token -> weight maps, chained."""
     chain = itertools.chain.from_iterable
-    ids = np.fromiter(chain(map(vocab.ids_of, weights)), np.intp)
+    ids = np.fromiter(vocab.ids_of(chain(weights)), np.intp)
     try:
         values = np.fromiter(chain(step.values() for step in weights), np.float64, len(ids))
     except (TypeError, ValueError) as exc:

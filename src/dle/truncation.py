@@ -272,7 +272,10 @@ def active_set(row: SparseRow, rule: TruncationRule) -> ActiveSet:
     even the argmax falls below the cutoff) degenerates to a point mass on
     the argmax token with weight exactly 1.0.
     """
-    _, probs, floor, size = row
+    ids, probs, floor, size = row
+    if floor == 0.0 and len(probs) == 1 and probs[0] > 0.0:
+        # Every rule keeps this lone positive entry or falls back to the argmax, which is it.
+        return ActiveSet((ids[0],), (1.0,), (0.0,), probs[0])
     top_k, top_ps, strict, inclusive, min_p = rule._plan
     if min_p:
         # No listed probability is below the floor, so it is the largest when none is listed.

@@ -10,7 +10,6 @@ same quantities by a different route than the package does.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 import random
@@ -21,6 +20,7 @@ import numpy as np
 
 from dle import engine
 from dle.baseline import sample_sequences
+from dle.cache_sim import CacheStats
 from dle.engine import (Budget, BranchPolicy, EnumerationResult, TokenStats,
                         enumerate_leaves)
 from dle.errors import ConfigError, ExpandingExpandedNode, ModelError
@@ -632,13 +632,11 @@ def pairwise_repetition_rate(generations) -> float:
 
 
 class _TrieNode:
-    __slots__ = ("children", "last_access", "parent", "key")
+    __slots__ = ("children", "last_access")
 
-    def __init__(self, parent: "_TrieNode | None" = None, key: tuple = ()):
+    def __init__(self):
         self.children: dict[tuple, "_TrieNode"] = {}
         self.last_access = 0
-        self.parent = parent  # None for the root and for evicted blocks
-        self.key = key
 
 
 def node_theoretical_hit_count(streams) -> int:
@@ -666,39 +664,28 @@ def node_theoretical_hit_count(streams) -> int:
     return total
 
 
-class NodePrefixCache:
+class WalkingPrefixCache:
     """PrefixCache on a trie of linked node objects, each holding its own
-    children dict, parent, block key and last access; the LRU heap holds
-    (tick, node)."""
+    children dict and last access. Its LRU eviction walks the whole trie for
+    the least recently used childless block other than the one the
+    insertion is extending."""
 
     def __init__(self, block_size: int = 1, capacity: int | None = None,
                  eviction: str = "none"):
-        if block_size < 1:
-            raise ConfigError(f"block_size must be >= 1, got {block_size}")
-        if capacity is not None and capacity < 0:
-            raise ConfigError(f"capacity must be >= 0, got {capacity}")
-        if eviction not in ("none", "lru"):
-            raise ConfigError(f"unknown eviction policy {eviction!r}")
         self.block_size = block_size
         self.capacity = capacity
         self.eviction = eviction
+        self.cached_tokens = 0
         self._root = _TrieNode()
-        self._cached_tokens = 0
         self._clock = 0
-        self._leaves: list[tuple[int, _TrieNode]] = []
 
     def _blocks(self, stream) -> list[tuple]:
         size = self.block_size
-        count = len(stream) // size
-        return [tuple(stream[i * size:(i + 1) * size]) for i in range(count)]
+        return [tuple(stream[i * size:(i + 1) * size]) for i in range(len(stream) // size)]
 
     def _tick(self) -> int:
         self._clock += 1
         return self._clock
-
-    def _settle(self, node: _TrieNode) -> None:
-        if self.eviction == "lru" and node.parent is not None and not node.children:
-            heapq.heappush(self._leaves, (node.last_access, node))
 
     def match(self, stream) -> int:
         node = self._root
@@ -710,7 +697,6 @@ class NodePrefixCache:
             child.last_access = self._tick()
             matched += self.block_size
             node = child
-        self._settle(node)
         return matched
 
     def insert(self, stream) -> None:
@@ -718,54 +704,15 @@ class NodePrefixCache:
         for block in self._blocks(stream):
             child = node.children.get(block)
             if child is None:
-                if self.capacity is not None and self._cached_tokens + self.block_size > self.capacity:
-                    if self.eviction != "lru" or not self._evict_one():
-                        break
-                child = _TrieNode(node, block)
-                node.children[block] = child
-                self._cached_tokens += self.block_size
-            child.last_access = self._tick()
-            node = child
-        self._settle(node)
-
-    def _evict_one(self) -> bool:
-        while self._leaves:
-            tick, node = heapq.heappop(self._leaves)
-            if node.last_access != tick or node.children or node.parent is None:
-                continue
-            parent = node.parent
-            del parent.children[node.key]
-            node.parent = None
-            self._cached_tokens -= self.block_size
-            self._settle(parent)
-            return True
-        return False
-
-    @property
-    def cached_tokens(self) -> int:
-        return self._cached_tokens
-
-
-class WalkingPrefixCache(NodePrefixCache):
-    """PrefixCache whose LRU eviction walks the whole trie for its victim."""
-
-    def insert(self, stream) -> None:
-        node = self._root
-        for block in self._blocks(stream):
-            child = node.children.get(block)
-            if child is None:
-                if self.capacity is not None and self._cached_tokens + self.block_size > self.capacity:
+                if self.capacity is not None and self.cached_tokens + self.block_size > self.capacity:
                     if self.eviction != "lru" or not self._walk_evict(protect=node):
                         return
-                child = type(node)()
-                node.children[block] = child
-                self._cached_tokens += self.block_size
+                child = node.children[block] = _TrieNode()
+                self.cached_tokens += self.block_size
             child.last_access = self._tick()
             node = child
 
     def _walk_evict(self, protect) -> bool:
-        """Drop the least-recently-used childless block other than `protect`,
-        the node the insertion is extending."""
         victim = None
         stack = [self._root]
         while stack:
@@ -778,8 +725,21 @@ class WalkingPrefixCache(NodePrefixCache):
         if victim is None:
             return False
         del victim[0].children[victim[1]]
-        self._cached_tokens -= self.block_size
+        self.cached_tokens -= self.block_size
         return True
+
+
+def two_walk_simulate(streams, cache) -> CacheStats:
+    """`simulate` matching each stream against the cache, then inserting it:
+    two walks over its cached prefix."""
+    if not streams:
+        raise ConfigError("simulate needs at least one stream")
+    actual = 0
+    for stream in streams:
+        actual += cache.match(stream)
+        cache.insert(stream)
+    return CacheStats(actual_hits=actual, theoretical_hits=node_theoretical_hit_count(streams),
+                      flat_length=sum(map(len, streams)))
 
 
 def neumaier_loop_sum(values) -> float:

@@ -106,13 +106,15 @@ def test_criterion_3_expected_coverage_closed_form():
     for i, (_, _, oracle_set) in enumerate(trees):
         masses = oracle_set.masses()
         previous_gain = float("inf")
-        for k in (1, 2, 4, 8):
+        ks = (1, 2, 4, 8)
+        closed_curve = expected_coverage_closed_form(masses, ks)
+        next_curve = expected_coverage_closed_form(masses, [k + 1 for k in ks])
+        for k, closed, next_closed in zip(ks, closed_curve, next_curve):
             mean, se = monte_carlo_coverage_from_masses(masses, k, trials=100_000,
                                                         seed=i * 16 + k)
-            closed = expected_coverage_closed_form(masses, k)
             assert abs(mean - closed) <= 3 * se
             gain = marginal_gain_closed_form(masses, k)
-            diff = (expected_coverage_closed_form(masses, k + 1) - closed)
+            diff = next_closed - closed
             assert abs(gain - diff) <= 1e-12
             assert gain <= previous_gain + 1e-15
             previous_gain = gain
@@ -152,9 +154,9 @@ def test_criterion_5_coverage_dominance():
                                   Budget(max_leaves=k_max))
         curve = coverage_curve([(l.tokens, l.q) for l in result.leaves])
         masses = oracle_set.masses()
-        for k in range(1, k_max + 1):
+        closed = expected_coverage_closed_form(masses, range(1, k_max + 1))
+        for k, expected in enumerate(closed, 1):
             dle_cov = curve[min(k, len(curve)) - 1]
-            expected = expected_coverage_closed_form(masses, k)
             total += 1
             wins += dle_cov >= expected
             ratios.append(dle_cov / expected)

@@ -66,7 +66,7 @@ def test_tracer_observes_each_closed_form_call_of_compare(tmp_path):
         tracer.uninstall()
     assert code == 0
     names = [span.name for span in tracer.spans]
-    assert names.count("metrics.expected_coverage_closed_form") == 4
+    assert names.count("metrics.expected_coverage_closed_form") == 1
     assert names.count("oracle.enumerate_all_leaves") == 1
     assert names.count("baseline.sample_sequences") == 2
 

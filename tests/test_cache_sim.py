@@ -10,8 +10,8 @@ from dle.cache_sim import CacheStats, PrefixCache, simulate, theoretical_hit_cou
 from dle.engine import Budget, BranchPolicy, enumerate_leaves
 from dle.errors import ConfigError, InvariantViolation
 from dle.truncation import Epsilon
-from reference import (NodePrefixCache, WalkingPrefixCache, node_theoretical_hit_count,
-                       pairwise_repeated_tokens)
+from reference import (WalkingPrefixCache, node_theoretical_hit_count, pairwise_repeated_tokens,
+                       two_walk_simulate)
 
 PROMPT = (100, 101, 102, 103, 104)
 HAND_STREAMS = [PROMPT + (1, 2, 3), PROMPT + (1, 2, 4)]  # abc / abd after a 5-token prompt
@@ -117,35 +117,19 @@ def branching_streams(draw):
 @given(streams=branching_streams(), block_size=st.integers(1, 4),
        capacity=st.one_of(st.none(), st.integers(0, 40)),
        eviction=st.sampled_from(["none", "lru"]))
-def test_heap_eviction_matches_the_trie_walk(streams, block_size, capacity, eviction):
+def test_prefix_cache_matches_the_walking_node_trie(streams, block_size, capacity, eviction):
     cache = PrefixCache(block_size, capacity, eviction)
-    walking = WalkingPrefixCache(block_size, capacity, eviction)
+    reference = WalkingPrefixCache(block_size, capacity, eviction)
     for i, stream in enumerate(streams):
-        assert cache.match(stream) == walking.match(stream)
-        cache.insert(stream)
-        walking.insert(stream)
-        assert cache.cached_tokens == walking.cached_tokens
+        matched = reference.match(stream)
+        assert cache.match(stream) == matched
+        assert cache.insert(stream) == matched
+        reference.insert(stream)
+        assert cache.cached_tokens == reference.cached_tokens
         # A lone match refreshes an older path without inserting it.
-        assert cache.match(streams[i // 2]) == walking.match(streams[i // 2])
+        assert cache.match(streams[i // 2]) == reference.match(streams[i // 2])
     assert (simulate(streams, PrefixCache(block_size, capacity, eviction))
-            == simulate(streams, WalkingPrefixCache(block_size, capacity, eviction)))
-
-
-@settings(max_examples=300, deadline=None)
-@given(streams=branching_streams(), block_size=st.integers(1, 4),
-       capacity=st.one_of(st.none(), st.integers(0, 40)),
-       eviction=st.sampled_from(["none", "lru"]))
-def test_list_cache_matches_the_node_trie(streams, block_size, capacity, eviction):
-    cache = PrefixCache(block_size, capacity, eviction)
-    node = NodePrefixCache(block_size, capacity, eviction)
-    for i, stream in enumerate(streams):
-        assert cache.match(stream) == node.match(stream)
-        cache.insert(stream)
-        node.insert(stream)
-        assert cache.cached_tokens == node.cached_tokens
-        assert cache.match(streams[i // 2]) == node.match(streams[i // 2])
-    assert (simulate(streams, PrefixCache(block_size, capacity, eviction))
-            == simulate(streams, NodePrefixCache(block_size, capacity, eviction)))
+            == two_walk_simulate(streams, WalkingPrefixCache(block_size, capacity, eviction)))
 
 
 @settings(max_examples=200, deadline=None)
@@ -187,7 +171,6 @@ def _traced_peak(run) -> int:
 def _replay(streams) -> None:
     cache = PrefixCache()
     for stream in streams:
-        cache.match(stream)
         cache.insert(stream)
 
 

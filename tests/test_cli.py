@@ -540,6 +540,9 @@ def test_non_positive_counts_exit_2_without_traceback(command, flag, fig_tree_pa
     (["coverage-curve"], "--k-max", "99999999999999999999"),
     (["compare"], "--k", "1..99999999999999999999"),
     (["compare"], "--k", "99999999999999999999..99999999999999999999"),
+    (["enumerate"], "--k", "99999999999999999999"),
+    (["enumerate"], "--token-budget", "99999999999999999999"),
+    (["ngram-train"], "--order", "99999999999999999999"),
 ])
 def test_counts_past_sys_maxsize_exit_2_without_traceback(command, flag, value, two_leaf_path,
                                                          tmp_path, capsys):
@@ -547,6 +550,10 @@ def test_counts_past_sys_maxsize_exit_2_without_traceback(command, flag, value, 
         leaves = tmp_path / "leaves.jsonl"
         leaves.write_text('{"tokens": [0, 2]}\n')
         source = ["--in", str(leaves)]
+    elif command[0] == "ngram-train":
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("a b\nb a\n")
+        source = ["--corpus", str(corpus)]
     else:
         source = ["--model", f"table:{two_leaf_path}", "--rule", "top_k:2"]
     out = tmp_path / "out"
@@ -563,7 +570,8 @@ def test_counts_past_sys_maxsize_exit_2_without_traceback(command, flag, value, 
 
 def test_count_flags_document_their_bound(capsys):
     for command, flag in [("cache-sim", "--block"), ("coverage-curve", "--k-max"),
-                          ("compare", "--k")]:
+                          ("compare", "--k"), ("enumerate", "--k"),
+                          ("enumerate", "--token-budget"), ("ngram-train", "--order")]:
         with pytest.raises(SystemExit):
             main([command, "--help"])
         options = " ".join(capsys.readouterr().out.split("options:", 1)[1].split())

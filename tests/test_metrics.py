@@ -1,9 +1,10 @@
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dle.baseline import sample_sequences
@@ -61,12 +62,16 @@ def test_coverage_curve_is_running_sum():
 
 
 def test_expected_coverage_hand_values():
-    assert expected_coverage_closed_form([0.7, 0.3], 1) == pytest.approx(0.58, abs=1e-12)
-    assert expected_coverage_closed_form([0.7, 0.3], 2) == pytest.approx(0.79, abs=1e-12)
-    assert expected_coverage_closed_form([1.0], 5) == pytest.approx(1.0)
+    assert expected_coverage_closed_form([0.7, 0.3], [1, 2]) == pytest.approx([0.58, 0.79],
+                                                                             abs=1e-12)
+    assert expected_coverage_closed_form([1.0], [5]) == pytest.approx([1.0])
     # Large k approaches the total retained mass.
-    assert expected_coverage_closed_form([0.7, 0.3], 10_000) == pytest.approx(1.0, abs=1e-12)
-    assert expected_coverage_closed_form([0.4, 0.1], 10_000) == pytest.approx(0.5, abs=1e-12)
+    assert expected_coverage_closed_form([0.7, 0.3], [10_000]) == pytest.approx([1.0], abs=1e-12)
+    assert expected_coverage_closed_form([0.4, 0.1], [10_000]) == pytest.approx([0.5], abs=1e-12)
+    assert expected_coverage_closed_form([0.4, 0.1], []) == []
+    assert expected_coverage_closed_form([], [0, 3]) == [0.0, 0.0]
+    with pytest.raises(ValueError, match="k must be >= 0, got -1"):
+        expected_coverage_closed_form([0.4, 0.1], [2, -1])
 
 
 def test_marginal_gain_hand_values():
@@ -84,10 +89,11 @@ def test_marginal_gain_equals_coverage_difference():
         raw = [rng.random() + 1e-3 for _ in range(size)]
         total = sum(raw)
         masses = [w / total for w in raw]
-        for k in (0, 1, 2, 5, 17):
-            diff = (expected_coverage_closed_form(masses, k + 1)
-                    - expected_coverage_closed_form(masses, k))
-            assert abs(diff - marginal_gain_closed_form(masses, k)) <= 1e-12
+        ks = (0, 1, 2, 5, 17)
+        before = expected_coverage_closed_form(masses, ks)
+        after = expected_coverage_closed_form(masses, [k + 1 for k in ks])
+        for k, cov, next_cov in zip(ks, before, after):
+            assert abs(next_cov - cov - marginal_gain_closed_form(masses, k)) <= 1e-12
 
 
 def test_expected_coverage_monotone_and_gain_non_increasing():
@@ -99,8 +105,7 @@ def test_expected_coverage_monotone_and_gain_non_increasing():
         masses = [w / total for w in raw]
         previous_cov = 0.0
         previous_gain = float("inf")
-        for k in range(0, 12):
-            cov = expected_coverage_closed_form(masses, k)
+        for k, cov in enumerate(expected_coverage_closed_form(masses, range(12))):
             gain = marginal_gain_closed_form(masses, k)
             assert cov >= previous_cov - 1e-15
             assert gain <= previous_gain + 1e-15
@@ -110,9 +115,9 @@ def test_expected_coverage_monotone_and_gain_non_increasing():
 
 def test_masses_validation():
     with pytest.raises(InvariantViolation):
-        expected_coverage_closed_form([0.9, 0.3], 1)
+        expected_coverage_closed_form([0.9, 0.3], [1])
     with pytest.raises(InvariantViolation):
-        expected_coverage_closed_form([-0.1, 0.5], 1)
+        expected_coverage_closed_form([-0.1, 0.5], [1])
 
 
 def test_repetition_rate_hand_values():
@@ -188,6 +193,34 @@ def test_compensated_sum_examples_match_the_loop(values):
         compensated_prefix_sums(values).tolist()
 
 
+@st.composite
+def leaf_masses(draw):
+    """Positive masses summing to at most 1: a lone 1.0 or shares of a total
+    up to 1, with subnormal masses among them."""
+    if draw(st.booleans()):
+        masses = [1.0]
+    else:
+        weights = draw(st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=30))
+        total = math.fsum(weights) * draw(st.floats(1.0, 4.0))
+        masses = [w / total for w in weights]
+    subnormal = st.floats(5e-324, sys.float_info.min, exclude_max=True)
+    return draw(st.permutations(masses + draw(st.lists(subnormal, max_size=4))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(masses=leaf_masses(),
+       ks=st.lists(st.one_of(st.integers(0, 400), st.sampled_from([0, 1, sys.maxsize]),
+                             st.integers(0, sys.maxsize)), max_size=8))
+@example(masses=[1.0, 5e-324], ks=[0, 1, sys.maxsize])
+@example(masses=[0.5, 2.5e-310, 0.25], ks=[sys.maxsize, 1, 0, 2])
+def test_closed_form_curve_matches_the_loop_bit_for_bit(masses, ks):
+    m = np.asarray(masses, dtype=np.float64)
+    expected = [neumaier_loop_sum(m * (1 - (1 - m) ** k)) for k in ks]
+    curve = expected_coverage_closed_form(masses, ks)
+    assert len(curve) == len(expected)
+    assert all(map(same_float, curve, expected)), (curve, expected)
+
+
 def test_empty_sums_are_zero():
     assert compensated_prefix_sums([]).shape == (0,)
     assert compensated_sum(iter(())) == 0.0
@@ -196,7 +229,7 @@ def test_empty_sums_are_zero():
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_non_finite_masses_are_rejected(bad):
     with pytest.raises(InvariantViolation, match="finite"):
-        expected_coverage_closed_form([0.5, bad], 3)
+        expected_coverage_closed_form([0.5, bad], [3])
     with pytest.raises(InvariantViolation, match="finite"):
         marginal_gain_closed_form([bad, 0.25], 1)
     with pytest.raises(InvariantViolation, match="not finite"):
@@ -207,7 +240,7 @@ def test_non_finite_masses_are_rejected(bad):
 
 def test_mass_sum_message_prints_a_plain_float():
     with pytest.raises(InvariantViolation) as excinfo:
-        expected_coverage_closed_form(np.array([0.75, 0.75]), 1)
+        expected_coverage_closed_form(np.array([0.75, 0.75]), [1])
     assert str(excinfo.value) == "leaf masses sum to 1.5 > 1"
 
 
@@ -233,5 +266,5 @@ def test_monte_carlo_via_baseline_matches_closed_form():
         per_trial.append(sum(unique.values()))
     mean = float(np.mean(per_trial))
     se = float(np.std(per_trial, ddof=1) / math.sqrt(trials))
-    closed = expected_coverage_closed_form(masses, k)
+    [closed] = expected_coverage_closed_form(masses, [k])
     assert abs(mean - closed) <= 3 * se

@@ -133,10 +133,10 @@ def test_monte_carlo_requires_enough_trials():
 
 def test_monte_carlo_on_model_matches_closed_form(fig_tree_model):
     masses = enumerate_all_leaves(fig_tree_model, FIG_RULE).masses()
-    for k in (1, 2, 4):
+    ks = (1, 2, 4)
+    for k, closed in zip(ks, expected_coverage_closed_form(masses, ks)):
         mean, se = monte_carlo_expected_coverage(fig_tree_model, FIG_RULE, k=k,
                                                  trials=50_000, seed=11)
-        closed = expected_coverage_closed_form(masses, k)
         assert abs(mean - closed) <= 3 * se
 
 

@@ -415,6 +415,9 @@ def _row_rules(row):
     return _rules(probs.tolist(), probs)
 
 
+# Then floor-0 rows listing one positive entry, under each rule kind, where
+# epsilon:1 keeps nothing and the step falls back to the argmax. Last, a
+# lone zero entry, which is no point mass on its id: the argmax is id 0.
 @settings(max_examples=500, deadline=None)
 @given(case=_sparse_rows().flatmap(lambda row: st.tuples(st.just(row), _row_rules(row))),
        temperature=st.sampled_from([1.0, 0.0, 1e-320, 0.7, 2.5]), views=st.booleans())
@@ -423,6 +426,16 @@ def _row_rules(row):
 @example(case=(SparseRow((0, 2), (1e20 / (1 + 3e20), 1e20 / (1 + 3e20)), 1e20 / (1 + 3e20), 3),
                Composite(rules=(Composite(rules=(TopP(p=0.5),)), TopK(k=2)))), temperature=0.7,
          views=True)
+@example(case=(SparseRow((3,), (0.75,), 0.0, 10), TopK(k=2)), temperature=1.0, views=True)
+@example(case=(SparseRow((3,), (0.75,), 0.0, 10), TopP(p=0.9)), temperature=2.5, views=False)
+@example(case=(SparseRow((3,), (0.75,), 0.0, 10), MinP(0.5)), temperature=1.0, views=True)
+@example(case=(SparseRow((3,), (1.0,), 0.0, 10), Epsilon(eps=0.05)), temperature=1.0,
+         views=False)
+@example(case=(SparseRow((3,), (0.75,), 0.0, 10), Epsilon(eps=1.0)), temperature=1.0, views=True)
+@example(case=(SparseRow((0,), (1.0,), 0.0, 1),
+               Composite(rules=(TopP(p=1.0), Epsilon(eps=1.0, inclusive=True)))),
+         temperature=1.0, views=False)
+@example(case=(SparseRow((3,), (0.0,), 0.0, 10), TopK(k=2)), temperature=1.0, views=False)
 def test_sparse_rows_match_the_dense_references(case, temperature, views):
     row, rule = case
     if views:
