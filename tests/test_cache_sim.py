@@ -117,7 +117,7 @@ def branching_streams(draw):
 @given(streams=branching_streams(), block_size=st.integers(1, 4),
        capacity=st.one_of(st.none(), st.integers(0, 40)),
        eviction=st.sampled_from(["none", "lru"]))
-def test_prefix_cache_matches_the_walking_node_trie(streams, block_size, capacity, eviction):
+def test_heap_eviction_matches_the_trie_walk(streams, block_size, capacity, eviction):
     cache = PrefixCache(block_size, capacity, eviction)
     reference = WalkingPrefixCache(block_size, capacity, eviction)
     for i, stream in enumerate(streams):
