@@ -4,7 +4,9 @@ Each sequence is drawn step-wise from the truncated distribution, with
 temperature applied to the base distribution before truncation. Duplicates
 are kept; deduplication is the metric layer's job. Per-draw RNG streams are
 derived from (seed, draw index), so any single draw is reproducible
-independent of execution order.
+independent of execution order. Runs that share a seed read the same
+streams, so a multi-prompt run can keep their uniforms in a `streams` memo
+and seed each stream once, not once per prompt.
 """
 
 from __future__ import annotations
@@ -57,14 +59,30 @@ class _StepCache:
         return entry
 
 
+def _uniforms(stream_for_draw, draw: int, stored: list):
+    """The uniforms of stream `draw`: those in `stored` first, then new ones,
+    each appended to `stored`. The stream is seeded only when a reader goes
+    past the stored values, and then skips them by drawing them again."""
+    yield from stored
+    rng = stream_for_draw(draw)
+    for _ in range(len(stored)):
+        rng.random()
+    while True:
+        value = rng.random()
+        stored.append(value)
+        yield value
+
+
 def sample_sequences(model, rule: TruncationRule, prompt: Sequence[int], k: int,
                      seed: int, temperature: float = 1.0,
                      max_seq_len: int = DEFAULT_MAX_SEQ_LEN,
-                     steps: dict | None = None) -> SampleRun:
+                     steps: dict | None = None, streams: dict | None = None) -> SampleRun:
     """Draw k sequences with replacement from the truncated distribution.
 
     `steps` is the step memo; by default each call has its own (see
-    `_StepCache`).
+    `_StepCache`). `streams` maps (seed, draw) to the uniforms that draw's
+    stream has produced so far, as floats; runs sharing it seed each stream
+    once between them. By default each draw's stream is seeded afresh.
     """
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
@@ -78,7 +96,11 @@ def sample_sequences(model, rule: TruncationRule, prompt: Sequence[int], k: int,
     degraded = False
 
     for draw in range(k):
-        rng = stream_for_draw(draw)
+        if streams is None:
+            uniform = stream_for_draw(draw).random
+        else:
+            stored = streams.setdefault((seed, draw), [])
+            uniform = _uniforms(stream_for_draw, draw, stored).__next__
         tokens: tuple[int, ...] = ()
         log_q = 0.0
         try:
@@ -87,7 +109,7 @@ def sample_sequences(model, rule: TruncationRule, prompt: Sequence[int], k: int,
                 if len(ids) == 1:
                     idx = 0
                 else:
-                    idx = bisect.bisect_right(cum, rng.random() * cum[-1])
+                    idx = bisect.bisect_right(cum, uniform() * cum[-1])
                     idx = min(idx, len(ids) - 1)
                 log_q += log_weights[idx]
                 token = ids[idx]

@@ -20,7 +20,6 @@ import math
 import operator
 import statistics
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -245,12 +244,15 @@ def _run_prompts(args, model, prompt_ids: list[tuple[int, ...]], command: str, c
     """Run `run_one(prompt_ids, steps)` on every prompt, then write the rows
     and the manifest. Table and n-gram prompts run in sequence and share one
     step memo, so a context seen under any prompt is computed once. Remote
-    prompts run on a pool of `--workers` threads, each with its own memo: a
-    remote context holds the whole prompt, so a shared memo would only grow.
+    prompts run on a pool of `--workers` threads and get `steps` None, so each
+    keeps its own memos and no mutable state crosses threads: a remote
+    context holds the whole prompt, so a shared memo would only grow.
     `rows_of(prompt_ids, result)` turns one result into output rows;
     multi-prompt rows also carry the prompt's index. Returns the results and
     whether any of them is degraded."""
     if not isinstance(model, (TableModel, NgramModel)) and len(prompt_ids) > 1:
+        from concurrent.futures import ThreadPoolExecutor  # loads logging; local runs need neither
+
         with ThreadPoolExecutor(max_workers=args.workers) as pool:
             results = list(pool.map(run_one, prompt_ids, itertools.repeat(None)))
     else:
@@ -322,10 +324,15 @@ def cmd_enumerate(args) -> int:
 def cmd_sample(args) -> int:
     model = parse_model_spec(args.model)
     rule = parse_rule(args.rule)
+    prompts = _read_prompts(args.prompt_file, model)
+    # Draw d of every prompt reads stream (seed, d), so prompts that share a
+    # step memo share its uniforms too. One prompt reads each stream once,
+    # and storing them would only cost memory.
+    streams: dict | None = {} if len(prompts) > 1 else None
 
     def run_one(prompt_ids, steps):
-        return sample_sequences(model, rule, prompt_ids, args.k, args.seed,
-                                args.temperature, args.max_seq_len, steps)
+        return sample_sequences(model, rule, prompt_ids, args.k, args.seed, args.temperature,
+                                args.max_seq_len, steps, None if steps is None else streams)
 
     def rows_of(prompt_ids, run) -> list[dict]:
         return [{
@@ -340,7 +347,7 @@ def cmd_sample(args) -> int:
             "draw": draw,
         } for draw, (tokens, q) in enumerate(run.sequences)]
 
-    _, degraded = _run_prompts(args, model, _read_prompts(args.prompt_file, model), "sample", {
+    _, degraded = _run_prompts(args, model, prompts, "sample", {
         "model": args.model, "rule": args.rule, "k": args.k, "seed": args.seed,
         "temperature": args.temperature, "max_seq_len": args.max_seq_len,
         "prompt_file": args.prompt_file,

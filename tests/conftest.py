@@ -4,8 +4,9 @@ import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
+from hypothesis import strategies as st
 
-from dle.model import TableModel
+from dle.model import TableModel, train_ngram_model
 
 # The four-leaf worked example: masses 0.504 / 0.126 / 0.27 / 0.1 under the
 # boundary-inclusive epsilon:0.1 rule, total mass exactly 1.
@@ -86,6 +87,17 @@ def make_random_table_model(seed: int, max_vocab: int = 6, max_depth: int = 6,
 @pytest.fixture
 def random_model_factory():
     return make_random_table_model
+
+
+@st.composite
+def memo_models(draw):
+    """A random table model, or a small char n-gram model whose contexts repeat."""
+    if draw(st.booleans()):
+        return make_random_table_model(draw(st.integers(0, 10_000)))
+    letters = "abcd"[:draw(st.integers(1, 4))]
+    lines = draw(st.lists(st.text(letters, min_size=1, max_size=6), min_size=1, max_size=6))
+    return train_ngram_model("\n".join(lines), order=draw(st.integers(1, 3)),
+                             alpha=draw(st.sampled_from([0.01, 0.5, 1.0])), tokenization="char")
 
 
 class _StubState:

@@ -1,14 +1,17 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
+from conftest import memo_models
 from dle.baseline import sample_sequences
 from dle.errors import ConfigError
 from dle.metrics import coverage
-from dle.model import TableModel
+from dle.model import TableModel, train_ngram_model
 from dle.oracle import enumerate_all_leaves
-from dle.truncation import Epsilon, MinP, TopP
+from dle.truncation import Epsilon, MinP, TopP, parse_rule
 
 TWO_LEAF_DOC = {
     "vocab": ["a", "b", "<eos>"], "eos": "<eos>",
@@ -109,3 +112,37 @@ def test_k_must_be_positive():
         sample_sequences(model, Epsilon(eps=0.05), (), k=0, seed=0)
     with pytest.raises(ConfigError, match="max_seq_len must be >= 1, got 0"):
         sample_sequences(model, Epsilon(eps=0.05), (), k=2, seed=0, max_seq_len=0)
+
+
+# In the first example draws 0, 2 and 5 of the second prompt read past the
+# uniforms the first prompt stored, so they seed their streams and skip the
+# stored values. Under top_k:1 every step has one survivor: no draw reads any.
+_RESEEDING_MODEL = train_ngram_model("ab\nba\nbb\nbab", order=2, alpha=0.01, tokenization="char")
+
+
+@settings(max_examples=150, deadline=None)
+@given(model=memo_models(),
+       rule=st.sampled_from(["epsilon:0.05", "top_k:1", "top_k:2", "top_p:0.9", "min_p:0.3",
+                             "min_p:0.2+top_k:8"]),
+       prompts=st.lists(st.lists(st.integers(0, 4), max_size=3), min_size=1, max_size=4),
+       seed=st.integers(0, 99), k=st.integers(1, 12), max_seq_len=st.integers(1, 8),
+       temperature=st.sampled_from([1.0, 0.6]))
+@example(model=_RESEEDING_MODEL, rule="epsilon:0.05", prompts=[[0], [1]], seed=3, k=6,
+         max_seq_len=8, temperature=1.0)
+@example(model=_RESEEDING_MODEL, rule="top_k:1", prompts=[[0], [1], []], seed=0, k=3,
+         max_seq_len=8, temperature=1.0)
+def test_shared_draw_streams_match_a_fresh_stream_per_draw(model, rule, prompts, seed, k,
+                                                           max_seq_len, temperature):
+    rule = parse_rule(rule)
+    prompts = [tuple(t % model.vocab.size for t in prompt) for prompt in prompts]
+    steps, streams = {}, {}
+    shared = [sample_sequences(model, rule, prompt, k, seed, temperature, max_seq_len,
+                               steps=steps, streams=streams) for prompt in prompts]
+    alone = [sample_sequences(model, rule, prompt, k, seed, temperature, max_seq_len)
+             for prompt in prompts]
+    for run, reference in zip(shared, alone):
+        assert run.degraded == reference.degraded
+        assert [tokens for tokens, _ in run.sequences] == [t for t, _ in reference.sequences]
+        assert [q.hex() for _, q in run.sequences] == [q.hex() for _, q in reference.sequences]
+    assert set(streams) <= {(seed, draw) for draw in range(k)}
+    assert all(type(value) is float for values in streams.values() for value in values)

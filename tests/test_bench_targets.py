@@ -153,3 +153,29 @@ def test_multi_prompt_enumerate_queries_each_context_of_the_run_once_on_the_main
     assert names.count("model.next_distribution") == len(distinct)
     assert names.count("truncation.active_set") == len(distinct)
     assert {span.thread for span in tracer.spans} == {threading.get_ident()}
+
+
+def test_multi_prompt_sample_has_one_traced_span_per_prompt(tmp_path):
+    # The benchmark's `baseline.sample_sequences` span wraps `dle.cli.sample_sequences`
+    # and observes the steps of the `SampleRun` it returns: one run per prompt.
+    from dle import cli
+
+    (tmp_path / "corpus.txt").write_text("a b c a\na c b\nb a c c\nc a b\n")
+    prompts = tmp_path / "prompts.txt"
+    prompts.write_text("a\nb\nc\n")
+    out = tmp_path / "samples.jsonl"
+    tracer = load_tracer().Tracer()
+    tracer.install()
+    try:
+        code = cli.main(["sample", "--model", f"ngram:{tmp_path / 'corpus.txt'}?order=2&alpha=0.5",
+                         "--rule", "top_p:0.9", "--prompt-file", str(prompts), "--k", "5",
+                         "--seed", "2", "--max-seq-len", "6", "--out", str(out)])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    tokens = [0, 0, 0]
+    for line in out.read_text().splitlines():
+        row = json.loads(line)
+        tokens[row["prompt"]] += len(row["tokens"])
+    spans = [span for span in tracer.spans if span.name == "baseline.sample_sequences"]
+    assert [span.observed for span in spans] == tokens

@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import hashlib
 import json
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_random_table_model
-from dle import cli
+from dle import baseline, cli
 from dle.cli import _compare_rows, main
 from dle.engine import BranchPolicy
 from dle.model import TableModel, train_ngram_model
@@ -442,7 +443,7 @@ def test_local_multi_prompt_runs_start_no_thread(command, fig_tree_path, tmp_pat
     def no_pool(*args, **kwargs):
         raise AssertionError("a local model started a thread pool")
 
-    monkeypatch.setattr(cli, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
     threads = threading.active_count()
     for model in [f"ngram:{corpus}?order=2", f"table:{fig_tree_path}"]:
         out = tmp_path / "out.jsonl"
@@ -451,6 +452,32 @@ def test_local_multi_prompt_runs_start_no_thread(command, fig_tree_path, tmp_pat
         assert code == 0
         assert sorted({row["prompt"] for row in read_jsonl(out)}) == [0, 1, 2]
     assert threading.active_count() == threads
+
+
+def test_multi_prompt_sample_seeds_each_draw_stream_once(fig_tree_path, tmp_path, monkeypatch):
+    # Table contexts ignore the prompt, so every prompt's draw d reads the
+    # same uniforms of stream (seed, d): 6 seedings for 3 prompts, not 18.
+    seeded = []
+    family = baseline.substream_family
+
+    def counting_family(*parts):
+        make = family(*parts)
+
+        def counted(*tail):
+            seeded.append(tail)
+            return make(*tail)
+
+        return counted
+
+    monkeypatch.setattr(baseline, "substream_family", counting_family)
+    prompts = tmp_path / "prompts.txt"
+    prompts.write_text("a\nb\na\n")
+    out = tmp_path / "out.jsonl"
+    code = main(["sample", "--model", f"table:{fig_tree_path}", "--rule", "epsilon_ge:0.1",
+                 "--prompt-file", str(prompts), "--k", "6", "--seed", "0", "--out", str(out)])
+    assert code == 0
+    assert len(read_jsonl(out)) == 18
+    assert sorted(seeded) == [(draw,) for draw in range(6)]
 
 
 @pytest.mark.parametrize("command", [["enumerate", "--k", "3"], ["sample", "--k", "6"]])

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_random_table_model
+from conftest import memo_models
 from dle import engine
 from dle.baseline import sample_sequences
 from dle.engine import (POLICIES, Budget, BranchPolicy, EarlyStopConfig, Frontier, TokenStats,
@@ -469,18 +469,8 @@ def enumeration_outcome(model, rule, prompt, policy, budget, early_stop, steps=N
             json.dumps(result.tree.to_dict(), sort_keys=True))
 
 
-@st.composite
-def _memo_models(draw):
-    if draw(st.booleans()):
-        return make_random_table_model(draw(st.integers(0, 10_000)))
-    letters = "abcd"[:draw(st.integers(1, 4))]
-    lines = draw(st.lists(st.text(letters, min_size=1, max_size=6), min_size=1, max_size=6))
-    return train_ngram_model("\n".join(lines), order=draw(st.integers(1, 3)),
-                             alpha=draw(st.sampled_from([0.01, 0.5, 1.0])), tokenization="char")
-
-
 @settings(max_examples=120, deadline=None)
-@given(data=st.data(), model=_memo_models(),
+@given(data=st.data(), model=memo_models(),
        rule=st.sampled_from(["epsilon:0.05", "top_k:2", "top_p:0.9", "min_p:0.3",
                              "top_p:0.8+top_k:3", "min_p:0.1+top_k:2"]),
        policy=st.sampled_from(["probfirst", "divfirst", "randbranch:7", "globalprob", "dfs"]),
@@ -528,7 +518,7 @@ def per_prompt_outcomes(model, prompts, args, sample_args, shared):
 
 
 @settings(max_examples=100, deadline=None)
-@given(data=st.data(), model=_memo_models(),
+@given(data=st.data(), model=memo_models(),
        rule=st.sampled_from(["epsilon:0.05", "top_k:2", "top_p:0.9", "min_p:0.3",
                              "min_p:0.1+top_k:2"]),
        policy=st.sampled_from(["probfirst", "divfirst", "randbranch:7", "globalprob", "dfs"]),
@@ -564,7 +554,7 @@ def test_shared_step_memo_matches_a_fresh_memo_per_prompt(data, model, rule, pol
 
 
 @settings(max_examples=150, deadline=None)
-@given(model=_memo_models(),
+@given(model=memo_models(),
        rule=st.sampled_from(["epsilon:0.05", "top_k:2", "top_p:0.9", "min_p:0.3", "top_k:3"]),
        policy=st.sampled_from(["probfirst", "divfirst", "randbranch:7", "globalprob", "dfs"]),
        max_leaves=st.integers(1, 40), max_new_tokens=st.one_of(st.none(), st.integers(1, 100)),
@@ -617,7 +607,7 @@ _MERGING_MODEL = train_ngram_model("abcab\nbcabc\ncab", order=3, alpha=0.5, toke
 
 
 @settings(max_examples=150, deadline=None)
-@given(model=_memo_models(), prompt=st.lists(st.integers(0, 4), max_size=2),
+@given(model=memo_models(), prompt=st.lists(st.integers(0, 4), max_size=2),
        rule=st.sampled_from(["epsilon:0.05", "top_k:2", "top_p:0.9", "min_p:0.3",
                              "top_p:0.8+top_k:3", "min_p:0.1+top_k:2"]),
        policy=st.sampled_from(["probfirst", "divfirst", "randbranch:7", "globalprob", "dfs"]),

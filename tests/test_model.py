@@ -402,13 +402,15 @@ import dle, dle.cli
 from dle.model import parse_model_spec
 parse_model_spec("table:" + sys.argv[1])
 parse_model_spec("ngram:" + sys.argv[2] + "?order=2")
-print(sorted({"urllib.request", "http.client", "ssl", "email"} & set(sys.modules)))
+print(sorted({"urllib.request", "http.client", "ssl", "email", "concurrent.futures", "logging"}
+             & set(sys.modules)))
 remote = parse_model_spec("remote:url=http://127.0.0.1:9/nowhere")
 print(type(remote) is dle.RemoteModel, type(remote).__module__)
 """
 
 
 def test_local_models_load_no_http_stack(fig_tree_path, tmp_path):
+    # Nor `concurrent.futures`, which loads `logging`: only remote multi-prompt runs use a pool.
     corpus = tmp_path / "corpus.txt"
     corpus.write_text("a b\nb a\n")
     env = dict(os.environ, PYTHONPATH=str(Path(dle.__file__).resolve().parents[1]))

@@ -416,8 +416,12 @@ def _row_rules(row):
 
 
 # Then floor-0 rows listing one positive entry, under each rule kind, where
-# epsilon:1 keeps nothing and the step falls back to the argmax. Last, a
-# lone zero entry, which is no point mass on its id: the argmax is id 0.
+# epsilon:1 keeps nothing and the step falls back to the argmax. Then a lone
+# zero entry, which is no point mass on its id: the argmax is id 0. Last,
+# floor > 0 rows listing one entry: the floor fails min_p (also tempered) and
+# an epsilon between floor and entry, so the entry is the lone candidate;
+# top_k:1 and top_p:1.0 keep the floor; an entry equal to the floor is a
+# floor id, and with every id failing the argmax is id 0.
 @settings(max_examples=500, deadline=None)
 @given(case=_sparse_rows().flatmap(lambda row: st.tuples(st.just(row), _row_rules(row))),
        temperature=st.sampled_from([1.0, 0.0, 1e-320, 0.7, 2.5]), views=st.booleans())
@@ -436,6 +440,18 @@ def _row_rules(row):
                Composite(rules=(TopP(p=1.0), Epsilon(eps=1.0, inclusive=True)))),
          temperature=1.0, views=False)
 @example(case=(SparseRow((3,), (0.0,), 0.0, 10), TopK(k=2)), temperature=1.0, views=False)
+@example(case=(SparseRow((3,), (91 / 100,), 1 / 100, 10), Composite(rules=(MinP(0.2), TopK(k=8)))),
+         temperature=1.0, views=True)
+@example(case=(SparseRow((3,), (91 / 100,), 1 / 100, 10), Composite(rules=(MinP(0.2), TopK(k=8)))),
+         temperature=0.7, views=False)
+@example(case=(SparseRow((3,), (91 / 100,), 1 / 100, 10), TopK(k=1)), temperature=1.0,
+         views=False)
+@example(case=(SparseRow((3,), (91 / 100,), 1 / 100, 10), Epsilon(eps=0.5)), temperature=1.0,
+         views=True)
+@example(case=(SparseRow((3,), (91 / 100,), 1 / 100, 10), TopP(p=1.0)), temperature=1.0,
+         views=False)
+@example(case=(SparseRow((3,), (1 / 10,), 1 / 10, 10), Epsilon(eps=0.5)), temperature=1.0,
+         views=False)
 def test_sparse_rows_match_the_dense_references(case, temperature, views):
     row, rule = case
     if views:
