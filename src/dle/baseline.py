@@ -5,8 +5,8 @@ temperature applied to the base distribution before truncation. Duplicates
 are kept; deduplication is the metric layer's job. Per-draw RNG streams are
 derived from (seed, draw index), so any single draw is reproducible
 independent of execution order. Runs that share a seed read the same
-streams, so a multi-prompt run can keep their uniforms in a `streams` memo
-and seed each stream once, not once per prompt.
+streams, so a multi-prompt run can keep their uniforms in a `streams` memo,
+one array of uniforms per draw, and seed each stream once, not once per prompt.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import bisect
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import MutableSequence, Sequence
 
 from .errors import ConfigError, ModelError
 from .rng import substream_family
@@ -59,7 +59,7 @@ class _StepCache:
         return entry
 
 
-def _uniforms(stream_for_draw, draw: int, stored: list):
+def _uniforms(stream_for_draw, draw: int, stored: MutableSequence[float]):
     """The uniforms of stream `draw`: those in `stored` first, then new ones,
     each appended to `stored`. The stream is seeded only when a reader goes
     past the stored values, and then skips them by drawing them again."""
@@ -76,13 +76,14 @@ def _uniforms(stream_for_draw, draw: int, stored: list):
 def sample_sequences(model, rule: TruncationRule, prompt: Sequence[int], k: int,
                      seed: int, temperature: float = 1.0,
                      max_seq_len: int = DEFAULT_MAX_SEQ_LEN,
-                     steps: dict | None = None, streams: dict | None = None) -> SampleRun:
+                     steps: dict | None = None, streams: list | None = None) -> SampleRun:
     """Draw k sequences with replacement from the truncated distribution.
 
     `steps` is the step memo; by default each call has its own (see
-    `_StepCache`). `streams` maps (seed, draw) to the uniforms that draw's
-    stream has produced so far, as floats; runs sharing it seed each stream
-    once between them. By default each draw's stream is seeded afresh.
+    `_StepCache`). `streams[draw]`, for every draw below k, is a list or
+    `array("d")` of the uniforms that draw's stream has produced so far; runs
+    that share it, all with the same `seed`, seed each stream once between them.
+    By default each draw's stream is seeded afresh.
     """
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
@@ -99,8 +100,7 @@ def sample_sequences(model, rule: TruncationRule, prompt: Sequence[int], k: int,
         if streams is None:
             uniform = stream_for_draw(draw).random
         else:
-            stored = streams.setdefault((seed, draw), [])
-            uniform = _uniforms(stream_for_draw, draw, stored).__next__
+            uniform = _uniforms(stream_for_draw, draw, streams[draw]).__next__
         tokens: tuple[int, ...] = ()
         log_q = 0.0
         try:

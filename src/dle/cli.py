@@ -20,6 +20,7 @@ import math
 import operator
 import statistics
 import sys
+from array import array
 from pathlib import Path
 
 import numpy as np
@@ -325,10 +326,10 @@ def cmd_sample(args) -> int:
     model = parse_model_spec(args.model)
     rule = parse_rule(args.rule)
     prompts = _read_prompts(args.prompt_file, model)
-    # Draw d of every prompt reads stream (seed, d), so prompts that share a
-    # step memo share its uniforms too. One prompt reads each stream once,
-    # and storing them would only cost memory.
-    streams: dict | None = {} if len(prompts) > 1 else None
+    # Draw d of every prompt reads the same stream, so prompts that share a
+    # step memo share its uniforms too, kept as doubles. One prompt reads each
+    # stream once, and storing them would only cost memory.
+    streams = [array("d") for _ in range(args.k)] if len(prompts) > 1 else None
 
     def run_one(prompt_ids, steps):
         return sample_sequences(model, rule, prompt_ids, args.k, args.seed, args.temperature,

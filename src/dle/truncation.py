@@ -273,9 +273,6 @@ def active_set(row: SparseRow, rule: TruncationRule) -> ActiveSet:
     the argmax token with weight exactly 1.0.
     """
     ids, probs, floor, size = row
-    if floor == 0.0 and len(probs) == 1 and probs[0] > 0.0:
-        # Every rule keeps this lone positive entry or falls back to the argmax, which is it.
-        return ActiveSet((ids[0],), (1.0,), (0.0,), probs[0])
     top_k, top_ps, strict, inclusive, min_p = rule._plan
     if min_p:
         # No listed probability is below the floor, so it is the largest when none is listed.
@@ -289,7 +286,10 @@ def active_set(row: SparseRow, rule: TruncationRule) -> ActiveSet:
     floor_kept = floor > strict and floor >= inclusive
     if not floor_kept and len(probs) == 1 and probs[0] > floor:
         # The lone entry is the only candidate: it survives, or the step falls
-        # back to the argmax, which is it, with the same mass.
+        # back to the argmax, which is it, with the same mass. A floor of 0 is
+        # never kept (`strict` is at least 0), so this also covers a floor-0
+        # row that lists one positive entry, such as a table row that can
+        # only end the sequence.
         return ActiveSet((ids[0],), (1.0,), (0.0,), probs[0])
     ids, raw, ranked = _survivors(row, max(floor, strict), inclusive,
                                   size if top_k is None else top_k, top_ps, floor_kept)
@@ -304,39 +304,29 @@ def apply_temperature(row: SparseRow, temperature: float) -> SparseRow:
     """Rescale a distribution as p^(1/T), renormalized.
 
     T=1 returns the row unchanged; T=0 is the greedy limit (point mass on
-    the argmax). Any other T takes log and exp once per listed entry and,
-    when some id sits at a floor above 0, once for the floor those ids
-    share. Applied before truncation.
+    the argmax). Any other T rescales the dense row, and the ids at the floor
+    share one rescaled value. Applied before truncation.
     """
     if not temperature >= 0.0:  # NaN fails every comparison
         raise ConfigError(f"temperature must be >= 0, got {temperature}")
     if temperature == 1.0:
         return row
-    ids, probs, floor, size = row
+    ids, _, floor, size = row
     if temperature > 0.0:
-        shared = floor > 0.0 and len(probs) < size
-        if shared:
-            values = np.array([*probs, floor])  # none is below the floor, so all are > 0
-        else:
-            values = np.asarray(probs, dtype=np.float64)
-            positive = values > 0.0
-            values = values[positive]  # the dense row's positive entries, in id order
+        probs = row.dense()
+        positive = probs > 0.0
         with np.errstate(over="ignore"):
-            logits = np.log(values) / temperature
+            logits = np.log(probs[positive]) / temperature
         top = logits.max()
         # A T so small that the largest scaled logit overflows takes its limit, T=0.
         if math.isfinite(top):
             scaled = np.exp(logits - top)
-            if shared:
-                # Summed over the V-long row in id order, numpy's pairwise sum
-                # keeps the bits it has on the dense row.
-                dense = np.full(size, scaled[-1])
-                dense[np.asarray(ids, dtype=np.intp)] = scaled[:-1]
-                scaled /= dense.sum()
-                return SparseRow(ids, tuple(scaled[:-1].tolist()), float(scaled[-1]), size)
-            out = np.zeros(len(positive))
+            out = np.zeros(size)
             out[positive] = scaled / scaled.sum()
-            return SparseRow(ids, tuple(out.tolist()), 0.0, size)
+            unlisted = next(itertools.filterfalse(set(ids).__contains__, range(size)), None)
+            floor = 0.0 if floor == 0.0 or unlisted is None else float(out[unlisted])
+            return SparseRow(ids, tuple(out[np.asarray(ids, dtype=np.intp)].tolist()), floor,
+                             size)
     return SparseRow((_argmax(row)[0],), (1.0,), 0.0, size)
 
 

@@ -1,4 +1,5 @@
 import math
+from array import array
 
 import pytest
 from hypothesis import example, given, settings
@@ -135,7 +136,7 @@ def test_shared_draw_streams_match_a_fresh_stream_per_draw(model, rule, prompts,
                                                            max_seq_len, temperature):
     rule = parse_rule(rule)
     prompts = [tuple(t % model.vocab.size for t in prompt) for prompt in prompts]
-    steps, streams = {}, {}
+    steps, streams = {}, [array("d") for _ in range(k)]
     shared = [sample_sequences(model, rule, prompt, k, seed, temperature, max_seq_len,
                                steps=steps, streams=streams) for prompt in prompts]
     alone = [sample_sequences(model, rule, prompt, k, seed, temperature, max_seq_len)
@@ -144,5 +145,5 @@ def test_shared_draw_streams_match_a_fresh_stream_per_draw(model, rule, prompts,
         assert run.degraded == reference.degraded
         assert [tokens for tokens, _ in run.sequences] == [t for t, _ in reference.sequences]
         assert [q.hex() for _, q in run.sequences] == [q.hex() for _, q in reference.sequences]
-    assert set(streams) <= {(seed, draw) for draw in range(k)}
-    assert all(type(value) is float for values in streams.values() for value in values)
+    assert len(streams) == k
+    assert all(type(value) is float for values in streams for value in values)
