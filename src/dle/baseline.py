@@ -33,10 +33,11 @@ class SampleRun:
 class _StepCache:
     """Memoized (token ids, log weights, cumulative weights) per context.
 
-    Keyed on `model.context(prompt, generated)`, the part of the prefix the
-    model's next distribution depends on, so the model is queried once per
-    distinct context. `cache` may be shared with other runs of the same
-    model, rule and temperature. Failed model calls are never stored.
+    Keyed on `model.context(prompt, generated)`, which is equal for prefixes
+    with equal next distributions (for an n-gram model, windows with equal
+    count rows), so the model is queried once per distinct context. `cache`
+    may be shared with other runs of the same model, rule and temperature.
+    Failed model calls are never stored.
     """
 
     def __init__(self, model, rule: TruncationRule, prompt: tuple[int, ...], temperature: float,

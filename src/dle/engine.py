@@ -234,7 +234,8 @@ def greedy_rollout(model, rule: TruncationRule, tree: PrunedTree, start_node: in
 
     `steps` maps `model.context(prompt, prefix)` to the active set computed
     for it; a step whose context is already there skips the model and the
-    truncation rule. Failed model calls are never stored.
+    truncation rule. An n-gram model keys a window by its count row, so
+    windows with equal rows share one step. Failed model calls are never stored.
     """
     stats.rollouts += 1
     if steps is None:

@@ -1,10 +1,9 @@
 """Pluggable conditional next-token probability sources.
 
 Three backends share one protocol: ``next_distribution(prompt, generated)``,
-which returns a `SparseRow`, and ``context(prompt, generated)``, the hashable
-part of the prefix that the next distribution depends on. Two prefixes with
-equal contexts get the same distribution, so callers may reuse a step
-computed for either:
+which returns a `SparseRow`, and ``context(prompt, generated)``, a hashable
+key of the prefix. Two prefixes with equal contexts get the same
+distribution, so callers may reuse a step computed for either:
 
 * TableModel — explicit transition table loaded from JSON. Transition keys
   are space-joined token strings of the generated prefix (prompt excluded),
@@ -16,8 +15,9 @@ computed for either:
   imports only for ``remote:`` specs, so local runs never load its HTTP
   stack.
 
-Table and n-gram models are immutable after construction and safe for
-concurrent read-only queries.
+Table and n-gram models never change their distributions and are safe for
+concurrent queries: an n-gram model's one mutable state, a row's `context`
+key, is filled on first lookup by idempotent single stores.
 """
 
 from __future__ import annotations
@@ -293,12 +293,13 @@ class NgramModel:
     """
 
     def __init__(self, vocab: Vocabulary, order: int, alpha: float, tokenization: str,
-                 rows: dict[tuple[int, ...], int], totals: list[int], pairs: np.ndarray):
+                 rows: dict[tuple[int, ...], int], totals: Sequence[int], pairs: np.ndarray):
         """Build from counts already keyed by row.
 
         rows maps each context to its row index, totals[row] is the
         context's count, and pairs is an (n, 3) integer array of
-        (row, token id, count) triples in any order.
+        (row, token id, count) triples in any order. Each pair count must be
+        at least 1 and each context's count the sum of its pair counts.
         """
         _check_order_alpha(order, alpha)
         self.vocab = vocab
@@ -306,7 +307,7 @@ class NgramModel:
         self.alpha = alpha
         self.tokenization = tokenization
         self._rows = rows
-        self._totals = totals
+        totals = np.asarray(totals)
         row_of, next_ids = pairs[:, 0], pairs[:, 1]
         if len(pairs) and not 0 <= next_ids.min() <= next_ids.max() < vocab.size:
             raise ConfigError("pair count for a token id outside the vocabulary")
@@ -315,14 +316,21 @@ class NgramModel:
         if (np.diff(key[by_key]) == 0).any():
             raise ConfigError("duplicate pair count")
         del key  # freed first, so the per-pair arrays below add nothing to the peak memory
+        counts = pairs[:, 2]
+        if (counts < 1).any() or (np.bincount(row_of, counts, len(totals)) != totals).any():
+            raise ConfigError("pair counts must be >= 1 and sum to their context's count")
+        self._totals = totals.tolist()
         self._next_ids = _array("q", next_ids[by_key])
         self._next_counts = pairs[by_key, 2]
         self._next_weights = _array("d", self._next_counts + alpha)
         indptr = np.zeros(len(totals) + 1, dtype=np.int64)
         np.cumsum(np.bincount(row_of, minlength=len(totals)), out=indptr[1:])
         self._indptr = _array("q", indptr)
+        # Row -> `context` key once looked up; (count, ids, weights) -> first such row.
+        self._keys: list[int | None] = [None] * len(totals)
+        self._first_row: dict[tuple[int, bytes, bytes], int] = {}
 
-    def context(self, prompt: Sequence[int], generated: Sequence[int]) -> tuple[int, ...]:
+    def _window(self, prompt: Sequence[int], generated: Sequence[int]) -> tuple[int, ...]:
         """The trailing (order - 1)-token window of prompt + generated, read
         from the tail in O(order)."""
         width, tail = self.order - 1, len(generated)
@@ -330,10 +338,25 @@ class NgramModel:
             return tuple(generated[tail - width:])
         return tuple(prompt[max(0, len(prompt) - width + tail):]) + tuple(generated)
 
+    def context(self, prompt: Sequence[int], generated: Sequence[int]) -> int:
+        """The key of the window's row: the first row with the same count,
+        continuations and weights, or -1 for an unseen window. Windows with
+        equal keys get the same distribution. Filled on a row's first lookup."""
+        row = self._rows.get(self._window(prompt, generated))
+        if row is None:
+            return -1
+        key = self._keys[row]
+        if key is None:
+            lo, hi = self._indptr[row], self._indptr[row + 1]
+            key = self._keys[row] = self._first_row.setdefault(
+                (self._totals[row], self._next_ids[lo:hi].tobytes(),
+                 self._next_weights[lo:hi].tobytes()), row)
+        return key
+
     def next_distribution(self, prompt: Sequence[int], generated: Sequence[int]) -> SparseRow:
         """The observed continuations of the context, with the smoothed
         weight of an unseen one as the floor."""
-        row = self._rows.get(self.context(prompt, generated))
+        row = self._rows.get(self._window(prompt, generated))
         ctx_count = 0 if row is None else self._totals[row]
         size = self.vocab.size
         denom = ctx_count + self.alpha * size
@@ -383,12 +406,12 @@ class NgramModel:
         context_counts = _field(doc, "context_counts", "an array", what)
         pair_counts = _field(doc, "pair_counts", "an array", what)
         rows: dict[tuple[int, ...], int] = {}
-        totals: list[int] = []
+        totals = array.array("q")  # no int object per count: __init__ makes the list
         try:
             for ctx, count in context_counts:
                 rows[tuple(ctx)] = len(totals)
                 totals.append(int(count))
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ConfigError(f"{what} field 'context_counts' must hold [context, count] "
                               "pairs") from None
         triples = ((rows[tuple(ctx)], tok, count) for ctx, tok, count in pair_counts)
@@ -396,7 +419,7 @@ class NgramModel:
             pairs = _int_triples(triples, len(pair_counts))
         except KeyError as exc:
             raise ConfigError(f"pair count for context {exc.args[0]!r}, which has no count") from None
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ConfigError(f"{what} field 'pair_counts' must hold [context, token id, count] "
                               "triples") from None
         return cls(vocab, order, float(alpha), tokenization, rows, totals, pairs)
@@ -458,7 +481,7 @@ def train_ngram_model(corpus: str, order: int, alpha: float,
 
 
 def _count_windows(ids: np.ndarray, lengths: np.ndarray, order: int,
-                   vocab_size: int) -> tuple[np.ndarray, list[int], np.ndarray]:
+                   vocab_size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The n-gram counts of lines concatenated in `ids`, `lengths` long each.
 
     Returns (heads, totals, pairs) in `NgramModel`'s row layout: column r of
@@ -482,7 +505,7 @@ def _count_windows(ids: np.ndarray, lengths: np.ndarray, order: int,
     rows = np.repeat(np.arange(len(starts)), totals)
     keys, counts = np.unique(rows * vocab_size + ids[by_window], return_counts=True)
     pairs = np.stack([keys // vocab_size, keys % vocab_size, counts], axis=1)
-    return windows[:, starts], totals.tolist(), pairs
+    return windows[:, starts], totals, pairs
 
 
 def parse_model_spec(spec: str) -> TableModel | NgramModel | RemoteModel:

@@ -94,6 +94,12 @@ def memo_models(draw):
     """A random table model, or a small char n-gram model whose contexts repeat."""
     if draw(st.booleans()):
         return make_random_table_model(draw(st.integers(0, 10_000)))
+    return draw(ngram_memo_models())
+
+
+@st.composite
+def ngram_memo_models(draw):
+    """A small char n-gram model whose contexts repeat: `memo_models`' n-gram branch."""
     letters = "abcd"[:draw(st.integers(1, 4))]
     lines = draw(st.lists(st.text(letters, min_size=1, max_size=6), min_size=1, max_size=6))
     return train_ngram_model("\n".join(lines), order=draw(st.integers(1, 3)),

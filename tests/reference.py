@@ -51,6 +51,26 @@ class UnmemoizedModel:
         return self.inner.next_distribution(prompt, generated)
 
 
+class WindowContextModel:
+    """N-gram model proxy whose context is the trailing (order - 1)-token
+    window of prompt + generated: the key `NgramModel.context` returned
+    before windows with equal count rows shared one.
+
+    A step memo keyed by it computes a step once per distinct window.
+    """
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.vocab = inner.vocab
+
+    def context(self, prompt, generated):
+        sequence = tuple(prompt) + tuple(generated)
+        return sequence[max(0, len(sequence) - (self.inner.order - 1)):]
+
+    def next_distribution(self, prompt, generated):
+        return self.inner.next_distribution(prompt, generated)
+
+
 def mix(seed: int, *parts: int | str | bytes) -> int:
     """The 64-bit FNV-1a mix of (seed, *parts) in one pass: the seed of the
     stream `substream_family(seed, *parts[:i])(*parts[i:])`, for every i.

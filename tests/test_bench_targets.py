@@ -17,6 +17,7 @@ from dle import engine
 from dle.engine import Budget, BranchPolicy
 from dle.model import train_ngram_model
 from dle.truncation import Composite, TopK, TopP
+from reference import WindowContextModel
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "e2ebench" / "tracer.py"
 
@@ -89,6 +90,27 @@ def test_step_memo_calls_the_traced_names_once_per_context():
     assert names.count("model.next_distribution") == len(contexts)
     assert names.count("truncation.active_set") == len(contexts)
     assert names.count("tree.expand_node") == len(expanded)
+
+
+def test_windows_with_equal_count_rows_share_one_traced_step():
+    # "a", "b" and "c" are each followed once by "x", and "d" and "e" by
+    # "y": eight windows, five distinct rows.
+    tracer = load_tracer().Tracer()
+    model = train_ngram_model("a x\nb x\nc x\nd y\ne y\n", order=2, alpha=0.5)
+    tracer.install()
+    try:
+        result = engine.enumerate_leaves(model, TopK(k=5), (), BranchPolicy("probfirst"),
+                                         Budget(max_leaves=20, max_seq_len=4), keep_tree=True)
+    finally:
+        tracer.uninstall()
+    tree = result.tree
+    prefixes = [tree.path_tokens(node_id) for node_id in tree.children]
+    keys = {model.context((), prefix) for prefix in prefixes}
+    windows = {WindowContextModel(model).context((), prefix) for prefix in prefixes}
+    assert len(keys) == 5 < len(windows) == 8
+    names = [span.name for span in tracer.spans]
+    assert names.count("model.next_distribution") == len(keys)
+    assert names.count("truncation.active_set") == len(keys)
 
 
 def test_randbranch_select_spans_observe_the_live_frontier_size():

@@ -737,6 +737,12 @@ def _ngram_doc_without(field):
      "n-gram model field 'context_counts' must hold [context, count] pairs"),
     ("ngram", dict(_ngram_doc_without("kind"), alpha=float("nan")),
      "alpha must be a finite number > 0, got nan"),
+    ("ngram", dict(_ngram_doc_without("kind"), context_counts=[[[], 2], [[0], 2], [[1], -1]]),
+     "pair counts must be >= 1 and sum to their context's count"),
+    ("ngram", dict(_ngram_doc_without("kind"), context_counts=[[[], 2 ** 70]]),
+     "n-gram model field 'context_counts' must hold [context, count] pairs"),
+    ("ngram", dict(_ngram_doc_without("kind"), pair_counts=[[[], 0, 2 ** 70]]),
+     "n-gram model field 'pair_counts' must hold [context, token id, count] triples"),
 ])
 def test_malformed_model_documents_exit_2_without_traceback(kind, doc, message, tmp_path, capsys):
     path = tmp_path / "model.json"

@@ -5,10 +5,10 @@ import random
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, find, given, settings
 from hypothesis import strategies as st
 
-from conftest import memo_models
+from conftest import memo_models, ngram_memo_models
 from dle import engine
 from dle.baseline import sample_sequences
 from dle.engine import (POLICIES, Budget, BranchPolicy, EarlyStopConfig, Frontier, TokenStats,
@@ -18,8 +18,8 @@ from dle.model import TableModel, train_ngram_model
 from dle.oracle import enumerate_all_leaves
 from dle.tree import UNEXPANDED, PrunedTree
 from dle.truncation import Epsilon, MinP, TopK, TopP, parse_rule
-from reference import (ScanRecord, UnmemoizedModel, early_stop_check, linear_select_branch, mix,
-                       node_enumerate_leaves, scan_enumerate_leaves)
+from reference import (ScanRecord, UnmemoizedModel, WindowContextModel, early_stop_check,
+                       linear_select_branch, mix, node_enumerate_leaves, scan_enumerate_leaves)
 
 FIG_RULE = Epsilon(eps=0.1, inclusive=True)
 UNLIMITED = Budget(max_leaves=10 ** 9)
@@ -551,6 +551,44 @@ def test_shared_step_memo_matches_a_fresh_memo_per_prompt(data, model, rule, pol
     assert shared == per_prompt_outcomes(failing, prompts, args, sample_args, shared=False)[0]
     assert shared == per_prompt_outcomes(UnmemoizedModel(failing), prompts, args, sample_args,
                                          shared=False)[0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), model=ngram_memo_models(),
+       rule=st.sampled_from(["epsilon:0.05", "top_k:2", "top_p:0.9", "min_p:0.3",
+                             "min_p:0.1+top_k:2"]),
+       policy=st.sampled_from(["probfirst", "divfirst", "randbranch:7", "globalprob", "dfs"]),
+       max_leaves=st.integers(1, 12), max_seq_len=st.integers(1, 7),
+       early_stop_n=st.one_of(st.none(), st.integers(1, 3)),
+       temperature=st.sampled_from([1.0, 0.6]), k=st.integers(1, 8), seed=st.integers(0, 99))
+def test_row_keys_match_window_keys(data, model, rule, policy, max_leaves, max_seq_len,
+                                    early_stop_n, temperature, k, seed):
+    # Memos keyed by the model's row keys and by the trailing windows give
+    # the same leaves, dumped trees and draws, for one prompt or several
+    # that share a memo. Outcomes are compared as text, every float bit included.
+    base = data.draw(st.lists(st.integers(0, model.vocab.size - 1), max_size=4))
+    windows = [tuple(base[i:j]) for i in range(len(base) + 1) for j in range(i, len(base) + 1)]
+    prompts = data.draw(st.lists(st.sampled_from(windows), min_size=1, max_size=4))
+    early_stop = None if early_stop_n is None else EarlyStopConfig(n=early_stop_n)
+    args = (parse_rule(rule), BranchPolicy.parse(policy),
+            Budget(max_leaves=max_leaves, max_seq_len=max_seq_len), early_stop)
+    sample_args = (k, seed, temperature, max_seq_len)
+    windowed = WindowContextModel(model)
+    assert repr(per_prompt_outcomes(model, prompts, args, sample_args, shared=True)[0]) == \
+        repr(per_prompt_outcomes(windowed, prompts, args, sample_args, shared=True)[0])
+
+
+def test_ngram_memo_models_reach_windows_that_share_a_row():
+    # The property above runs enumerations in which distinct windows share a step.
+    def expands_windows_that_share_a_row(model):
+        tree = enumerate_leaves(model, TopK(k=2), (), BranchPolicy("probfirst"),
+                                Budget(max_leaves=8, max_seq_len=6), keep_tree=True).tree
+        prefixes = [tree.path_tokens(node_id) for node_id in tree.children]
+        windows = {WindowContextModel(model).context((), prefix) for prefix in prefixes}
+        return len({model.context((), prefix) for prefix in prefixes}) < len(windows)
+
+    find(ngram_memo_models(), expands_windows_that_share_a_row,
+         settings=settings(database=None, max_examples=200))
 
 
 @settings(max_examples=150, deadline=None)

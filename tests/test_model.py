@@ -17,8 +17,8 @@ from dle.errors import ConfigError, EmptyCorpus, MissingTransition, RemoteError
 from dle.model import (NgramModel, TableModel, Vocabulary, _tokenize, parse_model_spec,
                        train_ngram_model)
 from dle.remote import RemoteModel
-from reference import (DenseTableModel, dict_count_lists, dict_ngram_counts, dict_train_ngram_model,
-                       loop_next_distribution)
+from reference import (DenseTableModel, WindowContextModel, dict_count_lists, dict_ngram_counts,
+                       dict_train_ngram_model, loop_next_distribution)
 
 
 def test_table_lookup_matches_document():
@@ -266,6 +266,46 @@ def test_ngram_document_with_inconsistent_counts_is_rejected():
     duplicate = dict(doc, pair_counts=doc["pair_counts"] + doc["pair_counts"][:1])
     with pytest.raises(ConfigError, match="duplicate"):
         NgramModel.from_dict(duplicate)
+    # Rows that are not distributions: their masses would reach the output.
+    contexts, pairs = doc["context_counts"], doc["pair_counts"]
+    for context_counts, pair_counts in [
+        (contexts + [[[2], -1]], pairs),  # a negative context count, so a negative floor
+        ([[ctx, -1 if ctx == [0] else count] for ctx, count in contexts], pairs),
+        (contexts + [[[2], 1]], pairs + [[[2], 0, 5]]),  # a pair count above its context's
+        (contexts + [[[2], -3]], pairs + [[[2], 0, -3]]),  # a negative one, sums matching
+        (contexts + [[[2], 0]], pairs + [[[2], 0, 0]]),
+    ]:
+        with pytest.raises(ConfigError, match="pair counts must be >= 1 and sum to"):
+            NgramModel.from_dict(dict(doc, context_counts=context_counts, pair_counts=pair_counts))
+
+
+def _row_bits(row) -> tuple:
+    return (list(row.ids), np.array(row.probs, np.float64).tobytes(), row.floor.hex(), row.size)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lines=st.lists(st.text("abc", min_size=1, max_size=5), min_size=1, max_size=6),
+       order=st.integers(1, 4), alpha=st.sampled_from([0.01, 0.5, 1.0]),
+       queries=st.lists(st.tuples(st.lists(st.integers(0, 3), max_size=3),
+                                  st.lists(st.integers(0, 3), max_size=3)), min_size=1, max_size=12))
+# The windows "a" and "c" are each followed once by "b": one row, one key.
+@example(lines=["ab", "cb"], order=2, alpha=0.5, queries=[([], [0]), ([], [2]), ([0], [])])
+# "a" and "c" list the same continuations, "b" and eos, with swapped counts: two keys.
+@example(lines=["ab", "ab", "a", "cb", "c", "c"], order=2, alpha=0.5, queries=[([], [0]), ([], [2])])
+# The window "b b" is unseen.
+@example(lines=["ab"], order=3, alpha=0.5, queries=[([1], [1]), ([0], [1]), ([], [1, 1])])
+def test_equal_row_keys_give_bit_identical_rows(lines, order, alpha, queries):
+    model = train_ngram_model("\n".join(lines), order, alpha, tokenization="char")
+    windowed = WindowContextModel(model)
+    seen = {tuple(ctx) for ctx, _ in model.to_dict()["context_counts"]}
+    row_of_key, key_of_window = {}, {}
+    for prompt, generated in queries:
+        prompt, generated = ([t % model.vocab.size for t in part] for part in (prompt, generated))
+        key, window = model.context(prompt, generated), windowed.context(prompt, generated)
+        bits = _row_bits(model.next_distribution(prompt, generated))
+        assert row_of_key.setdefault(key, bits) == bits
+        assert key_of_window.setdefault(window, key) == key
+        assert (key == -1) == (window not in seen)
 
 
 def test_ngram_calls_are_bit_identical():
