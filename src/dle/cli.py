@@ -34,7 +34,7 @@ from .engine import (Budget, BranchPolicy, EarlyStopConfig, EnumerationResult,
 from .errors import ConfigError, DleError, InvariantViolation, ModelError
 from .metrics import (check_coverage, compensated_prefix_sums, coverage, coverage_curve,
                       expected_coverage_closed_form)
-from .model import NgramModel, TableModel, parse_model_spec, read_corpus, train_ngram_model
+from .model import parse_model_spec, read_corpus, train_ngram_model
 from .oracle import enumerate_all_leaves
 from .truncation import parse_rule
 
@@ -158,7 +158,7 @@ def _leaf_row(model, leaf) -> dict:
     }
 
 
-def _write_jsonl(path: Path, rows: list[dict]) -> None:
+def _write_jsonl(path: Path, rows) -> None:
     with _open_out(path) as fh:
         for row in rows:
             fh.write(json.dumps(row, sort_keys=True))
@@ -240,34 +240,27 @@ def _manifest_prompts(infile: str) -> dict[int, tuple]:
         raise malformed from None
 
 
-def _run_prompts(args, model, prompt_ids: list[tuple[int, ...]], command: str, config: dict,
+def _run_prompts(args, prompt_ids: list[tuple[int, ...]], command: str, config: dict,
                  run_one, rows_of) -> tuple[list, bool]:
     """Run `run_one(prompt_ids, steps)` on every prompt, then write the rows
-    and the manifest. Table and n-gram prompts run in sequence and share one
-    step memo, so a context seen under any prompt is computed once. Remote
-    prompts run on a pool of `--workers` threads and get `steps` None, so each
-    keeps its own memos and no mutable state crosses threads: a remote
-    context holds the whole prompt, so a shared memo would only grow.
+    and the manifest. Prompts run in input order and share one step memo, so
+    a context seen under any prompt is computed once.
     `rows_of(prompt_ids, result)` turns one result into output rows;
     multi-prompt rows also carry the prompt's index. Returns the results and
     whether any of them is degraded."""
-    if not isinstance(model, (TableModel, NgramModel)) and len(prompt_ids) > 1:
-        from concurrent.futures import ThreadPoolExecutor  # loads logging; local runs need neither
+    steps: dict = {}
+    results = [run_one(ids, steps) for ids in prompt_ids]
 
-        with ThreadPoolExecutor(max_workers=args.workers) as pool:
-            results = list(pool.map(run_one, prompt_ids, itertools.repeat(None)))
-    else:
-        steps: dict = {}
-        results = [run_one(ids, steps) for ids in prompt_ids]
-    rows = []
-    for idx, (ids, result) in enumerate(zip(prompt_ids, results)):
-        for row in rows_of(ids, result):
-            if len(prompt_ids) > 1:
-                row["prompt"] = idx
-            rows.append(row)
+    def rows():  # a generator, so one prompt's rows are held at a time
+        for idx, (ids, result) in enumerate(zip(prompt_ids, results)):
+            for row in rows_of(ids, result):
+                if len(prompt_ids) > 1:
+                    row["prompt"] = idx
+                yield row
+
     degraded = any(result.degraded for result in results)
     out = Path(args.out)
-    _write_jsonl(out, rows)
+    _write_jsonl(out, rows())
     _write_manifest(out, command, config, extras={
         "degraded": degraded, "prompt_tokens": [list(ids) for ids in prompt_ids]})
     return results, degraded
@@ -297,7 +290,7 @@ def cmd_enumerate(args) -> int:
         return enumerate_leaves(model, rule, prompt_ids, policy, budget, early_stop,
                                 keep_tree=args.dump_tree is not None, steps=steps)
 
-    results, degraded = _run_prompts(args, model, prompt_ids, "enumerate", {
+    results, degraded = _run_prompts(args, prompt_ids, "enumerate", {
         "model": args.model, "rule": args.rule, "policy": args.policy,
         "k": args.k, "token_budget": args.token_budget, "max_seq_len": args.max_seq_len,
         "early_stop_n": args.early_stop_n, "prompt_file": args.prompt_file,
@@ -326,14 +319,14 @@ def cmd_sample(args) -> int:
     model = parse_model_spec(args.model)
     rule = parse_rule(args.rule)
     prompts = _read_prompts(args.prompt_file, model)
-    # Draw d of every prompt reads the same stream, so prompts that share a
-    # step memo share its uniforms too, kept as doubles. One prompt reads each
-    # stream once, and storing them would only cost memory.
+    # Draw d of every prompt reads the same stream, so the prompts share its
+    # uniforms, kept as doubles, as they share the step memo. One prompt reads
+    # each stream once, and storing them would only cost memory.
     streams = [array("d") for _ in range(args.k)] if len(prompts) > 1 else None
 
     def run_one(prompt_ids, steps):
         return sample_sequences(model, rule, prompt_ids, args.k, args.seed, args.temperature,
-                                args.max_seq_len, steps, None if steps is None else streams)
+                                args.max_seq_len, steps, streams)
 
     def rows_of(prompt_ids, run) -> list[dict]:
         return [{
@@ -348,7 +341,7 @@ def cmd_sample(args) -> int:
             "draw": draw,
         } for draw, (tokens, q) in enumerate(run.sequences)]
 
-    _, degraded = _run_prompts(args, model, prompts, "sample", {
+    _, degraded = _run_prompts(args, prompts, "sample", {
         "model": args.model, "rule": args.rule, "k": args.k, "seed": args.seed,
         "temperature": args.temperature, "max_seq_len": args.max_seq_len,
         "prompt_file": args.prompt_file,
@@ -503,7 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--prompt-file", default=None, help="one prompt per line; omitted = empty prompt")
         p.add_argument("--max-seq-len", type=_count, default=512)
         p.add_argument("--workers", type=_count, default=4,
-                       help="worker pool size for remote multi-prompt runs")
+                       help="ignored: prompts run in sequence")
 
     p = sub.add_parser("enumerate", help="distinct-leaf enumeration")
     add_model_args(p)

@@ -14,10 +14,6 @@ distribution, so callers may reuse a step computed for either:
   log-probabilities. It lives in `dle.remote`, which `parse_model_spec`
   imports only for ``remote:`` specs, so local runs never load its HTTP
   stack.
-
-Table and n-gram models never change their distributions and are safe for
-concurrent queries: an n-gram model's one mutable state, a row's `context`
-key, is filled on first lookup by idempotent single stores.
 """
 
 from __future__ import annotations
@@ -64,12 +60,6 @@ class Vocabulary:
         # Built on first lookup, so vocabularies that are never searched do
         # not pay for it.
         return {tok: i for i, tok in enumerate(self.tokens)}
-
-    def id_of(self, token: str) -> int:
-        try:
-            return self._index[token]
-        except KeyError:
-            raise ConfigError(f"token {token!r} not in vocabulary") from None
 
     def ids_of(self, tokens) -> tuple[int, ...]:
         """The ids of an iterable of tokens, looked up without a Python call per token."""
@@ -229,13 +219,18 @@ def _field(doc, name: str, kind: str, what: str):
 
 
 def _listed(vocab: Vocabulary, weights: list[dict]) -> tuple[np.ndarray, ...]:
-    """(entries per row, token ids, weights) of token -> weight maps, chained."""
+    """(entries per row, token ids, weights) of token -> weight maps, chained.
+    Each weight must be a JSON number: an int or a float, not a bool."""
     chain = itertools.chain.from_iterable
     ids = np.fromiter(vocab.ids_of(chain(weights)), np.intp)
+    if not set(map(type, chain(step.values() for step in weights))) <= {int, float}:
+        token, weight = next((token, weight) for step in weights for token, weight in step.items()
+                             if type(weight) not in (int, float))
+        raise ConfigError(f"transition weights must be numbers, got {weight!r} for {token!r}")
     try:
         values = np.fromiter(chain(step.values() for step in weights), np.float64, len(ids))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"transition weights must be numbers: {exc}") from None
+    except OverflowError:  # an integer past the float range
+        raise ConfigError("distribution has non-finite entries") from None
     return np.fromiter(map(len, weights), np.intp, len(weights)), ids, values
 
 
@@ -410,11 +405,12 @@ class NgramModel:
         try:
             for ctx, count in context_counts:
                 rows[tuple(ctx)] = len(totals)
-                totals.append(int(count))
+                totals.append(_json_int(count))
         except (TypeError, ValueError, OverflowError):
             raise ConfigError(f"{what} field 'context_counts' must hold [context, count] "
                               "pairs") from None
-        triples = ((rows[tuple(ctx)], tok, count) for ctx, tok, count in pair_counts)
+        triples = ((rows[tuple(ctx)], _json_int(tok), _json_int(count))
+                   for ctx, tok, count in pair_counts)
         try:
             pairs = _int_triples(triples, len(pair_counts))
         except KeyError as exc:
@@ -434,6 +430,13 @@ def _check_order_alpha(order: int, alpha: float) -> None:
         raise ConfigError(f"order must be >= 1, got {order}")
     if not 0.0 < alpha < math.inf:  # also false for NaN
         raise ConfigError(f"alpha must be a finite number > 0, got {alpha}")
+
+
+def _json_int(value) -> int:
+    """`value` if it is a JSON integer (an int, not a bool), else TypeError."""
+    if type(value) is not int:
+        raise TypeError(f"{value!r} is not an integer")
+    return value
 
 
 def _int_triples(triples, n: int) -> np.ndarray:

@@ -6,7 +6,6 @@ from __future__ import annotations
 import json
 import logging
 import os
-import threading
 import time
 import urllib.error
 import urllib.request
@@ -30,15 +29,15 @@ class RemoteModel:
     token, and the number of top alternatives. The returned tokens are the
     whole support, renormalized; a warning is logged when their raw mass is
     too small to trust threshold rules. Token strings are interned into a
-    growing vocabulary with stable ids. A semaphore bounds requests in
-    flight, and transient failures are retried with exponential backoff.
-    The base URL and auth token default to DLE_REMOTE_URL / DLE_REMOTE_KEY.
+    growing vocabulary with stable ids. Transient failures are retried with
+    exponential backoff. The base URL and auth token default to
+    DLE_REMOTE_URL / DLE_REMOTE_KEY.
     """
 
     def __init__(self, base_url: str | None = None, api_key: str | None = None,
                  top_n: int = 20, eos_token: str = EOS_TOKEN,
                  max_retries: int = 3, backoff: float = 0.1, timeout: float = 10.0,
-                 max_in_flight: int = 8, low_mass_warn: float = 0.5):
+                 low_mass_warn: float = 0.5):
         base_url = base_url or os.environ.get(REMOTE_URL_ENV)
         if not base_url:
             raise ConfigError(f"remote model needs a base URL ({REMOTE_URL_ENV} unset)")
@@ -51,8 +50,6 @@ class RemoteModel:
         self.backoff = backoff
         self.timeout = timeout
         self.low_mass_warn = low_mass_warn
-        self._semaphore = threading.Semaphore(max_in_flight)
-        self._lock = threading.Lock()
         self._tokens: list[str] = [eos_token]
         self._ids: dict[str, int] = {eos_token: 0}
         self._vocab = Vocabulary(tokens=(eos_token,), eos_id=0)
@@ -60,17 +57,15 @@ class RemoteModel:
     @property
     def vocab(self) -> Vocabulary:
         # Tokens are only ever appended, so the count identifies a generation.
-        with self._lock:
-            if self._vocab.size != len(self._tokens):
-                self._vocab = Vocabulary(tokens=tuple(self._tokens), eos_id=0)
-            return self._vocab
+        if self._vocab.size != len(self._tokens):
+            self._vocab = Vocabulary(tokens=tuple(self._tokens), eos_id=0)
+        return self._vocab
 
     def _intern(self, token: str) -> int:
-        with self._lock:
-            idx = self._ids.setdefault(token, len(self._tokens))
-            if idx == len(self._tokens):
-                self._tokens.append(token)
-            return idx
+        idx = self._ids.setdefault(token, len(self._tokens))
+        if idx == len(self._tokens):
+            self._tokens.append(token)
+        return idx
 
     def encode_prompt(self, text: str) -> tuple[int, ...]:
         return tuple(self._intern(word) for word in text.split())
@@ -93,9 +88,8 @@ class RemoteModel:
             if attempt:
                 time.sleep(self.backoff * (2 ** (attempt - 1)))
             try:
-                with self._semaphore:
-                    with urllib.request.urlopen(request, timeout=self.timeout) as resp:
-                        return json.loads(resp.read().decode("utf-8"))
+                with urllib.request.urlopen(request, timeout=self.timeout) as resp:
+                    return json.loads(resp.read().decode("utf-8"))
             except urllib.error.HTTPError as exc:
                 last_status = exc.code
                 if exc.code < 500:

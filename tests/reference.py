@@ -26,7 +26,7 @@ from dle.engine import (Budget, BranchPolicy, EnumerationResult, TokenStats,
 from dle.errors import ConfigError, ExpandingExpandedNode, ModelError
 from dle.metrics import _check_masses, compensated_sum, coverage_curve
 from dle.model import (DIST_SUM_TOL, NgramModel, SparseRow, TableModel, Vocabulary, _array,
-                       _field, _tokenize)
+                       _field, _listed, _tokenize)
 from dle.oracle import enumerate_all_leaves
 from dle.tree import (EXPANDED, FAILED, LEAF, PRUNED_EARLY_STOP, STOP_EOS, STOP_LENGTH_CAP,
                       UNEXPANDED, Leaf, PrunedTree)
@@ -517,14 +517,9 @@ def validate_distribution(probs: np.ndarray, vocab_size: int) -> np.ndarray:
 
 
 def _weight_rows(vocab: Vocabulary, weights: list[dict]) -> np.ndarray:
-    """A (len(weights), V) array whose row i holds weights[i], a token -> weight map."""
-    chain = itertools.chain.from_iterable
-    cols = np.fromiter(chain(map(vocab.ids_of, weights)), np.intp)
-    try:
-        values = np.fromiter(chain(step.values() for step in weights), np.float64, len(cols))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"transition weights must be numbers: {exc}") from None
-    counts = np.fromiter(map(len, weights), np.intp, len(weights))
+    """A (len(weights), V) array whose row i holds weights[i], a token -> weight
+    map, parsed by the package's `_listed`."""
+    counts, cols, values = _listed(vocab, weights)
     rows = np.repeat(np.arange(len(weights)), counts)
     out = np.zeros((len(weights), vocab.size))
     out[rows, cols] = values

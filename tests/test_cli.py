@@ -433,19 +433,32 @@ def test_bad_cache_sim_manifest_exits_2_without_traceback(row, manifest, message
     assert not out.exists()
 
 
+def _two_leaf_responses(prompts: dict) -> dict:
+    """Stub answers for one-word prompts: each ranks x and y as its (px, py)
+    says, and both end after one token."""
+    responses = {}
+    for prompt, (px, py) in prompts.items():
+        responses[prompt] = {"x": math.log(px), "y": math.log(py)}
+        responses.update({prompt + tok: {"<eos>": 0.0} for tok in "xy"})
+    return responses
+
+
 @pytest.mark.parametrize("command", [["enumerate", "--k", "3"], ["sample", "--k", "5"]])
-def test_local_multi_prompt_runs_start_no_thread(command, fig_tree_path, tmp_path, monkeypatch):
+def test_multi_prompt_runs_start_no_thread(command, fig_tree_path, tmp_path, monkeypatch,
+                                           stub_server):
     corpus = tmp_path / "corpus.txt"
     corpus.write_text("a b c\nb c a\nc a b a\n")
     prompts = tmp_path / "prompts.txt"
     prompts.write_text("a\nb\na\n")
+    stub_server.configure(_two_leaf_responses({"a": (0.6, 0.4), "b": (0.3, 0.7)}))
+    monkeypatch.setenv("DLE_REMOTE_URL", stub_server.url)
 
     def no_pool(*args, **kwargs):
-        raise AssertionError("a local model started a thread pool")
+        raise AssertionError("a multi-prompt run started a thread pool")
 
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
     threads = threading.active_count()
-    for model in [f"ngram:{corpus}?order=2", f"table:{fig_tree_path}"]:
+    for model in [f"ngram:{corpus}?order=2", f"table:{fig_tree_path}", "remote:top_n=4"]:
         out = tmp_path / "out.jsonl"
         code = main([*command, "--model", model, "--rule", "epsilon_ge:0.1", "--workers", "4",
                      "--prompt-file", str(prompts), "--out", str(out)])
@@ -481,32 +494,37 @@ def test_multi_prompt_sample_seeds_each_draw_stream_once(fig_tree_path, tmp_path
 
 
 @pytest.mark.parametrize("command", [["enumerate", "--k", "3"], ["sample", "--k", "6"]])
-def test_remote_multi_prompt_rows_keep_prompt_order_for_any_pool_size(command, tmp_path,
-                                                                     monkeypatch, stub_server):
-    # Every prompt's tree has the same tokens, ranked alike, so the client
-    # interns them in the same order whichever request comes first.
-    responses = {}
-    for prompt, (px, py) in {"p": (0.6, 0.4), "q": (0.9, 0.1), "r": (0.55, 0.45)}.items():
-        responses[prompt] = {"x": math.log(px), "y": math.log(py)}
-        responses[prompt + "x"] = {"<eos>": 0.0}
-        responses[prompt + "y"] = {"z": math.log(0.9), "<eos>": math.log(0.1)}
-        responses[prompt + "yz"] = {"<eos>": 0.0}
-    stub_server.configure(responses)
+def test_remote_multi_prompt_runs_number_tokens_in_input_order(command, tmp_path, monkeypatch,
+                                                               stub_server):
+    # p and q rank x and y in opposite orders, so the client numbers x and y
+    # in the order their first answer arrives: p's, as prompts run in input order.
+    stub_server.configure(_two_leaf_responses({"p": (0.6, 0.4), "q": (0.3, 0.7)}))
     monkeypatch.setenv("DLE_REMOTE_URL", stub_server.url)
     prompts = tmp_path / "prompts.txt"
-    prompts.write_text("q\np\nr\nq\n")
+    prompts.write_text("p\nq\n" * 4)
     outputs = []
-    for workers in ["1", "4"]:
-        out = tmp_path / f"out{workers}.jsonl"
+    for run in range(2):
+        stub_server.state.requests.clear()
+        out = tmp_path / f"out{run}.jsonl"
         code = main([*command, "--model", "remote:top_n=4", "--rule", "epsilon:0.05",
-                     "--prompt-file", str(prompts), "--workers", workers, "--out", str(out)])
+                     "--prompt-file", str(prompts), "--workers", "4", "--out", str(out)])
         assert code == 0
+        # One request per distinct context: 2 prompts x 3 prefixes. Repeated
+        # prompt lines are answered from the run's step memo.
+        assert len(stub_server.state.requests) == 6
         outputs.append(out.read_bytes())
-        rows = read_jsonl(out)
-        prompt_of = [row["prompt"] for row in rows]
-        assert prompt_of == sorted(prompt_of) and set(prompt_of) == {0, 1, 2, 3}
-        assert rows[0]["text"] == "x<eos>"  # prompt q's most likely leaf
     assert outputs[0] == outputs[1]
+    manifest = json.loads((tmp_path / "out1.jsonl.manifest.json").read_text())
+    assert manifest["prompt_tokens"] == [[1], [2]] * 4
+    x, y, eos = 3, 4, 0
+    rows = read_jsonl(out)
+    assert [row["prompt"] for row in rows] == sorted(row["prompt"] for row in rows)
+    if command[0] == "enumerate":
+        leaves = {0: [[x, eos], [y, eos]], 1: [[y, eos], [x, eos]]}  # most likely first
+        assert [(row["prompt"], row["tokens"]) for row in rows] == [
+            (idx, tokens) for idx in range(8) for tokens in leaves[idx % 2]]
+    else:
+        assert len(rows) == 48 and {tuple(row["tokens"]) for row in rows} == {(x, eos), (y, eos)}
 
 
 def test_ngram_train_then_enumerate(tmp_path):
@@ -740,6 +758,8 @@ def _ngram_doc_without(field):
     ("ngram", dict(_ngram_doc_without("kind"), context_counts=[[[], 2], [[0], 2], [[1], -1]]),
      "pair counts must be >= 1 and sum to their context's count"),
     ("ngram", dict(_ngram_doc_without("kind"), context_counts=[[[], 2 ** 70]]),
+     "n-gram model field 'context_counts' must hold [context, count] pairs"),
+    ("ngram", dict(_ngram_doc_without("kind"), context_counts=[[[], 2.7], [[0], 2], [[1], 2]]),
      "n-gram model field 'context_counts' must hold [context, count] pairs"),
     ("ngram", dict(_ngram_doc_without("kind"), pair_counts=[[[], 0, 2 ** 70]]),
      "n-gram model field 'pair_counts' must hold [context, token id, count] triples"),

@@ -76,8 +76,12 @@ def test_table_rejects_a_bad_default_and_non_numeric_weights():
     base = {"vocab": ["a", "<eos>"], "eos": "<eos>", "transitions": {"": {"a": 1.0}}}
     with pytest.raises(ConfigError, match="non-finite"):
         TableModel.from_dict({**base, "default": {"a": float("nan"), "<eos>": 1.0}})
-    with pytest.raises(ConfigError, match="must be numbers"):
-        TableModel.from_dict({**base, "transitions": {"": {"a": "lots"}}})
+    for weight in ["lots", "1.0", True, None]:
+        with pytest.raises(ConfigError) as excinfo:
+            TableModel.from_dict({**base, "transitions": {"": {"a": weight}}})
+        assert str(excinfo.value) == f"transition weights must be numbers, got {weight!r} for 'a'"
+    with pytest.raises(ConfigError, match="non-finite"):  # an integer past the float range
+        TableModel.from_dict({**base, "transitions": {"": {"a": 10 ** 400}}})
 
 
 def test_table_rows_are_read_only(fig_tree_model):
@@ -277,6 +281,12 @@ def test_ngram_document_with_inconsistent_counts_is_rejected():
     ]:
         with pytest.raises(ConfigError, match="pair counts must be >= 1 and sum to"):
             NgramModel.from_dict(dict(doc, context_counts=context_counts, pair_counts=pair_counts))
+    # Counts that are not JSON integers: truncated, they would pass the sum check.
+    for field, value in [("context_counts", 2.7), ("context_counts", "2"),
+                         ("pair_counts", 1.5), ("pair_counts", True)]:
+        rows = [[*entry[:-1], value] if i == 0 else entry for i, entry in enumerate(doc[field])]
+        with pytest.raises(ConfigError, match=f"field '{field}' must hold"):
+            NgramModel.from_dict(dict(doc, **{field: rows}))
 
 
 def _row_bits(row) -> tuple:
@@ -321,7 +331,7 @@ def test_vocabulary_invariants():
     with pytest.raises(ConfigError):
         Vocabulary(tokens=("a",), eos_id=5)
     vocab = Vocabulary(tokens=("a", "<eos>"), eos_id=1)
-    assert vocab.size == 2 and vocab.id_of("<eos>") == 1
+    assert vocab.size == 2 and vocab.ids_of(["<eos>"]) == (1,)
 
 
 def test_remote_renormalizes_returned_logprobs(stub_server):
@@ -450,13 +460,35 @@ print(type(remote) is dle.RemoteModel, type(remote).__module__)
 
 
 def test_local_models_load_no_http_stack(fig_tree_path, tmp_path):
-    # Nor `concurrent.futures`, which loads `logging`: only remote multi-prompt runs use a pool.
+    # Nor `concurrent.futures`, which loads `logging`.
     corpus = tmp_path / "corpus.txt"
     corpus.write_text("a b\nb a\n")
     env = dict(os.environ, PYTHONPATH=str(Path(dle.__file__).resolve().parents[1]))
     out = subprocess.run([sys.executable, "-c", FOOTPRINT_SCRIPT, str(fig_tree_path), str(corpus)],
                          capture_output=True, text=True, env=env, check=True, timeout=60)
     assert out.stdout.splitlines() == ["[]", "True dle.remote"]
+
+
+REMOTE_RUN_SCRIPT = """
+import sys
+from dle.cli import main
+code = main(["enumerate", "--model", "remote:top_n=2", "--rule", "top_k:1", "--k", "1",
+             "--workers", "4", "--prompt-file", sys.argv[1], "--out", sys.argv[2]])
+print(code, "concurrent.futures" in sys.modules)
+"""
+
+
+def test_remote_multi_prompt_runs_load_no_thread_pool(stub_server, tmp_path):
+    stub_server.configure({"p": {"<eos>": 0.0}, "q": {"<eos>": 0.0}})
+    prompts = tmp_path / "prompts.txt"
+    prompts.write_text("p\nq\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(dle.__file__).resolve().parents[1]),
+               DLE_REMOTE_URL=stub_server.url)
+    out = subprocess.run([sys.executable, "-c", REMOTE_RUN_SCRIPT, str(prompts),
+                          str(tmp_path / "out.jsonl")],
+                         capture_output=True, text=True, env=env, check=True, timeout=60)
+    assert out.stdout.splitlines() == ["0 False"]
+    assert len(stub_server.state.requests) == 2
 
 
 def test_remote_requires_url(monkeypatch):
