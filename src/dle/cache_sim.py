@@ -190,10 +190,6 @@ class PrefixCache:
             return True
         return False
 
-    @property
-    def cached_tokens(self) -> int:
-        return self._cached_tokens
-
 
 def simulate(streams: Sequence[Sequence[int]], cache: PrefixCache) -> CacheStats:
     """Replay streams in generation order through the cache, after counting

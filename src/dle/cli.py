@@ -159,9 +159,10 @@ def _leaf_row(model, leaf) -> dict:
 
 
 def _write_jsonl(path: Path, rows) -> None:
+    encode = json.JSONEncoder(sort_keys=True).encode  # json.dumps builds one per call
     with _open_out(path) as fh:
         for row in rows:
-            fh.write(json.dumps(row, sort_keys=True))
+            fh.write(encode(row))
             fh.write("\n")
 
 

@@ -9,7 +9,8 @@ distribution, so callers may reuse a step computed for either:
   are space-joined token strings of the generated prefix (prompt excluded),
   with an optional default distribution for unlisted contexts.
 * NgramModel — add-alpha smoothed n-gram model trained from plain text, one
-  training sequence per line, end-of-sequence appended once per line.
+  training sequence per line, end-of-sequence appended once per line, and
+  counted with one sort of one packed int64 key per token.
 * RemoteModel — adapter for HTTP endpoints that serve per-token
   log-probabilities. It lives in `dle.remote`, which `parse_model_spec`
   imports only for ``remote:`` specs, so local runs never load its HTTP
@@ -261,11 +262,12 @@ def _check_rows(lengths: np.ndarray, row_of: np.ndarray, ids: np.ndarray, probs:
 EOS_TOKEN = "<eos>"
 
 
-def _tokenize(text: str, mode: str) -> list[str]:
+def _splitter(mode: str):
+    """The tokenizer of a tokenization mode: text -> list of token strings."""
     if mode == "char":
-        return list(text)
+        return list
     if mode in ("whitespace", "ws"):
-        return text.split()
+        return str.split
     raise ConfigError(f"unknown tokenization {mode!r} (use char or whitespace)")
 
 
@@ -362,7 +364,7 @@ class NgramModel:
         return SparseRow(self._next_ids[lo:hi], probs, self.alpha / denom, size)
 
     def encode_prompt(self, text: str) -> tuple[int, ...]:
-        return self.vocab.ids_of(_tokenize(text, self.tokenization))
+        return self.vocab.ids_of(_splitter(self.tokenization)(text))
 
     def decode(self, token_ids: Sequence[int]) -> str:
         sep = "" if self.tokenization == "char" else " "
@@ -409,10 +411,18 @@ class NgramModel:
         except (TypeError, ValueError, OverflowError):
             raise ConfigError(f"{what} field 'context_counts' must hold [context, count] "
                               "pairs") from None
+        _check_order_alpha(order, alpha)
+        # Any other context would load as a row that no window reaches.
+        ids = list(itertools.chain.from_iterable(rows))
+        if (len(rows) < len(totals) or max(map(len, rows), default=0) >= order or ids and (
+                set(map(type, ids)) != {int} or not 0 <= min(ids) <= max(ids) < vocab.size)):
+            raise ConfigError(f"{what} field 'context_counts' must hold distinct contexts of at "
+                              f"most order - 1 token ids in [0, {vocab.size})")
         triples = ((rows[tuple(ctx)], _json_int(tok), _json_int(count))
                    for ctx, tok, count in pair_counts)
         try:
-            pairs = _int_triples(triples, len(pair_counts))
+            pairs = np.fromiter(itertools.chain.from_iterable(triples), np.int64,
+                                3 * len(pair_counts)).reshape(-1, 3)
         except KeyError as exc:
             raise ConfigError(f"pair count for context {exc.args[0]!r}, which has no count") from None
         except (TypeError, ValueError, OverflowError):
@@ -439,76 +449,92 @@ def _json_int(value) -> int:
     return value
 
 
-def _int_triples(triples, n: int) -> np.ndarray:
-    """An (n, 3) int64 array from an iterable of n integer triples."""
-    return np.fromiter(itertools.chain.from_iterable(triples), np.int64, 3 * n).reshape(n, 3)
-
-
 def train_ngram_model(corpus: str, order: int, alpha: float,
                       tokenization: str = "whitespace") -> NgramModel:
     """Train an add-alpha n-gram model from text, one sequence per line."""
     _check_order_alpha(order, alpha)
-    lines = [_tokenize(line, tokenization) for line in corpus.splitlines()]
-    lines = [toks for toks in lines if toks]
+    lines = [toks for toks in map(_splitter(tokenization), corpus.splitlines()) if toks]
     if not lines:
         raise EmptyCorpus("corpus is empty after tokenization")
 
-    token_set = sorted({tok for line in lines for tok in line})
+    token_set = set().union(*lines)
     if EOS_TOKEN in token_set:
         raise ConfigError(f"corpus must not contain the reserved token {EOS_TOKEN!r}")
-    tokens = tuple(token_set) + (EOS_TOKEN,)
-    vocab = Vocabulary(tokens=tokens, eos_id=len(tokens) - 1)
+    vocab = Vocabulary(tokens=(*sorted(token_set), EOS_TOKEN), eos_id=len(token_set))
 
     # One id array over all lines, eos appended to each.
-    lengths = np.fromiter(map(len, lines), np.intp, len(lines)) + 1
-    tokens_with_eos = itertools.chain.from_iterable((*line, EOS_TOKEN) for line in lines)
-    ids = np.fromiter(map(vocab._index.__getitem__, tokens_with_eos), np.int32,
-                      int(lengths.sum()))
-    # The token strings are not needed while the rows are built. fromiter
-    # stops at its count, so the unfinished chain would keep them alive.
-    del tokens_with_eos, lines
+    for line in lines:
+        line.append(EOS_TOKEN)
+    lengths = np.fromiter(map(len, lines), np.intp, len(lines))
+    ids = np.fromiter(map(vocab._index.__getitem__, itertools.chain.from_iterable(lines)),
+                      np.int32, int(lengths.sum()))
+    del lines  # the token strings are not needed while the rows are built
     # No context reaches past its line start: a wider window adds no row.
-    window = min(order, int(lengths.max()))
-    heads, totals, pairs = _count_windows(ids, lengths, window, vocab.size)
+    heads, totals, pairs = _count_windows(ids, lengths, min(order, int(lengths.max())),
+                                          vocab.size)
     del ids
+    return NgramModel(vocab, order, alpha, tokenization, _context_rows(heads, vocab.size),
+                      totals, pairs)
 
-    # The context tuples of each length, built from one int object per id.
-    shared = np.array(range(vocab.size), dtype=object)
+
+def _context_rows(heads: np.ndarray, vocab_size: int) -> dict[tuple[int, ...], int]:
+    """Context tuple -> row of `_count_windows`' heads, from one int object per
+    id. A helper, so its temporaries are freed before the model is built."""
+    shared = np.array(range(vocab_size), dtype=object)
     known = (heads >= 0).sum(axis=0)
     rows: dict[tuple[int, ...], int] = {}
-    for size in range(window):
+    for size in range(len(heads) + 1):
         of_size = np.flatnonzero(known == size)
-        columns = shared[heads[window - 1 - size:, of_size]].tolist()
+        columns = shared[heads[len(heads) - size:, of_size]].tolist()
         rows.update(zip(zip(*columns) if size else [()] * len(of_size), of_size.tolist()))
-    return NgramModel(vocab, order, alpha, tokenization, rows, totals, pairs)
+    return rows
 
 
 def _count_windows(ids: np.ndarray, lengths: np.ndarray, order: int,
                    vocab_size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The n-gram counts of lines concatenated in `ids`, `lengths` long each.
-
-    Returns (heads, totals, pairs) in `NgramModel`'s row layout: column r of
-    heads is row r's (order - 1)-token context, padded on the left with -1
-    where it is shortened near a line start. A helper, so its position-sized
+    """The n-gram counts of lines concatenated in `ids`, `lengths` long each,
+    as (heads, totals, pairs) in `NgramModel`'s row layout: column r of heads
+    is row r's (order - 1)-token context, padded on the left with -1 where it
+    is shortened near a line start. A helper, so its position-sized
     temporaries are freed before the context tuples are built.
+
+    One sort of one int64 key per position counts them all. A position's code
+    packs its window, oldest token first, in base V + 1 (digit 0 before its
+    line start, id + 1 otherwise), and its key is code * V + token. Sorted,
+    keys run by window length, then lexicographically: a run of equal keys is
+    one pair, a run of equal codes one row. Before a digit that could pass
+    int64, the codes become their order-preserving ranks, and each row's
+    code is decoded back through them; ConfigError if the ranks could too.
     """
-    # Row j of windows holds, for each position, the token width - j places
-    # before it, or -1 before its line start. Sorted, the windows are ordered
-    # by length, then lexicographically; a row is one run of equal windows.
-    width = order - 1
+    width, base = order - 1, vocab_size + 1
     offsets = np.arange(len(ids)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    windows = np.full((width, len(ids)), -1, dtype=np.int32)
-    for back in range(1, order):
-        windows[width - back, back:] = np.where(offsets[back:] >= back, ids[:-back], -1)
+    codes = np.zeros(len(ids), np.int64)
+    ranked = []  # per digit: the codes a rank step replaced before it, or None
+    for back in range(width, 0, -1):
+        ranked.append(None)
+        if (int(codes.max()) + 1) * base * vocab_size > 2 ** 63:
+            ranked[-1], codes = np.unique(codes, return_inverse=True)
+            if len(ranked[-1]) * base * vocab_size > 2 ** 63:
+                raise ConfigError(f"too many distinct contexts to count at order {order} "
+                                  f"over {vocab_size} tokens")
+        codes *= base
+        codes[back:] += np.where(offsets[back:] >= back, ids[:-back] + 1, 0)
     del offsets
-    by_window = np.lexsort(windows[::-1]) if width else np.arange(len(ids))
-    windows = windows[:, by_window]
-    starts = np.flatnonzero(np.r_[True, (np.diff(windows, axis=1) != 0).any(axis=0)])
-    totals = np.diff(np.r_[starts, len(ids)])
-    rows = np.repeat(np.arange(len(starts)), totals)
-    keys, counts = np.unique(rows * vocab_size + ids[by_window], return_counts=True)
-    pairs = np.stack([keys // vocab_size, keys % vocab_size, counts], axis=1)
-    return windows[:, starts], totals, pairs
+    codes *= vocab_size
+    codes += ids
+    codes.sort()
+    starts = np.flatnonzero(np.r_[True, codes[1:] != codes[:-1]])
+    codes, next_ids = np.divmod(codes[starts], vocab_size)
+    new_row = np.r_[True, codes[1:] != codes[:-1]]
+    totals = np.diff(np.r_[starts[new_row], len(ids)])
+    pairs = np.stack([np.cumsum(new_row) - 1, next_ids, np.diff(np.r_[starts, len(ids)])], axis=1)
+    codes = codes[new_row]
+    heads = np.empty((width, len(codes)), np.int32)
+    for column in range(width - 1, -1, -1):
+        codes, heads[column] = np.divmod(codes, base)
+        if ranked[column] is not None:
+            codes = ranked[column][codes]
+    return heads - 1, totals, pairs
 
 
 def parse_model_spec(spec: str) -> TableModel | NgramModel | RemoteModel:

@@ -26,7 +26,7 @@ from dle.engine import (Budget, BranchPolicy, EnumerationResult, TokenStats,
 from dle.errors import ConfigError, ExpandingExpandedNode, ModelError
 from dle.metrics import _check_masses, compensated_sum, coverage_curve
 from dle.model import (DIST_SUM_TOL, NgramModel, SparseRow, TableModel, Vocabulary, _array,
-                       _field, _listed, _tokenize)
+                       _field, _listed, _splitter)
 from dle.oracle import enumerate_all_leaves
 from dle.tree import (EXPANDED, FAILED, LEAF, PRUNED_EARLY_STOP, STOP_EOS, STOP_LENGTH_CAP,
                       UNEXPANDED, Leaf, PrunedTree)
@@ -593,7 +593,7 @@ def dict_train_ngram_model(corpus: str, order: int, alpha: float,
     `dict_ngram_counts`, with the context dict turned into the row index in
     place (rows in first-appearance order)."""
     tokens, context_counts, pair_counts = dict_ngram_counts(
-        corpus, order, lambda line: _tokenize(line, tokenization))
+        corpus, order, _splitter(tokenization))
     totals = list(context_counts.values())
     for row, ctx in enumerate(context_counts):
         context_counts[ctx] = row

@@ -763,6 +763,10 @@ def _ngram_doc_without(field):
      "n-gram model field 'context_counts' must hold [context, count] pairs"),
     ("ngram", dict(_ngram_doc_without("kind"), pair_counts=[[[], 0, 2 ** 70]]),
      "n-gram model field 'pair_counts' must hold [context, token id, count] triples"),
+    ("ngram", dict(_ngram_doc_without("kind"), context_counts=[[[], 2], [[0], 2], [[1], 2],
+                                                               [[99], 1]]),
+     "n-gram model field 'context_counts' must hold distinct contexts of at most order - 1 "
+     "token ids in [0, 3)"),
 ])
 def test_malformed_model_documents_exit_2_without_traceback(kind, doc, message, tmp_path, capsys):
     path = tmp_path / "model.json"

@@ -1,9 +1,10 @@
-"""Every module-level name in the package is used inside the package.
+"""Every module-level name and every method in the package is used inside the package.
 
-A function, class or constant in `src/dle/*.py` that no other code in
+A function, class, constant or method in `src/dle/*.py` that no other code in
 `src/dle/` refers to is reached by no CLI command: it is dead, or it is a
 checker that belongs in `tests/reference.py`. `__init__.py` only re-exports,
-so its imports do not count as uses.
+so its imports do not count as uses. A method counts as used when its name is
+read anywhere in the package, as an attribute or a name.
 """
 
 import ast
@@ -14,6 +15,14 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "dle"
 # Called from outside the package: the benchmark computes its repetition-rate
 # step with `metrics.repetition_rate` and records `_kernels.BACKEND`.
 USED_OUTSIDE = {("metrics", "repetition_rate"), ("_kernels", "BACKEND")}
+
+# Methods kept for callers outside the package: the model protocol, which
+# every backend offers, and the methods the benchmark's tracer
+# (`e2ebench/tracer.py`) wraps by class and name.
+PROTOCOL_METHODS = {"context", "next_distribution", "encode_prompt", "decode"}
+TRACED_METHODS = {("NgramModel", "next_distribution"), ("TableModel", "next_distribution"),
+                  ("PrunedTree", "expand_node"), ("PrunedTree", "path_tokens"),
+                  ("PrefixCache", "match"), ("PrefixCache", "insert")}
 
 
 def module_level_names(tree: ast.Module) -> list[str]:
@@ -27,6 +36,14 @@ def module_level_names(tree: ast.Module) -> list[str]:
     return names
 
 
+def methods(tree: ast.Module) -> list[tuple[str, str]]:
+    """(class, method) for each function defined in a module-level class
+    body, dunder methods left out: Python calls them."""
+    return [(node.name, item.name) for node in tree.body if isinstance(node, ast.ClassDef)
+            for item in node.body if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not (item.name.startswith("__") and item.name.endswith("__"))]
+
+
 def used_names(tree: ast.Module) -> set[str]:
     """Names read anywhere in the module, as a name or as an attribute."""
     used = set()
@@ -38,11 +55,27 @@ def used_names(tree: ast.Module) -> set[str]:
     return used
 
 
+def _modules() -> dict[str, ast.Module]:
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"}
+
+
 def test_every_module_level_name_is_used_in_the_package():
-    modules = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
-               for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"}
+    modules = _modules()
     used = set().union(*map(used_names, modules.values()))
     unused = [f"{module}.{name}" for module, tree in modules.items()
               for name in module_level_names(tree)
               if name not in used and (module, name) not in USED_OUTSIDE]
+    assert unused == []
+
+
+def test_every_method_is_used_in_the_package():
+    modules = _modules()
+    used = set().union(*map(used_names, modules.values()))
+    defined = {method for tree in modules.values() for method in methods(tree)}
+    assert TRACED_METHODS <= defined  # the list names no method that is gone
+    unused = [f"{module}.{cls}.{name}" for module, tree in modules.items()
+              for cls, name in methods(tree)
+              if name not in used and name not in PROTOCOL_METHODS
+              and (cls, name) not in TRACED_METHODS]
     assert unused == []

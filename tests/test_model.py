@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -14,8 +15,8 @@ from hypothesis import strategies as st
 
 import dle
 from dle.errors import ConfigError, EmptyCorpus, MissingTransition, RemoteError
-from dle.model import (NgramModel, TableModel, Vocabulary, _tokenize, parse_model_spec,
-                       train_ngram_model)
+from dle.model import (NgramModel, TableModel, Vocabulary, _count_windows, _splitter,
+                       parse_model_spec, train_ngram_model)
 from dle.remote import RemoteModel
 from reference import (DenseTableModel, WindowContextModel, dict_count_lists, dict_ngram_counts,
                        dict_train_ngram_model, loop_next_distribution)
@@ -281,6 +282,12 @@ def test_ngram_document_with_inconsistent_counts_is_rejected():
     ]:
         with pytest.raises(ConfigError, match="pair counts must be >= 1 and sum to"):
             NgramModel.from_dict(dict(doc, context_counts=context_counts, pair_counts=pair_counts))
+    # Contexts that are not distinct lists of at most order - 1 token ids: each
+    # would load as a row that no window reaches.
+    for context in [[1.5], [99], [-1], ["a"], [True], [0, 1], [0]]:
+        with pytest.raises(ConfigError, match="'context_counts' must hold distinct contexts"):
+            NgramModel.from_dict(dict(doc, context_counts=contexts + [[context, 1]],
+                                      pair_counts=pairs + [[context, 0, 1]]))
     # Counts that are not JSON integers: truncated, they would pass the sum check.
     for field, value in [("context_counts", 2.7), ("context_counts", "2"),
                          ("pair_counts", 1.5), ("pair_counts", True)]:
@@ -517,7 +524,7 @@ def _corpora(draw):
 @example(corpus="dcba\ndcba\nb\nca", order=6, alpha=0.5, tokenization="char")
 @example(corpus="d c b a\nb\n\nc a", order=40, alpha=0.5, tokenization="whitespace")
 def test_ngram_rows_match_the_count_dicts(corpus, order, alpha, tokenization):
-    tokenize = lambda line: _tokenize(line, tokenization)  # noqa: E731
+    tokenize = _splitter(tokenization)
     assume(any(tokenize(line) for line in corpus.splitlines()))
     model = train_ngram_model(corpus, order=order, alpha=alpha, tokenization=tokenization)
     reference = dict_train_ngram_model(corpus, order=order, alpha=alpha,
@@ -525,6 +532,7 @@ def test_ngram_rows_match_the_count_dicts(corpus, order, alpha, tokenization):
     tokens, context_counts, pair_counts = dict_ngram_counts(corpus, order, tokenize)
     assert model.vocab.tokens == reference.vocab.tokens == tokens
     assert set(model._rows) == set(reference._rows) == set(context_counts)
+    _assert_rows_in_length_then_lexicographic_order(model)
 
     doc = model.to_dict()
     text = json.dumps(doc, sort_keys=True)
@@ -545,6 +553,44 @@ def test_ngram_rows_match_the_count_dicts(corpus, order, alpha, tokenization):
         assert list(row.ids) == [t for t in range(len(tokens)) if (ctx, t) in pair_counts]
         assert reference.next_distribution(ctx, ()).dense().tobytes() == expected.tobytes()
         assert loaded.next_distribution(ctx, ()).dense().tobytes() == expected.tobytes()
+
+
+def _assert_rows_in_length_then_lexicographic_order(model):
+    by_context = sorted(model._rows, key=lambda ctx: (len(ctx), ctx))
+    assert [model._rows[ctx] for ctx in by_context] == list(range(len(model._rows)))
+
+
+# Windows whose packed keys pass int64, so counting takes the rank step:
+# lines of 15 to 30 of 320 characters, or of 1 to 20 of 3,000 words.
+@pytest.mark.parametrize("order, tokenization", [(12, "char"), (20, "char"), (7, "whitespace")])
+def test_ngram_rows_past_int64_match_the_count_dicts(order, tokenization):
+    rng = random.Random(order)
+    if tokenization == "char":
+        alphabet = [chr(0x100 + i) for i in range(320)]
+        corpus = "\n".join("".join(rng.choices(alphabet, k=rng.randint(15, 30)))
+                           for _ in range(60))
+    else:
+        words = [f"w{i}" for i in range(3000)]
+        corpus = "\n".join(" ".join(rng.choices(words, k=rng.randint(1, 20))) for _ in range(300))
+    model = train_ngram_model(corpus, order=order, alpha=0.5, tokenization=tokenization)
+    reference = dict_train_ngram_model(corpus, order=order, alpha=0.5,
+                                       tokenization=tokenization)
+    size = model.vocab.size
+    assert size > 300 and (size + 1) ** (order - 1) * size > 2 ** 63
+    assert model.vocab.tokens == reference.vocab.tokens
+    assert model.to_dict() == reference.to_dict()
+    _assert_rows_in_length_then_lexicographic_order(model)
+    for ctx, row in reference._rows.items():
+        assert model._totals[model._rows[ctx]] == reference._totals[row]
+        assert (model.next_distribution(ctx, ()).dense().tobytes()
+                == reference.next_distribution(ctx, ()).dense().tobytes())
+
+
+def test_ngram_counts_that_even_ranked_codes_cannot_pack_are_refused():
+    # Over 2**31 ids, two ranked codes times (V + 1) times V already pass int64.
+    ids = np.array([0, 1, 2, 0, 1, 2], np.int32)
+    with pytest.raises(ConfigError, match="too many distinct contexts to count at order 3"):
+        _count_windows(ids, np.array([3, 3]), 3, 2 ** 31)
 
 
 def test_ngram_row_over_a_wide_vocabulary_lists_the_observed_continuations():
