@@ -30,36 +30,6 @@ class SampleRun:
     degraded: bool = False
 
 
-class _StepCache:
-    """Memoized (token ids, log weights, cumulative weights) per context.
-
-    Keyed on `model.context(prompt, generated)`, which is equal for prefixes
-    with equal next distributions (for an n-gram model, windows with equal
-    count rows), so the model is queried once per distinct context. `cache`
-    may be shared with other runs of the same model, rule and temperature.
-    Failed model calls are never stored.
-    """
-
-    def __init__(self, model, rule: TruncationRule, prompt: tuple[int, ...], temperature: float,
-                 cache: dict):
-        self.model = model
-        self.rule = rule
-        self.prompt = prompt
-        self.temperature = temperature
-        self.cache = cache
-
-    def step(self, generated: tuple[int, ...]):
-        key = self.model.context(self.prompt, generated)
-        entry = self.cache.get(key)
-        if entry is None:
-            row = self.model.next_distribution(self.prompt, generated)
-            active = active_set(apply_temperature(row, self.temperature), self.rule)
-            entry = (active.token_ids, active.log_weights,
-                     tuple(itertools.accumulate(active.weights)))
-            self.cache[key] = entry
-        return entry
-
-
 def _uniforms(stream_for_draw, draw: int, stored: MutableSequence[float]):
     """The uniforms of stream `draw`: those in `stored` first, then new ones,
     each appended to `stored`. The stream is seeded only when a reader goes
@@ -80,8 +50,11 @@ def sample_sequences(model, rule: TruncationRule, prompt: Sequence[int], k: int,
                      steps: dict | None = None, streams: list | None = None) -> SampleRun:
     """Draw k sequences with replacement from the truncated distribution.
 
-    `steps` is the step memo; by default each call has its own (see
-    `_StepCache`). `streams[draw]`, for every draw below k, is a list or
+    `steps` maps `model.context(prompt, generated)` to that step's (token
+    ids, log weights, cumulative weights), keyed as `engine.greedy_rollout`
+    keys its memo; failed model calls are never stored. Runs of the same
+    model, rule and temperature may share it; by default each call has its
+    own. `streams[draw]`, for every draw below k, is a list or
     `array("d")` of the uniforms that draw's stream has produced so far; runs
     that share it, all with the same `seed`, seed each stream once between them.
     By default each draw's stream is seeded afresh.
@@ -91,7 +64,8 @@ def sample_sequences(model, rule: TruncationRule, prompt: Sequence[int], k: int,
     if max_seq_len < 1:
         raise ConfigError(f"max_seq_len must be >= 1, got {max_seq_len}")
     prompt = tuple(prompt)
-    stepper = _StepCache(model, rule, prompt, temperature, {} if steps is None else steps)
+    if steps is None:
+        steps = {}
     eos_id = model.vocab.eos_id
     stream_for_draw = substream_family(seed, "baseline-draw")
     sequences: list[tuple[tuple[int, ...], float]] = []
@@ -106,7 +80,14 @@ def sample_sequences(model, rule: TruncationRule, prompt: Sequence[int], k: int,
         log_q = 0.0
         try:
             while len(tokens) < max_seq_len:
-                ids, log_weights, cum = stepper.step(tokens)
+                context = model.context(prompt, tokens)
+                step = steps.get(context)
+                if step is None:
+                    row = model.next_distribution(prompt, tokens)
+                    active = active_set(apply_temperature(row, temperature), rule)
+                    step = steps[context] = (active.token_ids, active.log_weights,
+                                             tuple(itertools.accumulate(active.weights)))
+                ids, log_weights, cum = step
                 if len(ids) == 1:
                     idx = 0
                 else:

@@ -423,6 +423,9 @@ class NgramModel:
         try:
             pairs = np.fromiter(itertools.chain.from_iterable(triples), np.int64,
                                 3 * len(pair_counts)).reshape(-1, 3)
+            # A context of [1.0] or [true] found the row of [1] by ==.
+            if {type(i) for ctx, _, _ in pair_counts for i in ctx} - {int}:
+                raise TypeError("pair context ids must be integers")
         except KeyError as exc:
             raise ConfigError(f"pair count for context {exc.args[0]!r}, which has no count") from None
         except (TypeError, ValueError, OverflowError):

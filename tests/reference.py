@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from dle import engine
 from dle.baseline import sample_sequences
 from dle.cache_sim import CacheStats
 from dle.engine import (Budget, BranchPolicy, EnumerationResult, TokenStats,
@@ -29,7 +28,7 @@ from dle.model import (DIST_SUM_TOL, NgramModel, SparseRow, TableModel, Vocabula
                        _field, _listed, _splitter)
 from dle.oracle import enumerate_all_leaves
 from dle.tree import (EXPANDED, FAILED, LEAF, PRUNED_EARLY_STOP, STOP_EOS, STOP_LENGTH_CAP,
-                      UNEXPANDED, Leaf, PrunedTree)
+                      UNEXPANDED, Leaf)
 from dle.truncation import Composite, Epsilon, MinP, TopK, TopP, active_set
 
 
@@ -137,56 +136,6 @@ def early_stop_check(new_tokens_after_branch, sibling_continuations, n: int) -> 
         return False
     head = tuple(new_tokens_after_branch[:n])
     return any(tuple(sib[:n]) == head for sib in sibling_continuations if len(sib) >= n)
-
-
-def scan_sibling_leaves(leaves, tree, branch_node: int, n: int) -> list[tuple[int, ...]]:
-    """Tokens of the completed leaves a branch compares its head with, by
-    scanning every leaf: those that agree with the branch point on every
-    token before the branch position and have at least n tokens after it.
-    The comparison suffix starts after the leaf's own token at the branch
-    position."""
-    path = tree.path_tokens(branch_node)
-    position = len(path) - 1
-    shared = path[:position]
-    return [leaf.tokens for leaf in leaves
-            if len(leaf.tokens) >= position + 1 + n and leaf.tokens[:position] == shared]
-
-
-def scan_enumerate_leaves(model, rule, prompt, policy, budget, early_stop=None,
-                          keep_tree=False) -> EnumerationResult:
-    """`enumerate_leaves`, for a model that never raises, with each round's
-    early-stop candidates found by scanning every completed leaf, and each
-    branch picked by `linear_select_branch` over the scan's own records,
-    whose ties end on a discovery counter the scan keeps, not on node ids.
-    The rollouts go through `engine.greedy_rollout`, looked up at call time."""
-    tree = PrunedTree()
-    stats = TokenStats()
-    records: list[ScanRecord] = []
-    discovery = itertools.count()
-    rng = random.Random(mix(policy.seed, "randbranch")) if policy.kind == "randbranch" else None
-    leaves = []
-    steps: dict = {}
-    start = tree.root
-    while True:
-        siblings = ()
-        if early_stop is not None and start != tree.root:
-            siblings = scan_sibling_leaves(leaves, tree, start, early_stop.n)
-        outcome = engine.greedy_rollout(model, rule, tree, start, prompt, budget, stats,
-                                        early_stop, siblings, order=len(leaves), steps=steps)
-        for node_id in outcome.branches:
-            records.append(ScanRecord(node_id, len(tree.path_tokens(node_id)) - 1,
-                                      tree.token[node_id], tree.log_mass[node_id],
-                                      tree.edge_weight[node_id], next(discovery)))
-        if outcome.leaf is not None:
-            leaves.append(outcome.leaf)
-        if ((budget.max_leaves is not None and len(leaves) >= budget.max_leaves)
-                or (budget.max_new_tokens is not None
-                    and stats.generated_tokens >= budget.max_new_tokens)
-                or not records):
-            break
-        start = records.pop(linear_select_branch(records, policy, rng)).node_id
-    return EnumerationResult(leaves=leaves, frontier_exhausted=not records, stats=stats,
-                             tree=tree if keep_tree else None)
 
 
 @dataclass(slots=True)
@@ -307,23 +256,30 @@ def node_greedy_rollout(model, rule, tree: NodeTree, start_node: int, prompt, bu
 
 def node_enumerate_leaves(model, rule, prompt, policy, budget, early_stop=None,
                           keep_tree=False, steps=None) -> EnumerationResult:
-    """`enumerate_leaves` on a `NodeTree`: a completed leaf is filed under each
-    ancestor whose `children` list has more than one entry, and each branch
-    is picked by `linear_select_branch`, whose ties end on the node id."""
+    """`enumerate_leaves` on a `NodeTree`. Each round's early-stop candidates
+    are found by scanning every completed leaf: those that agree with the
+    branch point on every token before its position and have at least n
+    tokens after it. Each branch is picked by `linear_select_branch`, whose
+    ties end on a discovery counter kept here, in the order rollouts return
+    branches, not on node ids."""
     tree = NodeTree()
     stats = TokenStats()
     records: list[ScanRecord] = []
+    discovery = itertools.count()
     rng = random.Random(mix(policy.seed, "randbranch")) if policy.kind == "randbranch" else None
     leaves: list[Leaf] = []
     if steps is None:
         steps = {}
-    siblings: dict[int, list[tuple[int, ...]]] = {}
     degraded = False
     start = tree.root
     while True:
         candidates = ()
         if early_stop is not None and start != tree.root:
-            candidates = siblings.get(tree.nodes[start].parent, ())
+            position = tree.nodes[start].depth - 1
+            shared = tree.path_tokens(start)[:position]
+            candidates = [leaf.tokens for leaf in leaves
+                          if len(leaf.tokens) > position + early_stop.n
+                          and leaf.tokens[:position] == shared]
         try:
             leaf, branches = node_greedy_rollout(model, rule, tree, start, prompt, budget, stats,
                                                  early_stop, candidates, len(leaves), steps)
@@ -333,19 +289,9 @@ def node_enumerate_leaves(model, rule, prompt, policy, budget, early_stop=None,
             degraded = True
             break
         records += [ScanRecord(node.id, node.depth - 1, node.token, node.log_mass,
-                               node.edge_weight, node.id) for node in branches]
+                               node.edge_weight, next(discovery)) for node in branches]
         if leaf is not None:
             leaves.append(leaf)
-            if early_stop is not None and len(leaf.tokens) > early_stop.n:
-                node = tree.nodes[leaf.node_id]
-                for _ in range(early_stop.n + 1):
-                    node = tree.nodes[node.parent]
-                while True:
-                    if len(node.children) > 1:
-                        siblings.setdefault(node.id, []).append(leaf.tokens)
-                    if node.parent is None:
-                        break
-                    node = tree.nodes[node.parent]
         if ((budget.max_leaves is not None and len(leaves) >= budget.max_leaves)
                 or (budget.max_new_tokens is not None
                     and stats.generated_tokens >= budget.max_new_tokens)
@@ -416,71 +362,12 @@ def sorting_member_ids(probs: np.ndarray, rule) -> np.ndarray:
     raise TypeError(f"unknown truncation rule: {rule!r}")
 
 
-def _numpy_top_k_mask(probs: np.ndarray, k: int) -> np.ndarray:
-    """Mask of the k positive tokens ranked first (probability descending, id ascending).
-
-    One partition finds the k-th largest probability; of the tokens tied on
-    it, the highest ids are dropped until k remain, so nothing is sorted.
-    """
-    if k >= len(probs):
-        return probs > 0.0
-    kth = np.partition(probs, len(probs) - k)[len(probs) - k]
-    if kth <= 0.0:
-        return probs > 0.0
-    keep = probs >= kth
-    surplus = int(np.count_nonzero(keep)) - k
-    if surplus:
-        tied = np.nonzero(probs == kth)[0]
-        keep[tied[len(tied) - surplus:]] = False
-    return keep
-
-
-def _numpy_member_ids(probs: np.ndarray, rule) -> np.ndarray:
-    """Token ids satisfying the rule's criterion (no degenerate fallback), ascending."""
-    rules = rule.rules if isinstance(rule, Composite) else (rule,)
-    mask = None
-    top_k = None
-    top_ps = []
-    for sub in rules:
-        if isinstance(sub, Epsilon):
-            keep = probs >= sub.eps if sub.inclusive else probs > sub.eps
-        elif isinstance(sub, MinP):
-            keep = probs >= sub.p_min * probs.max()
-        elif isinstance(sub, Composite):
-            keep = np.zeros(len(probs), dtype=bool)
-            keep[_numpy_member_ids(probs, sub)] = True
-        elif isinstance(sub, TopK):
-            top_k = sub.k if top_k is None else min(top_k, sub.k)
-            continue
-        elif isinstance(sub, TopP):
-            top_ps.append(sub.p)
-            continue
-        else:
-            raise ConfigError(f"unknown truncation rule: {sub!r}")
-        mask = keep if mask is None else mask & keep
-    if mask is None:
-        ids = np.nonzero(probs > 0.0 if top_k is None else _numpy_top_k_mask(probs, top_k))[0]
-    else:
-        # Threshold rules keep positive probabilities only.
-        ids = np.nonzero(mask)[0]
-        if top_k is not None and len(ids) > top_k:
-            ids = ids[_numpy_top_k_mask(probs[ids], top_k)]
-    if not top_ps:
-        return ids
-    pool = probs[ids]
-    ranked = np.lexsort((ids, -pool))
-    cum = np.cumsum(pool[ranked])
-    # First index where cumulative mass reaches the threshold is included.
-    length = min(int(np.searchsorted(cum, p - 1e-12, side="left")) + 1 for p in top_ps)
-    return np.sort(ids[ranked[:length]])
-
-
 def numpy_active_set(probs: np.ndarray, rule) -> tuple[np.ndarray, np.ndarray, float]:
     """(token ids, weights, raw mass) of the truncated step on a dense
     distribution, every stage in numpy whatever the number of survivors:
     `truncation.active_set` before small pools finished on Python floats and
     before models returned sparse rows."""
-    ids = _numpy_member_ids(probs, rule)
+    ids = sorting_member_ids(probs, rule)
     if len(ids) <= 1:
         g = greedy_token(probs)
         return np.array([g], dtype=np.int64), np.array([1.0]), float(probs[g])
@@ -654,31 +541,6 @@ class _TrieNode:
         self.last_access = 0
 
 
-def node_theoretical_hit_count(streams) -> int:
-    """theoretical_hit_count on a trie of node objects keyed by 1-tuples,
-    looking up every token of a stream."""
-    if not streams:
-        raise ConfigError("theoretical_hit_count needs at least one stream")
-    root = _TrieNode()
-    total = 0
-    for stream in streams:
-        node = root
-        matched = 0
-        missed = False
-        for token in stream:
-            key = (token,)
-            child = node.children.get(key)
-            if child is None:
-                missed = True
-                child = _TrieNode()
-                node.children[key] = child
-            elif not missed:
-                matched += 1
-            node = child
-        total += matched
-    return total
-
-
 class WalkingPrefixCache:
     """PrefixCache on a trie of linked node objects, each holding its own
     children dict and last access. Its LRU eviction walks the whole trie for
@@ -753,7 +615,7 @@ def two_walk_simulate(streams, cache) -> CacheStats:
     for stream in streams:
         actual += cache.match(stream)
         cache.insert(stream)
-    return CacheStats(actual_hits=actual, theoretical_hits=node_theoretical_hit_count(streams),
+    return CacheStats(actual_hits=actual, theoretical_hits=pairwise_repeated_tokens(streams),
                       flat_length=sum(map(len, streams)))
 
 

@@ -10,8 +10,7 @@ from dle.cache_sim import CacheStats, PrefixCache, simulate, theoretical_hit_cou
 from dle.engine import Budget, BranchPolicy, enumerate_leaves
 from dle.errors import ConfigError, InvariantViolation
 from dle.truncation import Epsilon
-from reference import (WalkingPrefixCache, node_theoretical_hit_count, pairwise_repeated_tokens,
-                       two_walk_simulate)
+from reference import WalkingPrefixCache, pairwise_repeated_tokens, two_walk_simulate
 
 PROMPT = (100, 101, 102, 103, 104)
 HAND_STREAMS = [PROMPT + (1, 2, 3), PROMPT + (1, 2, 4)]  # abc / abd after a 5-token prompt
@@ -139,12 +138,11 @@ def test_heap_eviction_matches_the_trie_walk(streams, block_size, capacity, evic
 
 @settings(max_examples=200, deadline=None)
 @given(streams=branching_streams(), prompt=st.lists(st.integers(0, 2), max_size=6))
-def test_dict_trie_hit_count_matches_the_node_trie_and_the_pairwise_loop(streams, prompt):
+def test_dict_trie_hit_count_matches_the_pairwise_loop(streams, prompt):
     behind_prompt = [tuple(prompt) + stream for stream in streams]
     words = [tuple(("the", "a", "cat")[t] for t in stream) for stream in behind_prompt]
     for case in (streams, behind_prompt, words):
-        assert (theoretical_hit_count(case) == node_theoretical_hit_count(case)
-                == pairwise_repeated_tokens(case))
+        assert theoretical_hit_count(case) == pairwise_repeated_tokens(case)
 
 
 def test_insert_adds_at_most_two_tracked_objects_per_fresh_block():

@@ -1,16 +1,20 @@
-"""Every module-level name and every method in the package is used inside the package.
+"""Every module-level name and every method in the package is used inside the
+package, and every test reference is used by a test.
 
 A function, class, constant or method in `src/dle/*.py` that no other code in
 `src/dle/` refers to is reached by no CLI command: it is dead, or it is a
 checker that belongs in `tests/reference.py`. `__init__.py` only re-exports,
 so its imports do not count as uses. A method counts as used when its name is
-read anywhere in the package, as an attribute or a name.
+read anywhere in the package, as an attribute or a name. A reference in
+`tests/reference.py` that no test reads, directly or through another used
+reference, checks nothing.
 """
 
 import ast
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "dle"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "dle"
 
 # Called from outside the package: the benchmark computes its repetition-rate
 # step with `metrics.repetition_rate` and records `_kernels.BACKEND`.
@@ -25,15 +29,19 @@ TRACED_METHODS = {("NgramModel", "next_distribution"), ("TableModel", "next_dist
                   ("PrefixCache", "match"), ("PrefixCache", "insert")}
 
 
+def defined_names(node: ast.stmt) -> list[str]:
+    """The names a module-level statement defines: a function, a class or
+    an assignment's targets."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return [t.id for t in targets if isinstance(t, ast.Name)]
+    return []
+
+
 def module_level_names(tree: ast.Module) -> list[str]:
-    names = []
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            names.append(node.name)
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            names.extend(t.id for t in targets if isinstance(t, ast.Name))
-    return names
+    return [name for node in tree.body for name in defined_names(node)]
 
 
 def methods(tree: ast.Module) -> list[tuple[str, str]]:
@@ -79,3 +87,18 @@ def test_every_method_is_used_in_the_package():
               if name not in used and name not in PROTOCOL_METHODS
               and (cls, name) not in TRACED_METHODS]
     assert unused == []
+
+
+def test_every_reference_is_used_by_a_test():
+    reference = ast.parse((TESTS / "reference.py").read_text(encoding="utf-8"))
+    reads = {name: used_names(node) for node in reference.body for name in defined_names(node)}
+    used = set().union(*(used_names(ast.parse(path.read_text(encoding="utf-8")))
+                         for path in sorted(TESTS.glob("test_*.py"))))
+    reached: set[str] = set()
+    pending = [name for name in reads if name in used]
+    while pending:
+        name = pending.pop()
+        if name not in reached:
+            reached.add(name)
+            pending += [other for other in reads if other in reads[name]]
+    assert sorted(set(reads) - reached) == []

@@ -19,7 +19,7 @@ from dle.oracle import enumerate_all_leaves
 from dle.tree import UNEXPANDED, PrunedTree
 from dle.truncation import Epsilon, MinP, TopK, TopP, parse_rule
 from reference import (ScanRecord, UnmemoizedModel, WindowContextModel, early_stop_check,
-                       linear_select_branch, mix, node_enumerate_leaves, scan_enumerate_leaves)
+                       linear_select_branch, mix, node_enumerate_leaves, node_greedy_rollout)
 
 FIG_RULE = Epsilon(eps=0.1, inclusive=True)
 UNLIMITED = Budget(max_leaves=10 ** 9)
@@ -603,18 +603,25 @@ def test_sibling_index_matches_the_leaf_scan(model, rule, policy, max_leaves, ma
     budget = Budget(max_leaves=max_leaves, max_new_tokens=max_new_tokens, max_seq_len=max_seq_len)
     args = (model, parse_rule(rule), prompt, BranchPolicy.parse(policy), budget,
             EarlyStopConfig(n=n))
-    rounds = []
+    index_rounds, scan_rounds = [], []
     rollout = engine.greedy_rollout
 
     def recording_rollout(*call, **kwargs):
         outcome = rollout(*call, **kwargs)
-        rounds.append((call[3], list(call[8]), outcome.stopped_early))
+        index_rounds.append((call[3], list(call[8]), outcome.stopped_early))
         return outcome
 
-    with mock.patch.object(engine, "greedy_rollout", recording_rollout):
+    def recording_node_rollout(*call):
+        stats = call[6]
+        triggers = stats.early_stop_triggers
+        outcome = node_greedy_rollout(*call)
+        scan_rounds.append((call[3], list(call[8]), stats.early_stop_triggers > triggers))
+        return outcome
+
+    with mock.patch.object(engine, "greedy_rollout", recording_rollout), \
+            mock.patch("reference.node_greedy_rollout", recording_node_rollout):
         indexed = enumerate_leaves(*args, keep_tree=True)
-        index_rounds, rounds = rounds, []
-        scanned = scan_enumerate_leaves(*args, keep_tree=True)
+        scanned = node_enumerate_leaves(*args, keep_tree=True)
     # The scan's ties end on its own discovery counter and the engine's on
     # node ids, so equal results show that node ids number branch points in
     # discovery order.
@@ -622,7 +629,7 @@ def test_sibling_index_matches_the_leaf_scan(model, rule, policy, max_leaves, ma
         (scanned.leaves, scanned.stats, scanned.frontier_exhausted)
     assert indexed.tree.to_dict() == scanned.tree.to_dict()
     # Every branch got the scan's candidates, in leaf order, and stopped alike.
-    assert index_rounds == rounds
+    assert index_rounds == scan_rounds
     tree = indexed.tree
     for start, candidates, stopped_early in index_rounds:
         if start == tree.root:

@@ -294,6 +294,12 @@ def test_ngram_document_with_inconsistent_counts_is_rejected():
         rows = [[*entry[:-1], value] if i == 0 else entry for i, entry in enumerate(doc[field])]
         with pytest.raises(ConfigError, match=f"field '{field}' must hold"):
             NgramModel.from_dict(dict(doc, **{field: rows}))
+    # Pair contexts whose ids are not JSON integers: equal to [1], they would
+    # load as its counts.
+    for context in [[1.0], [True]]:
+        rows = [[context, *entry[1:]] if entry[0] == [1] else entry for entry in pairs]
+        with pytest.raises(ConfigError, match="field 'pair_counts' must hold"):
+            NgramModel.from_dict(dict(doc, pair_counts=rows))
 
 
 def _row_bits(row) -> tuple:
