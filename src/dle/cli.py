@@ -18,7 +18,6 @@ import itertools
 import json
 import math
 import operator
-import statistics
 import sys
 from array import array
 from pathlib import Path
@@ -33,7 +32,7 @@ from .engine import (Budget, BranchPolicy, EarlyStopConfig, EnumerationResult,
                      enumerate_leaves)
 from .errors import ConfigError, DleError, InvariantViolation, ModelError
 from .metrics import (check_coverage, compensated_prefix_sums, coverage, coverage_curve,
-                      expected_coverage_closed_form)
+                      expected_coverage_closed_form, population_std)
 from .model import parse_model_spec, read_corpus, train_ngram_model
 from .oracle import enumerate_all_leaves
 from .truncation import parse_rule
@@ -70,7 +69,14 @@ def _parse_k_range(text: str) -> list[int]:
         raise ConfigError(f"bad k range {text!r}: {exc}") from None
     if stop < start:
         raise ConfigError(f"bad k range {text!r}")
-    return list(range(start, stop + 1))
+    return _k_list("--k", start, stop)
+
+
+def _k_list(flag: str, start: int, stop: int) -> list[int]:
+    try:  # within sys.maxsize, yet maybe past any address space at 8 bytes a slot
+        return list(range(start, stop + 1))
+    except MemoryError:
+        raise ConfigError(f"{flag}: k range {start}..{stop} is too long to hold") from None
 
 
 def _count(text: str, minimum: int = 1) -> int:
@@ -395,12 +401,12 @@ def _compare_rows(model, rule, prompt_ids, ks, policy, seeds, max_seq_len,
             "k": k,
             "coverage_dle": dle_curve[idx] if dle_curve else 0.0,
             "expected_coverage_closed": closed[i],
-            "coverage_sampled_mean": statistics.fmean(covs),
-            "coverage_sampled_std": statistics.pstdev(covs) if seeds > 1 else 0.0,
+            "coverage_sampled_mean": math.fsum(covs) / seeds,
+            "coverage_sampled_std": population_std(covs),
         }
         if with_tokens:
             row["dle_new_tokens"] = dle_tokens[idx] if dle_tokens else 0
-            row["sampled_new_tokens"] = statistics.fmean(tok[i] for _, tok in sampled)
+            row["sampled_new_tokens"] = math.fsum(tok[i] for _, tok in sampled) / seeds
         rows.append(row)
     return rows
 
@@ -420,7 +426,7 @@ def cmd_compare(args) -> int:
     policy = BranchPolicy.parse(args.policy)
     prompt_ids = _single_prompt(args, model)
     with_tokens = args.command == "compare"
-    ks = _parse_k_range(args.k) if with_tokens else list(range(1, args.k_max + 1))
+    ks = _parse_k_range(args.k) if with_tokens else _k_list("--k-max", 1, args.k_max)
     rows = _compare_rows(model, rule, prompt_ids, ks, policy, args.sample_seeds,
                          args.max_seq_len, with_tokens)
     out = Path(args.out)

@@ -119,6 +119,24 @@ def expected_coverage_closed_form(masses: Sequence[float], ks: Sequence[int]) ->
     return curve
 
 
+def population_std(values: Sequence[float]) -> float:
+    """Population std of one or more finite floats, correctly rounded. As
+    integers a over a common power of two, the variance (n * sum(a^2) -
+    sum(a)^2) / (n * scale)^2 is exact; its square root is rounded once, by a
+    round-to-odd isqrt with 109 spare bits, as statistics.pstdev does from
+    Python 3.11 (https://bugs.python.org/msg407078)."""
+    ratios = [x.as_integer_ratio() for x in values]
+    scale = max(d for _, d in ratios)
+    ints = [a * (scale // d) for a, d in ratios]
+    n, total = len(ints), sum(ints)
+    num, den = n * sum(a * a for a in ints) - total * total, (n * scale) ** 2
+    shift = (num.bit_length() - den.bit_length() - 109) // 2
+    num, den = (num, den << 2 * shift) if shift >= 0 else (num << -2 * shift, den)
+    root = math.isqrt(num // den)
+    root |= root * root * den != num
+    return float(root << shift) if shift >= 0 else root / (1 << -shift)
+
+
 def repetition_rate(generations: Sequence[Sequence[int]]) -> float:
     """Fraction of generated tokens lying in prefixes that duplicate an
     earlier generation's prefix.

@@ -579,7 +579,10 @@ def test_non_positive_counts_exit_2_without_traceback(command, flag, fig_tree_pa
 
 # Counts above sys.maxsize used to overflow in `PrefixCache._blocks` or in
 # `list(range(...))`. Only values past the bound are run: a huge count
-# within it is a real request and would start allocating.
+# within it is a real request and would start allocating. A k range of
+# 10**17, within the bound, is the exception: its 8 * 10**17-byte list fits
+# no 64-bit address space, so asking for it fails at once instead of
+# allocating (test_k_ranges_no_address_space_holds_exit_2_without_traceback).
 @pytest.mark.parametrize("command, flag, value", [
     (["cache-sim"], "--block", "99999999999999999999"),
     (["coverage-curve"], "--k-max", "99999999999999999999"),
@@ -609,6 +612,22 @@ def test_counts_past_sys_maxsize_exit_2_without_traceback(command, flag, value, 
     assert code == 2
     err = capsys.readouterr().err
     assert f"must be <= {sys.maxsize}, got 99999999999999999999" in err.splitlines()[-1]
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("coverage-curve", "--k-max", str(10**17)),
+    ("compare", "--k", f"1..{10**17}"),
+])
+def test_k_ranges_no_address_space_holds_exit_2_without_traceback(command, flag, value,
+                                                                  two_leaf_path, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    code = main([command, "--model", f"table:{two_leaf_path}", "--rule", "top_k:2",
+                 flag, value, "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag}: k range 1..{10**17}")
     assert "Traceback" not in err
     assert not out.exists()
 

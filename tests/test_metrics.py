@@ -1,5 +1,6 @@
 import math
 import random
+import statistics
 import sys
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from dle.baseline import sample_sequences
 from dle.errors import DuplicateSequences, InvariantViolation
 from dle.metrics import (compensated_prefix_sums, compensated_sum, coverage, coverage_curve,
-                         expected_coverage_closed_form, repetition_rate)
+                         expected_coverage_closed_form, population_std, repetition_rate)
 from dle.model import TableModel
 from dle.oracle import enumerate_all_leaves
 from dle.truncation import Epsilon
@@ -219,6 +220,40 @@ def test_closed_form_curve_matches_the_loop_bit_for_bit(masses, ks):
     curve = expected_coverage_closed_form(masses, ks)
     assert len(curve) == len(expected)
     assert all(map(same_float, curve, expected)), (curve, expected)
+
+
+@st.composite
+def std_samples(draw):
+    """1 to 20 finite floats of mixed exponents and signs: subnormals, signed
+    zeros, magnitudes up to 1e308, and repeats of earlier values."""
+    values = []
+    for _ in range(draw(st.integers(1, 20))):
+        kind = draw(st.sampled_from(["scaled", "subnormal", "zero", "repeat", "plain"]))
+        if kind == "scaled":
+            values.append(draw(st.floats(-2.0, 2.0)) * 2.0 ** draw(st.integers(-1000, 1000)))
+        elif kind == "subnormal":
+            values.append(draw(st.floats(-sys.float_info.min, sys.float_info.min)))
+        elif kind == "zero":
+            values.append(draw(st.sampled_from([0.0, -0.0])))
+        elif kind == "repeat" and values:
+            values.append(draw(st.sampled_from(values)))
+        else:
+            values.append(draw(st.floats(-1e308, 1e308)))
+    return values
+
+
+# statistics.pstdev rounds once only from Python 3.11 (the suite runs 3.11.7);
+# on 3.10 it takes the float square root of a rounded variance, so it is no
+# reference there.
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="pstdev rounds twice before 3.11")
+@settings(max_examples=500, deadline=None)
+@given(values=std_samples())
+@example(values=[0.0])
+@example(values=[1.0] * 10)
+@example(values=[5e-324, 0.0])
+@example(values=[-1e308, 1e308])
+def test_population_std_matches_statistics_pstdev(values):
+    assert population_std(values).hex() == statistics.pstdev(values).hex()
 
 
 def test_empty_sums_are_zero():

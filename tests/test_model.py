@@ -465,21 +465,25 @@ import dle, dle.cli
 from dle.model import parse_model_spec
 parse_model_spec("table:" + sys.argv[1])
 parse_model_spec("ngram:" + sys.argv[2] + "?order=2")
-print(sorted({"urllib.request", "http.client", "ssl", "email", "concurrent.futures", "logging"}
-             & set(sys.modules)))
+code = dle.cli.main(["compare", "--model", "table:" + sys.argv[1], "--rule", "epsilon_ge:0.1",
+                     "--k", "1..4", "--sample-seeds", "3", "--out", sys.argv[3]])
+print(code, sorted({"urllib.request", "http.client", "ssl", "email", "concurrent.futures",
+                    "logging", "statistics", "fractions", "decimal"} & set(sys.modules)))
 remote = parse_model_spec("remote:url=http://127.0.0.1:9/nowhere")
 print(type(remote) is dle.RemoteModel, type(remote).__module__)
 """
 
 
 def test_local_models_load_no_http_stack(fig_tree_path, tmp_path):
-    # Nor `concurrent.futures`, which loads `logging`.
+    # Nor `concurrent.futures`, which loads `logging`; and `compare`'s sampled
+    # mean and std load no `statistics`, with its `fractions` and `decimal`.
     corpus = tmp_path / "corpus.txt"
     corpus.write_text("a b\nb a\n")
     env = dict(os.environ, PYTHONPATH=str(Path(dle.__file__).resolve().parents[1]))
-    out = subprocess.run([sys.executable, "-c", FOOTPRINT_SCRIPT, str(fig_tree_path), str(corpus)],
+    out = subprocess.run([sys.executable, "-c", FOOTPRINT_SCRIPT, str(fig_tree_path), str(corpus),
+                          str(tmp_path / "compare.csv")],
                          capture_output=True, text=True, env=env, check=True, timeout=60)
-    assert out.stdout.splitlines() == ["[]", "True dle.remote"]
+    assert out.stdout.splitlines() == ["0 []", "True dle.remote"]
 
 
 REMOTE_RUN_SCRIPT = """
