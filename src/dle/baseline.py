@@ -19,9 +19,8 @@ from typing import MutableSequence, Sequence
 
 from .errors import ConfigError, ModelError
 from .rng import substream_family
+from .tree import DEFAULT_MAX_SEQ_LEN
 from .truncation import TruncationRule, active_set, apply_temperature
-
-DEFAULT_MAX_SEQ_LEN = 512
 
 
 @dataclass

@@ -35,6 +35,7 @@ from .metrics import (check_coverage, compensated_prefix_sums, coverage, coverag
                       expected_coverage_closed_form, population_std)
 from .model import parse_model_spec, read_corpus, train_ngram_model
 from .oracle import enumerate_all_leaves
+from .tree import DEFAULT_MAX_SEQ_LEN
 from .truncation import parse_rule
 
 
@@ -140,9 +141,13 @@ def _emit_json(out: str | None, payload: dict) -> None:
         print(json.dumps(payload, indent=2, sort_keys=True))
 
 
-def _write_manifest(out: Path, command: str, config: dict, extras: dict | None = None) -> None:
+def _write_manifest(out: Path, args, extras: dict | None = None) -> None:
+    # The config is every parsed option but the command and its handler, the
+    # output paths and the ignored --workers.
+    config = {key: value for key, value in vars(args).items()
+              if key not in ("command", "func", "out", "dump_tree", "workers")}
     manifest = {
-        "command": command,
+        "command": args.command,
         "config": config,
         "versions": {"dle": __version__, "python": sys.version.split()[0]},
     }
@@ -247,8 +252,7 @@ def _manifest_prompts(infile: str) -> dict[int, tuple]:
         raise malformed from None
 
 
-def _run_prompts(args, prompt_ids: list[tuple[int, ...]], command: str, config: dict,
-                 run_one, rows_of) -> tuple[list, bool]:
+def _run_prompts(args, prompt_ids: list[tuple[int, ...]], run_one, rows_of) -> tuple[list, bool]:
     """Run `run_one(prompt_ids, steps)` on every prompt, then write the rows
     and the manifest. Prompts run in input order and share one step memo, so
     a context seen under any prompt is computed once.
@@ -268,7 +272,7 @@ def _run_prompts(args, prompt_ids: list[tuple[int, ...]], command: str, config: 
     degraded = any(result.degraded for result in results)
     out = Path(args.out)
     _write_jsonl(out, rows())
-    _write_manifest(out, command, config, extras={
+    _write_manifest(out, args, extras={
         "degraded": degraded, "prompt_tokens": [list(ids) for ids in prompt_ids]})
     return results, degraded
 
@@ -297,11 +301,8 @@ def cmd_enumerate(args) -> int:
         return enumerate_leaves(model, rule, prompt_ids, policy, budget, early_stop,
                                 keep_tree=args.dump_tree is not None, steps=steps)
 
-    results, degraded = _run_prompts(args, prompt_ids, "enumerate", {
-        "model": args.model, "rule": args.rule, "policy": args.policy,
-        "k": args.k, "token_budget": args.token_budget, "max_seq_len": args.max_seq_len,
-        "early_stop_n": args.early_stop_n, "prompt_file": args.prompt_file,
-    }, run_one, lambda _, result: [_leaf_row(model, leaf) for leaf in result.leaves])
+    results, degraded = _run_prompts(args, prompt_ids, run_one, lambda _, result: [
+        _leaf_row(model, leaf) for leaf in result.leaves])
     metrics = [{
         "prompt": idx,
         "leaves": len(result.leaves),
@@ -348,11 +349,7 @@ def cmd_sample(args) -> int:
             "draw": draw,
         } for draw, (tokens, q) in enumerate(run.sequences)]
 
-    _, degraded = _run_prompts(args, prompts, "sample", {
-        "model": args.model, "rule": args.rule, "k": args.k, "seed": args.seed,
-        "temperature": args.temperature, "max_seq_len": args.max_seq_len,
-        "prompt_file": args.prompt_file,
-    }, run_one, rows_of)
+    _, degraded = _run_prompts(args, prompts, run_one, rows_of)
     return _degraded_exit(degraded, "degraded sample run (model errors)")
 
 
@@ -378,7 +375,7 @@ def _sampled_curve(run, ks) -> tuple[list[float], list[int]]:
 
 def _compare_rows(model, rule, prompt_ids, ks, policy, seeds, max_seq_len,
                   with_tokens) -> list[dict]:
-    oracle_set = enumerate_all_leaves(model, rule, prompt_ids, max_depth=max_seq_len)
+    oracle_set = enumerate_all_leaves(model, rule, prompt_ids, max_seq_len)
     masses = np.asarray(oracle_set.masses(), dtype=np.float64)
     max_k = max(ks)
 
@@ -431,11 +428,7 @@ def cmd_compare(args) -> int:
                          args.max_seq_len, with_tokens)
     out = Path(args.out)
     _write_csv(out, rows)
-    _write_manifest(out, args.command, {
-        "model": args.model, "rule": args.rule, "policy": args.policy,
-        "sample_seeds": args.sample_seeds, "max_seq_len": args.max_seq_len,
-        "prompt_file": args.prompt_file,
-        **({"k": args.k} if with_tokens else {"k_max": args.k_max})})
+    _write_manifest(out, args)
     return 0
 
 
@@ -483,7 +476,7 @@ def cmd_oracle(args) -> int:
     model = parse_model_spec(args.model)
     rule = parse_rule(args.rule)
     prompt_ids = _single_prompt(args, model)
-    oracle_set = enumerate_all_leaves(model, rule, prompt_ids, max_depth=args.max_depth)
+    oracle_set = enumerate_all_leaves(model, rule, prompt_ids, args.max_seq_len)
     _emit_json(args.out, {
         "leaves": [{"tokens": list(tokens), "text": model.decode(tokens), "q": q}
                    for tokens, q in oracle_set.leaves],
@@ -501,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--model", required=True, help="table:PATH | ngram:PATH[?opts] | remote[:opts]")
         p.add_argument("--rule", required=True, help="e.g. epsilon:0.05 or top_p:0.95+top_k:10")
         p.add_argument("--prompt-file", default=None, help="one prompt per line; omitted = empty prompt")
-        p.add_argument("--max-seq-len", type=_count, default=512)
+        p.add_argument("--max-seq-len", type=_count, default=DEFAULT_MAX_SEQ_LEN)
         p.add_argument("--workers", type=_count, default=4,
                        help="ignored: prompts run in sequence")
 
@@ -570,7 +563,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="exhaustive enumeration (debugging)")
     add_model_args(p)
-    p.add_argument("--max-depth", type=_count, default=64)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_oracle)
 

@@ -27,8 +27,8 @@ import numpy as np
 
 from .errors import ConfigError, EmptyFrontier, ModelError
 from .rng import substream_family
-from .tree import (FAILED, LEAF, PRUNED_EARLY_STOP, STOP_EOS, STOP_LENGTH_CAP,
-                   Leaf, PrunedTree)
+from .tree import (DEFAULT_MAX_SEQ_LEN, FAILED, LEAF, PRUNED_EARLY_STOP, STOP_EOS,
+                   STOP_LENGTH_CAP, Leaf, PrunedTree)
 from .truncation import TruncationRule, active_set
 
 POLICIES = ("probfirst", "divfirst", "randbranch", "globalprob", "dfs")
@@ -78,7 +78,7 @@ class Budget:
 
     max_leaves: int | None = None
     max_new_tokens: int | None = None
-    max_seq_len: int = 512
+    max_seq_len: int = DEFAULT_MAX_SEQ_LEN
 
     def __post_init__(self):
         if self.max_leaves is None and self.max_new_tokens is None:

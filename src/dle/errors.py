@@ -47,7 +47,7 @@ class DuplicateSequences(DleError):
 
 
 class DepthExceeded(ConfigError):
-    """Exhaustive enumeration hit the depth limit before end-of-sequence."""
+    """Exhaustive enumeration hit the length cap before end-of-sequence."""
 
 
 class InvariantViolation(DleError):

@@ -156,12 +156,8 @@ class TableModel:
     @classmethod
     def from_dict(cls, doc: dict) -> "TableModel":
         what = "table model"
-        tokens = tuple(_field(doc, "vocab", "an array of strings", what))
-        eos_token = _field(doc, "eos", "a string", what)
+        vocab = _vocabulary(doc, what)
         raw_transitions = _field(doc, "transitions", "an object", what)
-        if eos_token not in tokens:
-            raise ConfigError(f"eos token {eos_token!r} not in vocab")
-        vocab = Vocabulary(tokens=tokens, eos_id=tokens.index(eos_token))
         # Keys that name the same context keep the last one's weights.
         weights_of: dict[tuple[int, ...], dict] = {}
         for key, weights in raw_transitions.items():
@@ -217,6 +213,15 @@ def _field(doc, name: str, kind: str, what: str):
     if not _JSON_KINDS[kind](doc[name]):
         raise ConfigError(f"{what} field {name!r} must be {kind}")
     return doc[name]
+
+
+def _vocabulary(doc, what: str) -> Vocabulary:
+    """The Vocabulary of a model document's `vocab` and `eos` fields."""
+    tokens = tuple(_field(doc, "vocab", "an array of strings", what))
+    eos_token = _field(doc, "eos", "a string", what)
+    if eos_token not in tokens:
+        raise ConfigError(f"eos token {eos_token!r} not in vocab")
+    return Vocabulary(tokens=tokens, eos_id=tokens.index(eos_token))
 
 
 def _listed(vocab: Vocabulary, weights: list[dict]) -> tuple[np.ndarray, ...]:
@@ -297,8 +302,10 @@ class NgramModel:
         context's count, and pairs is an (n, 3) integer array of
         (row, token id, count) triples in any order. Each pair count must be
         at least 1 and each context's count the sum of its pair counts.
+        tokenization must be a mode `_splitter` knows.
         """
         _check_order_alpha(order, alpha)
+        self._split = _splitter(tokenization)
         self.vocab = vocab
         self.order = order
         self.alpha = alpha
@@ -364,7 +371,7 @@ class NgramModel:
         return SparseRow(self._next_ids[lo:hi], probs, self.alpha / denom, size)
 
     def encode_prompt(self, text: str) -> tuple[int, ...]:
-        return self.vocab.ids_of(_splitter(self.tokenization)(text))
+        return self.vocab.ids_of(self._split(text))
 
     def decode(self, token_ids: Sequence[int]) -> str:
         sep = "" if self.tokenization == "char" else " "
@@ -392,11 +399,7 @@ class NgramModel:
     @classmethod
     def from_dict(cls, doc: dict) -> "NgramModel":
         what = "n-gram model"
-        tokens = tuple(_field(doc, "vocab", "an array of strings", what))
-        eos_token = _field(doc, "eos", "a string", what)
-        if eos_token not in tokens:
-            raise ConfigError(f"eos token {eos_token!r} not in vocab")
-        vocab = Vocabulary(tokens=tokens, eos_id=tokens.index(eos_token))
+        vocab = _vocabulary(doc, what)
         order = _field(doc, "order", "an integer", what)
         alpha = _field(doc, "alpha", "a number", what)
         tokenization = _field(doc, "tokenization", "a string", what)
@@ -412,6 +415,10 @@ class NgramModel:
             raise ConfigError(f"{what} field 'context_counts' must hold [context, count] "
                               "pairs") from None
         _check_order_alpha(order, alpha)
+        try:
+            alpha = float(alpha)
+        except OverflowError:  # an integer past the float range
+            raise ConfigError(f"{what} field 'alpha' is an integer past the float range") from None
         # Any other context would load as a row that no window reaches.
         ids = list(itertools.chain.from_iterable(rows))
         if (len(rows) < len(totals) or max(map(len, rows), default=0) >= order or ids and (
@@ -431,7 +438,7 @@ class NgramModel:
         except (TypeError, ValueError, OverflowError):
             raise ConfigError(f"{what} field 'pair_counts' must hold [context, token id, count] "
                               "triples") from None
-        return cls(vocab, order, float(alpha), tokenization, rows, totals, pairs)
+        return cls(vocab, order, alpha, tokenization, rows, totals, pairs)
 
     @classmethod
     def from_file(cls, path: str) -> "NgramModel":

@@ -12,9 +12,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DepthExceeded
+from .tree import DEFAULT_MAX_SEQ_LEN
 from .truncation import TruncationRule, active_set
-
-DEFAULT_MAX_DEPTH = 64
 
 
 @dataclass(frozen=True)
@@ -28,8 +27,9 @@ class OracleLeafSet:
 
 
 def enumerate_all_leaves(model, rule: TruncationRule, prompt: Sequence[int] = (),
-                         max_depth: int = DEFAULT_MAX_DEPTH) -> OracleLeafSet:
-    """Exhaustive depth-first traversal of every active-set child.
+                         max_seq_len: int = DEFAULT_MAX_SEQ_LEN) -> OracleLeafSet:
+    """Exhaustive depth-first traversal of every active-set child, down to the
+    paths that end in eos; a path that reaches `max_seq_len` tokens first raises DepthExceeded.
 
     The walk uses an explicit stack rather than a self-referencing closure,
     so no reference cycle keeps the leaf list alive after the call. Children
@@ -39,20 +39,19 @@ def enumerate_all_leaves(model, rule: TruncationRule, prompt: Sequence[int] = ()
     eos_id = model.vocab.eos_id
     leaves: list[tuple[tuple[int, ...], float]] = []
     node_count = 0
-    stack: list[tuple[tuple[int, ...], float, bool]] = [((), 1.0, False)]
+    stack: list[tuple[tuple[int, ...], float]] = [((), 1.0)]
     while stack:
-        generated, mass, is_leaf = stack.pop()
-        if is_leaf:
+        generated, mass = stack.pop()
+        if generated and generated[-1] == eos_id:
             leaves.append((generated, mass))
             continue
         node_count += 1
-        if len(generated) >= max_depth:
-            raise DepthExceeded(f"path {generated!r} reached the depth limit {max_depth} without eos "
-                                "(--max-seq-len; --max-depth for oracle)")
+        if len(generated) >= max_seq_len:
+            raise DepthExceeded(f"path {generated!r} reached the length cap {max_seq_len} "
+                                "without eos (--max-seq-len)")
         active = active_set(model.next_distribution(prompt, generated), rule)
-        children = [(generated + (token,), mass * weight, token == eos_id)
-                    for token, weight in zip(active.token_ids, active.weights)]
-        stack.extend(reversed(children))
+        stack.extend(reversed([(generated + (token,), mass * weight)
+                               for token, weight in zip(active.token_ids, active.weights)]))
     total = 0.0
     for _, q in leaves:
         total += q

@@ -24,6 +24,7 @@ FAILED = "failed"
 
 STOP_EOS = "eos"
 STOP_LENGTH_CAP = "length-cap"
+DEFAULT_MAX_SEQ_LEN = 512  # generated tokens before a path is cut
 
 
 @dataclass(frozen=True)

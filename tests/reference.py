@@ -639,7 +639,7 @@ def reference_compare_rows(model, rule, prompt_ids, ks, policy, seeds, max_seq_l
     coverage summed by the loop for every k, re-deduplicating each seed's
     first k draws."""
     masses = np.asarray(enumerate_all_leaves(model, rule, prompt_ids,
-                                             max_depth=max_seq_len).masses(), dtype=np.float64)
+                                             max_seq_len=max_seq_len).masses(), dtype=np.float64)
     max_k = max(ks)
     result = enumerate_leaves(model, rule, prompt_ids, policy,
                               Budget(max_leaves=max_k, max_seq_len=max_seq_len))

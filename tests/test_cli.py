@@ -553,6 +553,48 @@ def test_oracle_command(fig_tree_path, tmp_path):
     assert len(doc["leaves"]) == 4
 
 
+@pytest.fixture
+def chain_path(tmp_path):
+    """A table whose one path is six forced a's, then eos: a 7-token leaf."""
+    transitions = {" ".join(["a"] * depth): {"a": 1.0} for depth in range(6)}
+    transitions["a a a a a a"] = {"<eos>": 1.0}
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps({"vocab": ["a", "<eos>"], "eos": "<eos>",
+                                "transitions": transitions}))
+    return str(path)
+
+
+@pytest.mark.parametrize("cap", [2, 6])
+def test_oracle_and_compare_exit_2_where_enumerate_cuts_a_length_cap_leaf(cap, chain_path,
+                                                                          tmp_path, capsys):
+    source = ["--model", f"table:{chain_path}", "--rule", "top_k:1", "--max-seq-len", str(cap)]
+    for command in (["oracle"], ["compare", "--k", "1..2"]):
+        assert main([*command, *source, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (f"error: path {(0,) * cap!r} reached the length cap "
+                                           f"{cap} without eos (--max-seq-len)\n")
+    leaves = tmp_path / "leaves.jsonl"
+    assert main(["enumerate", *source, "--k", "2", "--out", str(leaves)]) == 0
+    assert [(row["tokens"], row["stop_reason"]) for row in read_jsonl(leaves)] == \
+        [([0] * cap, "length-cap")]
+
+
+@pytest.mark.parametrize("cap", [[], ["--max-seq-len", "7"]])
+def test_oracle_lists_the_leaf_that_ends_within_the_cap(cap, chain_path, tmp_path):
+    out = tmp_path / "oracle.json"
+    assert main(["oracle", "--model", f"table:{chain_path}", "--rule", "top_k:1", *cap,
+                 "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["leaves"] == [{"tokens": [0] * 6 + [1], "text": "a a a a a a <eos>", "q": 1.0}]
+
+
+def test_oracle_max_depth_is_an_unrecognized_argument(chain_path, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", "--model", f"table:{chain_path}", "--rule", "top_k:1",
+              "--max-depth", "5", "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --max-depth 5" in capsys.readouterr().err
+
+
 def test_console_script_is_installed():
     proc = subprocess.run([sys.executable, "-m", "dle.cli", "--help"],
                           capture_output=True, text=True)
@@ -786,6 +828,10 @@ def _ngram_doc_without(field):
                                                                [[99], 1]]),
      "n-gram model field 'context_counts' must hold distinct contexts of at most order - 1 "
      "token ids in [0, 3)"),
+    ("ngram", dict(_ngram_doc_without("kind"), alpha=10 ** 400),
+     "n-gram model field 'alpha' is an integer past the float range"),
+    ("ngram", dict(_ngram_doc_without("kind"), tokenization="xyz"),
+     "unknown tokenization 'xyz' (use char or whitespace)"),
 ])
 def test_malformed_model_documents_exit_2_without_traceback(kind, doc, message, tmp_path, capsys):
     path = tmp_path / "model.json"
@@ -807,7 +853,7 @@ def test_malformed_model_documents_exit_2_without_traceback(kind, doc, message, 
     (["sample", "--k", "3"], "--max-seq-len", "0", "must be >= 1, got 0"),
     (["enumerate", "--k", "3"], "--max-seq-len", "-2", "must be >= 1, got -2"),
     (["compare", "--k", "1..3"], "--max-seq-len", "x", "expected an integer, got 'x'"),
-    (["oracle"], "--max-depth", "0", "must be >= 1, got 0"),
+    (["oracle"], "--max-seq-len", "0", "must be >= 1, got 0"),
     (["enumerate", "--k", "3"], "--early-stop-n", "abc", "expected an integer, got 'abc'"),
     (["enumerate", "--k", "3"], "--early-stop-n", "0", "must be >= 1, got 0"),
     (["enumerate", "--k", "3"], "--early-stop-n", "-1", "must be >= 1, got -1"),

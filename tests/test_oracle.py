@@ -1,6 +1,7 @@
 import gc
 import itertools
 
+import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
@@ -10,8 +11,8 @@ from dle.metrics import coverage, expected_coverage_closed_form
 from dle.model import TableModel
 from dle.oracle import enumerate_all_leaves
 from dle.truncation import Epsilon, TopK, TopP
-from reference import (monte_carlo_coverage_from_masses, monte_carlo_expected_coverage,
-                       top_k_by_mass)
+from reference import (mc_coverage_numpy, monte_carlo_coverage_from_masses,
+                       monte_carlo_expected_coverage, np_substream, top_k_by_mass)
 
 FIG_RULE = Epsilon(eps=0.1, inclusive=True)
 
@@ -54,7 +55,7 @@ def test_depth_limit_raises():
         "vocab": ["a", "<eos>"], "eos": "<eos>",
         "transitions": {}, "default": {"a": 1.0}})
     with pytest.raises(DepthExceeded):
-        enumerate_all_leaves(model, TopK(k=1), max_depth=10)
+        enumerate_all_leaves(model, TopK(k=1), max_seq_len=10)
 
 
 def test_enumeration_leaves_no_reference_cycle(fig_tree_model):
@@ -110,6 +111,24 @@ def test_top_k_is_optimal_among_subsets(random_model_factory):
         checked += 1
         if checked >= 8:
             break
+
+
+def test_mc_coverage_numpy_single_leaf():
+    masses = np.array([1.0])
+    cum = np.cumsum(masses)
+    uniforms = np_substream(0, "t").random((50, 3))
+    out = mc_coverage_numpy(masses, cum, uniforms)
+    assert np.all(out == 1.0)
+
+
+def test_mc_coverage_numpy_two_leaves_enumerates_outcomes():
+    masses = np.array([0.7, 0.3])
+    cum = np.cumsum(masses)
+    uniforms = np.array([[0.1, 0.2],    # both draws hit leaf 0
+                         [0.9, 0.95],   # both hit leaf 1
+                         [0.1, 0.9]])   # one of each
+    out = mc_coverage_numpy(masses, cum, uniforms)
+    assert out.tolist() == pytest.approx([0.7, 0.3, 1.0])
 
 
 def test_monte_carlo_brackets_hand_value():
