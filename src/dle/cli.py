@@ -35,7 +35,7 @@ from .metrics import (check_coverage, compensated_prefix_sums, coverage, coverag
                       expected_coverage_closed_form, population_std)
 from .model import parse_model_spec, read_corpus, train_ngram_model
 from .oracle import enumerate_all_leaves
-from .tree import DEFAULT_MAX_SEQ_LEN
+from .tree import DEFAULT_MAX_SEQ_LEN, STOP_EOS, STOP_LENGTH_CAP
 from .truncation import parse_rule
 
 
@@ -156,7 +156,7 @@ def _write_manifest(out: Path, args, extras: dict | None = None) -> None:
     _write_json(Path(str(out) + ".manifest.json"), manifest)
 
 
-def _leaf_row(model, leaf) -> dict:
+def _leaf_row(model, leaf, order: int) -> dict:
     return {
         "tokens": list(leaf.tokens),
         "text": model.decode(leaf.tokens),
@@ -165,7 +165,7 @@ def _leaf_row(model, leaf) -> dict:
         "new_tokens": leaf.new_tokens,
         "reused_prefix": leaf.reused_prefix_len,
         "stop_reason": leaf.stop_reason,
-        "order": leaf.order,
+        "order": order,
     }
 
 
@@ -302,7 +302,7 @@ def cmd_enumerate(args) -> int:
                                 keep_tree=args.dump_tree is not None, steps=steps)
 
     results, degraded = _run_prompts(args, prompt_ids, run_one, lambda _, result: [
-        _leaf_row(model, leaf) for leaf in result.leaves])
+        _leaf_row(model, leaf, order) for order, leaf in enumerate(result.leaves)])
     metrics = [{
         "prompt": idx,
         "leaves": len(result.leaves),
@@ -344,7 +344,7 @@ def cmd_sample(args) -> int:
             "log_q": float("-inf") if q == 0.0 else math.log(q),
             "new_tokens": len(tokens),
             "reused_prefix": len(prompt_ids),
-            "stop_reason": "eos" if tokens and tokens[-1] == model.vocab.eos_id else "length-cap",
+            "stop_reason": STOP_EOS if tokens[-1:] == (model.vocab.eos_id,) else STOP_LENGTH_CAP,
             "order": draw,
             "draw": draw,
         } for draw, (tokens, q) in enumerate(run.sequences)]

@@ -219,7 +219,6 @@ def greedy_rollout(model, rule: TruncationRule, tree: PrunedTree, start_node: in
                    prompt: Sequence[int], budget: Budget, stats: TokenStats,
                    early_stop: EarlyStopConfig | None,
                    sibling_leaves: Sequence[tuple[int, ...]] = (),
-                   order: int = 0,
                    steps: dict | None = None) -> _RolloutOutcome:
     """Greedy generation from start_node until termination.
 
@@ -259,7 +258,6 @@ def greedy_rollout(model, rule: TruncationRule, tree: PrunedTree, start_node: in
             stop_reason=stop_reason,
             new_tokens=len(appended),
             reused_prefix_len=len(prompt) + inherited,
-            order=order,
             node_id=node_id,
         )
 
@@ -372,7 +370,7 @@ def enumerate_leaves(model, rule: TruncationRule, prompt: Sequence[int],
             candidates = siblings.get(tree.parent[start], ())
         try:
             outcome = greedy_rollout(model, rule, tree, start, prompt, budget, stats,
-                                     early_stop, candidates, order=len(leaves), steps=steps)
+                                     early_stop, candidates, steps=steps)
         except ModelError:
             if not leaves:
                 raise

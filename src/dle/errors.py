@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto exit codes: ConfigError -> 2, ModelError -> 3,
-InvariantViolation (and anything unexpected) -> 4.
+The CLI maps these onto exit codes: ConfigError -> 2, ModelError -> 3, and
+every other DleError, InvariantViolation included, -> 4.
 """
 
 
@@ -44,10 +44,6 @@ class EmptyFrontier(DleError):
 
 class DuplicateSequences(DleError):
     """Coverage input contained duplicate sequences."""
-
-
-class DepthExceeded(ConfigError):
-    """Exhaustive enumeration hit the length cap before end-of-sequence."""
 
 
 class InvariantViolation(DleError):

@@ -11,9 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import DepthExceeded
+from .errors import ConfigError
 from .tree import DEFAULT_MAX_SEQ_LEN
 from .truncation import TruncationRule, active_set
+
+MAX_CAPPED_NODES = 2 ** 16  # nodes a walk may expand once it has found a length-capped leaf
 
 
 @dataclass(frozen=True)
@@ -28,8 +30,9 @@ class OracleLeafSet:
 
 def enumerate_all_leaves(model, rule: TruncationRule, prompt: Sequence[int] = (),
                          max_seq_len: int = DEFAULT_MAX_SEQ_LEN) -> OracleLeafSet:
-    """Exhaustive depth-first traversal of every active-set child, down to the
-    paths that end in eos; a path that reaches `max_seq_len` tokens first raises DepthExceeded.
+    """Exhaustive depth-first traversal of every active-set child. As in the
+    engine, a path ends at eos or at `max_seq_len` tokens; past MAX_CAPPED_NODES
+    nodes, a walk that has found a length-capped leaf raises ConfigError.
 
     The walk uses an explicit stack rather than a self-referencing closure,
     so no reference cycle keeps the leaf list alive after the call. Children
@@ -39,16 +42,19 @@ def enumerate_all_leaves(model, rule: TruncationRule, prompt: Sequence[int] = ()
     eos_id = model.vocab.eos_id
     leaves: list[tuple[tuple[int, ...], float]] = []
     node_count = 0
+    capped = False
     stack: list[tuple[tuple[int, ...], float]] = [((), 1.0)]
     while stack:
         generated, mass = stack.pop()
-        if generated and generated[-1] == eos_id:
+        ended = generated and generated[-1] == eos_id
+        if ended or len(generated) >= max_seq_len:
             leaves.append((generated, mass))
+            capped = capped or not ended
             continue
         node_count += 1
-        if len(generated) >= max_seq_len:
-            raise DepthExceeded(f"path {generated!r} reached the length cap {max_seq_len} "
-                                "without eos (--max-seq-len)")
+        if capped and node_count > MAX_CAPPED_NODES:
+            raise ConfigError(f"oracle walk past {MAX_CAPPED_NODES} nodes with paths cut at "
+                              f"--max-seq-len {max_seq_len}: lower it or narrow --rule")
         active = active_set(model.next_distribution(prompt, generated), rule)
         stack.extend(reversed([(generated + (token,), mass * weight)
                                for token, weight in zip(active.token_ids, active.weights)]))

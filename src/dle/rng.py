@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import random
 
+from .errors import ConfigError
+
 _FNV_OFFSET64 = 0xCBF29CE484222325
 _FNV_PRIME64 = 0x100000001B3
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -20,7 +22,10 @@ def _to_bytes(part: int | str | bytes) -> bytes:
     if isinstance(part, bytes):
         return part
     if isinstance(part, int):
-        return int(part & _MASK64).to_bytes(8, "little", signed=False)
+        try:
+            return part.to_bytes(8, "little", signed=True)
+        except OverflowError:
+            raise ConfigError(f"seed {part} is outside -2**63..2**63-1") from None
     return str(part).encode("utf-8")
 
 

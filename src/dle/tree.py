@@ -37,7 +37,6 @@ class Leaf:
     stop_reason: str             # eos | length-cap
     new_tokens: int              # tokens generated fresh by this leaf's rollout
     reused_prefix_len: int       # prompt plus inherited generated prefix
-    order: int                   # generation order index
     node_id: int = -1
 
 

@@ -332,13 +332,8 @@ def apply_temperature(row: SparseRow, temperature: float) -> SparseRow:
 
 def parse_rule(text: str) -> TruncationRule:
     """Parse rule syntax like ``epsilon:0.05`` or ``top_p:0.95+top_k:10``."""
-    parts = [p.strip() for p in text.split("+") if p.strip()]
-    if not parts:
-        raise ConfigError(f"empty rule string: {text!r}")
-    rules = [_parse_single(p) for p in parts]
-    if len(rules) == 1:
-        return rules[0]
-    return Composite(rules=tuple(rules))
+    rules = [_parse_single(part.strip()) for part in text.split("+")]  # an empty part raises
+    return rules[0] if len(rules) == 1 else Composite(rules=tuple(rules))
 
 
 def _parse_single(part: str) -> TruncationRule:

@@ -4,9 +4,16 @@ import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
+from hypothesis import settings
 from hypothesis import strategies as st
 
 from dle.model import TableModel, train_ngram_model
+
+# Every run draws the same examples, so a defect is caught or missed alike on
+# each run; `--hypothesis-profile explore` draws fresh ones instead.
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.register_profile("explore")
+settings.load_profile("tier1")
 
 # The four-leaf worked example: masses 0.504 / 0.126 / 0.27 / 0.1 under the
 # boundary-inclusive epsilon:0.1 rule, total mass exactly 1.
@@ -109,6 +116,7 @@ def ngram_memo_models(draw):
 class _StubState:
     def __init__(self):
         self.responses: dict[str, dict[str, float]] = {}
+        self.payload: dict | None = None  # served as is to every request when set
         self.fail_first = 0
         self.failures_served = 0
         self.requests: list[dict] = []
@@ -130,13 +138,15 @@ class _StubHandler(BaseHTTPRequestHandler):
                 self.end_headers()
                 return
         table = state.responses.get(body.get("prompt", ""))
-        if table is None:
-            self.send_response(404)
-            self.end_headers()
-            return
-        top_n = int(body.get("logprobs", 1))
-        ranked = sorted(table.items(), key=lambda kv: -kv[1])[:top_n]
-        payload = {"choices": [{"logprobs": {"top_logprobs": [dict(ranked)]}}]}
+        payload = state.payload
+        if payload is None:
+            if table is None:
+                self.send_response(404)
+                self.end_headers()
+                return
+            top_n = int(body.get("logprobs", 1))
+            ranked = sorted(table.items(), key=lambda kv: -kv[1])[:top_n]
+            payload = {"choices": [{"logprobs": {"top_logprobs": [dict(ranked)]}}]}
         data = json.dumps(payload).encode("utf-8")
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
@@ -164,8 +174,10 @@ class StubServer:
     def state(self) -> _StubState:
         return self.httpd.state
 
-    def configure(self, responses: dict[str, dict[str, float]], fail_first: int = 0):
+    def configure(self, responses: dict[str, dict[str, float]], fail_first: int = 0,
+                  payload: dict | None = None):
         self.state.responses = responses
+        self.state.payload = payload
         self.state.fail_first = fail_first
         self.state.failures_served = 0
         self.state.requests.clear()

@@ -73,8 +73,8 @@ class WindowContextModel:
 def mix(seed: int, *parts: int | str | bytes) -> int:
     """The 64-bit FNV-1a mix of (seed, *parts) in one pass: the seed of the
     stream `substream_family(seed, *parts[:i])(*parts[i:])`, for every i.
-    An int part is hashed as its 8 little-endian bytes modulo 2**64, a str as
-    its UTF-8 bytes."""
+    An int part, from -2**63..2**63-1, is hashed as its 8 little-endian bytes
+    modulo 2**64, a str as its UTF-8 bytes."""
     prime, mask = 0x100000001B3, 2 ** 64 - 1
 
     def fnv1a(part) -> int:
@@ -195,7 +195,7 @@ class NodeTree:
 
 
 def node_greedy_rollout(model, rule, tree: NodeTree, start_node: int, prompt, budget,
-                        stats: TokenStats, early_stop, sibling_leaves, order: int, steps: dict):
+                        stats: TokenStats, early_stop, sibling_leaves, steps: dict):
     """`engine.greedy_rollout` on a `NodeTree`: (leaf or None, branch nodes)."""
     stats.rollouts += 1
     node_id = start_node
@@ -213,7 +213,7 @@ def node_greedy_rollout(model, rule, tree: NodeTree, start_node: int, prompt, bu
         stats.new_tokens += len(appended)
         return Leaf(tokens=tuple(prefix), q=math.exp(node.log_mass), log_q=node.log_mass,
                     stop_reason=stop_reason, new_tokens=len(appended),
-                    reused_prefix_len=len(prompt) + inherited, order=order, node_id=node_id)
+                    reused_prefix_len=len(prompt) + inherited, node_id=node_id)
 
     if prefix and prefix[-1] == eos_id:
         return make_leaf(STOP_EOS), branches
@@ -282,7 +282,7 @@ def node_enumerate_leaves(model, rule, prompt, policy, budget, early_stop=None,
                           and leaf.tokens[:position] == shared]
         try:
             leaf, branches = node_greedy_rollout(model, rule, tree, start, prompt, budget, stats,
-                                                 early_stop, candidates, len(leaves), steps)
+                                                 early_stop, candidates, steps)
         except ModelError:
             if not leaves:
                 raise

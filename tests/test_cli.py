@@ -13,9 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_random_table_model
-from dle import baseline, cli
+from dle import baseline, cli, oracle
 from dle.cli import _compare_rows, main
 from dle.engine import BranchPolicy
+from dle.errors import EmptyFrontier, InvariantViolation
 from dle.model import TableModel, train_ngram_model
 from dle.truncation import parse_rule
 from reference import reference_compare_rows
@@ -166,11 +167,22 @@ def test_enumerate_batch_prompts(fig_tree_path, tmp_path):
     assert all(r["reused_prefix"] >= 1 for r in rows)
 
 
-def test_invalid_rule_exits_2(fig_tree_path, tmp_path):
+INVALID_RULES = {
+    "nucleus:0.9": "unknown rule name 'nucleus'",
+    "epsilon:0.1+": "rule '' must look like name:value",
+    "+epsilon:0.1": "rule '' must look like name:value",
+    "epsilon:0.1++top_k:2": "rule '' must look like name:value",
+    "min_p:1.5": "min_p requires p_min in (0, 1], got 1.5",
+}
+
+
+@pytest.mark.parametrize("rule", list(INVALID_RULES))
+def test_invalid_rule_exits_2(rule, fig_tree_path, tmp_path, capsys):
     code = main(["enumerate", "--model", f"table:{fig_tree_path}",
-                 "--rule", "nucleus:0.9", "--k", "4",
+                 "--rule", rule, "--k", "4",
                  "--out", str(tmp_path / "x.jsonl")])
     assert code == 2
+    assert capsys.readouterr().err == f"error: {INVALID_RULES[rule]}\n"
 
 
 def test_missing_budget_exits_2(fig_tree_path, tmp_path):
@@ -204,6 +216,35 @@ def test_unreachable_remote_exits_3(tmp_path, monkeypatch):
     code = main(["enumerate", "--model", "remote:top_n=2", "--rule", "epsilon:0.1",
                  "--k", "2", "--out", str(tmp_path / "x.jsonl")])
     assert code == 3
+
+
+@pytest.mark.parametrize("payload, message", [
+    (None, "endpoint rejected request: HTTP 404"),
+    ({"choices": []}, "malformed endpoint payload: {'choices': []}"),
+], ids=["http-404", "malformed-payload"])
+def test_rejected_request_or_malformed_payload_exits_3_after_one_attempt(
+        payload, message, tmp_path, monkeypatch, stub_server, capsys):
+    # The stub answers 404 for a prompt it has no table for.
+    stub_server.configure({}, payload=payload)
+    monkeypatch.setenv("DLE_REMOTE_URL", stub_server.url)
+    code = main(["enumerate", "--model", "remote:top_n=2", "--rule", "epsilon:0.1",
+                 "--k", "2", "--out", str(tmp_path / "x.jsonl")])
+    assert code == 3
+    assert capsys.readouterr().err == f"model error: {message}\n"
+    assert len(stub_server.state.requests) == 1
+
+
+@pytest.mark.parametrize("error, message", [
+    (InvariantViolation("sums disagree"), "internal invariant violated: sums disagree"),
+    (EmptyFrontier("no branch points"), "internal error: no branch points"),
+], ids=["invariant-violation", "other-dle-error"])
+def test_internal_errors_exit_4(error, message, monkeypatch, capsys):
+    def fail(args):
+        raise error
+
+    monkeypatch.setattr(cli, "cmd_vote", fail)
+    assert main(["vote", "--in", "rows.jsonl"]) == 4
+    assert capsys.readouterr().err == f"{message}\n"
 
 
 def test_enumerate_against_stub_endpoint(tmp_path, monkeypatch, stub_server):
@@ -348,6 +389,21 @@ def test_vote_command(tmp_path):
                  "--weighting", "prob", "--out", str(out)])
     assert code == 0
     assert json.loads(out.read_text())["winner"] == "7"
+
+
+@pytest.mark.parametrize("command", [["cache-sim", "--in", "{rows}"], ["vote", "--in", "{rows}"],
+                                     ["oracle", "--model", "table:{fig}", "--rule", "top_k:2"]],
+                         ids=["cache-sim", "vote", "oracle"])
+def test_json_commands_without_out_print_the_output_file(command, fig_tree_path, tmp_path,
+                                                         capsys):
+    rows = tmp_path / "rows.jsonl"
+    rows.write_text('{"tokens": [0, 3, 8], "text": "a d", "q": 0.25}\n'
+                    '{"tokens": [0, 2, 8], "text": "a c", "q": 0.5}\n')
+    argv = [arg.format(rows=rows, fig=fig_tree_path) for arg in command]
+    out = tmp_path / "out.json"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert main(argv) == 0
+    assert capsys.readouterr().out == out.read_text()
 
 
 @pytest.mark.parametrize("command, lines, message", [
@@ -565,13 +621,19 @@ def chain_path(tmp_path):
 
 
 @pytest.mark.parametrize("cap", [2, 6])
-def test_oracle_and_compare_exit_2_where_enumerate_cuts_a_length_cap_leaf(cap, chain_path,
-                                                                          tmp_path, capsys):
+def test_oracle_compare_and_enumerate_agree_on_a_length_cap_leaf(cap, chain_path, tmp_path):
     source = ["--model", f"table:{chain_path}", "--rule", "top_k:1", "--max-seq-len", str(cap)]
-    for command in (["oracle"], ["compare", "--k", "1..2"]):
-        assert main([*command, *source, "--out", str(tmp_path / "out")]) == 2
-        assert capsys.readouterr().err == (f"error: path {(0,) * cap!r} reached the length cap "
-                                           f"{cap} without eos (--max-seq-len)\n")
+    out = tmp_path / "oracle.json"
+    assert main(["oracle", *source, "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc == {"leaves": [{"tokens": [0] * cap, "text": " ".join(["a"] * cap), "q": 1.0}],
+                   "total_mass": 1.0, "node_count": cap}
+    out = tmp_path / "compare.csv"
+    assert main(["compare", "--k", "1..2", *source, "--out", str(out)]) == 0
+    with open(out, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(row["coverage_dle"], row["expected_coverage_closed"], row["dle_new_tokens"])
+            for row in rows] == [("1.0", "1.0", str(cap))] * 2
     leaves = tmp_path / "leaves.jsonl"
     assert main(["enumerate", *source, "--k", "2", "--out", str(leaves)]) == 0
     assert [(row["tokens"], row["stop_reason"]) for row in read_jsonl(leaves)] == \
@@ -593,6 +655,44 @@ def test_oracle_max_depth_is_an_unrecognized_argument(chain_path, tmp_path, caps
               "--max-depth", "5", "--out", str(tmp_path / "out")])
     assert exc.value.code == 2
     assert "unrecognized arguments: --max-depth 5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("enumerate --model table:{fig} --rule top_k:2 --k 2 --prompt-file {tmp}",
+     "cannot read prompt file {tmp}: "),
+    ("compare --model table:{fig} --rule top_k:2 --k 5..3", "bad k range '5..3'\n"),
+    ("enumerate --model table:{fig} --rule top_k:2 --k 2 --policy randbranch:x",
+     "bad randbranch seed 'x'\n"),
+    (f"enumerate --model table:{{fig}} --rule top_k:2 --k 2 --policy randbranch:{2 ** 64}",
+     f"seed {2 ** 64} is outside -2**63..2**63-1\n"),
+    (f"sample --model table:{{fig}} --rule top_k:2 --k 2 --seed {2 ** 64}",
+     f"seed {2 ** 64} is outside -2**63..2**63-1\n"),
+    (f"sample --model table:{{fig}} --rule top_k:2 --k 2 --seed {-2 ** 63 - 1}",
+     f"seed {-2 ** 63 - 1} is outside -2**63..2**63-1\n"),
+    ("enumerate --model ngram:{eos_corpus} --rule top_k:2 --k 2",
+     "corpus must not contain the reserved token '<eos>'\n"),
+    ("vote --in {rows} --extract bogus:x", "unknown extractor 'bogus'\n"),
+    ("vote --in {not_json}", "cannot read {not_json}: Expecting value: line 1 column 1"),
+    ("cache-sim --in {not_json}", "cannot read {not_json}: Expecting value: line 1 column 1"),
+    ("vote --in {blank}", "no sequences found in {blank}\n"),
+    ("cache-sim --in {blank}", "no sequences found in {blank}\n"),
+], ids=["prompt-file-is-a-directory", "k-range-reversed", "randbranch-x", "randbranch-2**64",
+        "seed-2**64", "seed-below-2**63", "corpus-with-eos", "extract-bogus", "vote-not-json",
+        "cache-sim-not-json", "vote-blank", "cache-sim-blank"])
+def test_bad_run_inputs_exit_2_without_traceback(argv, message, fig_tree_path, tmp_path, capsys):
+    paths = {"fig": fig_tree_path, "tmp": tmp_path, "eos_corpus": tmp_path / "eos.txt",
+             "rows": tmp_path / "rows.jsonl", "not_json": tmp_path / "bad.jsonl",
+             "blank": tmp_path / "blank.jsonl"}
+    paths["eos_corpus"].write_text("a <eos> b\n")
+    paths["rows"].write_text('{"text": "a", "q": 0.5}\n')
+    paths["not_json"].write_text('{"text": "a", "q": 0.5, "tokens": [0]}\nnot json\n')
+    paths["blank"].write_text("\n \n")
+    out = tmp_path / "out"
+    assert main([*argv.format(**paths).split(), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + message.format(**paths))
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_console_script_is_installed():
@@ -684,15 +784,34 @@ def test_count_flags_document_their_bound(capsys):
         assert f"<= {sys.maxsize}" in options.split(f"{flag} ", 1)[1].split(" --", 1)[0]
 
 
-def test_compare_on_a_looping_ngram_exits_2_without_traceback(tmp_path, capsys):
+@pytest.fixture
+def looping_ngram(tmp_path):
+    """An n-gram spec under which most paths loop until the length cap."""
     corpus = tmp_path / "corpus.txt"
     corpus.write_text("the cat sat on the mat\nthe dog sat on the log\n")
-    code = main(["compare", "--model", f"ngram:{corpus}?order=2&alpha=0.01", "--rule", "top_p:0.9",
-                 "--k", "1..4", "--max-seq-len", "12", "--out", str(tmp_path / "c.csv")])
+    return ["--model", f"ngram:{corpus}?order=2&alpha=0.01", "--rule", "top_p:0.9"]
+
+
+def test_compare_on_a_looping_ngram_lists_its_capped_leaves(looping_ngram, tmp_path):
+    source = [*looping_ngram, "--max-seq-len", "12"]
+    out = tmp_path / "oracle.json"
+    assert main(["oracle", *source, "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert (len(doc["leaves"]), doc["node_count"]) == (22, 56)
+    assert any(len(leaf["tokens"]) == 12 for leaf in doc["leaves"])
+    assert main(["compare", *source, "--k", "1..4", "--out", str(tmp_path / "c.csv")]) == 0
+
+
+def test_compare_on_a_looping_ngram_exits_2_without_traceback(looping_ngram, tmp_path,
+                                                              monkeypatch, capsys):
+    # At cap 40 the tree has 8,184 nodes, past a bound lowered to 1,000.
+    monkeypatch.setattr(oracle, "MAX_CAPPED_NODES", 1000)
+    code = main(["compare", *looping_ngram, "--k", "1..4", "--max-seq-len", "40",
+                 "--out", str(tmp_path / "c.csv")])
     assert code == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "--max-seq-len" in err
-    assert "Traceback" not in err
+    assert err == ("error: oracle walk past 1000 nodes with paths cut at --max-seq-len 40: "
+                   "lower it or narrow --rule\n")
 
 
 @settings(max_examples=60, deadline=None)
@@ -832,6 +951,8 @@ def _ngram_doc_without(field):
      "n-gram model field 'alpha' is an integer past the float range"),
     ("ngram", dict(_ngram_doc_without("kind"), tokenization="xyz"),
      "unknown tokenization 'xyz' (use char or whitespace)"),
+    ("table", {"vocab": ["a", "b"], "eos": "<eos>", "transitions": {}},
+     "eos token '<eos>' not in vocab"),
 ])
 def test_malformed_model_documents_exit_2_without_traceback(kind, doc, message, tmp_path, capsys):
     path = tmp_path / "model.json"
@@ -857,6 +978,7 @@ def test_malformed_model_documents_exit_2_without_traceback(kind, doc, message, 
     (["enumerate", "--k", "3"], "--early-stop-n", "abc", "expected an integer, got 'abc'"),
     (["enumerate", "--k", "3"], "--early-stop-n", "0", "must be >= 1, got 0"),
     (["enumerate", "--k", "3"], "--early-stop-n", "-1", "must be >= 1, got -1"),
+    (["sample", "--k", "3"], "--temperature", "abc", "expected a number, got 'abc'"),
 ])
 def test_out_of_range_values_exit_2_without_traceback(command, flag, value, message,
                                                        two_leaf_path, tmp_path, capsys):
@@ -888,6 +1010,8 @@ def test_out_of_range_values_exit_2_without_traceback(command, flag, value, mess
     ("ngram:{model}?order=5", "a .json n-gram model takes no options, got ?order=5"),
     ("remote:topn=5,url=http://localhost:1",
      "unknown model option 'topn' (allowed: top_n, eos, url)"),
+    ("ngram:", "ngram model spec needs a path"),
+    ("ngram:{corpus}?order", "bad option 'order', expected key=value"),
 ])
 def test_bad_model_spec_options_exit_2_without_traceback(spec, message, tmp_path, capsys):
     corpus = tmp_path / "corpus.txt"

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, find, given, settings
 from hypothesis import strategies as st
 
-from conftest import memo_models, ngram_memo_models
+from conftest import make_random_table_model, memo_models, ngram_memo_models
 from dle import engine
 from dle.baseline import sample_sequences
 from dle.engine import (POLICIES, Budget, BranchPolicy, EarlyStopConfig, Frontier, TokenStats,
@@ -16,7 +16,7 @@ from dle.engine import (POLICIES, Budget, BranchPolicy, EarlyStopConfig, Frontie
 from dle.errors import ConfigError, EmptyFrontier, ModelError
 from dle.model import TableModel, train_ngram_model
 from dle.oracle import enumerate_all_leaves
-from dle.tree import UNEXPANDED, PrunedTree
+from dle.tree import DEFAULT_MAX_SEQ_LEN, STOP_EOS, UNEXPANDED, PrunedTree
 from dle.truncation import Epsilon, MinP, TopK, TopP, parse_rule
 from reference import (ScanRecord, UnmemoizedModel, WindowContextModel, early_stop_check,
                        linear_select_branch, mix, node_enumerate_leaves, node_greedy_rollout)
@@ -233,18 +233,32 @@ def test_early_stop_only_compares_siblings_sharing_prefix():
     assert result.stats.early_stop_triggers == 0
 
 
-def test_support_equivalence_with_oracle(random_model_factory):
-    rules = [Epsilon(eps=0.05), TopP(p=0.9), MinP(p_min=0.1), TopK(k=3)]
-    for seed in range(40):
-        model = random_model_factory(seed)
-        rule = rules[seed % len(rules)]
-        oracle_set = enumerate_all_leaves(model, rule)
-        result = run(model, rule, budget=UNLIMITED)
-        assert result.frontier_exhausted
-        oracle_map = dict(oracle_set.leaves)
-        assert {l.tokens for l in result.leaves} == set(oracle_map)
-        for leaf in result.leaves:
-            assert abs(leaf.q - oracle_map[leaf.tokens]) <= 1e-9
+@st.composite
+def _capped_models(draw):
+    """A random table model, whose paths end within 6 tokens, under any cap;
+    or a small n-gram model, whose paths may loop, under a cap of 1 to 4."""
+    if draw(st.booleans()):
+        return (make_random_table_model(draw(st.integers(0, 10_000))),
+                draw(st.sampled_from([1, 2, 3, 4, DEFAULT_MAX_SEQ_LEN])))
+    return draw(ngram_memo_models()), draw(st.integers(1, 4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(model_and_cap=_capped_models(),
+       rule=st.sampled_from([Epsilon(eps=0.05), TopP(p=0.9), MinP(p_min=0.1), TopK(k=3)]))
+def test_support_equivalence_with_oracle(model_and_cap, rule):
+    # Both end a path at eos or at the cap, so an exhausted run lists the
+    # oracle's leaves, length-capped ones included.
+    model, max_seq_len = model_and_cap
+    oracle_set = enumerate_all_leaves(model, rule, max_seq_len=max_seq_len)
+    result = run(model, rule, budget=Budget(max_leaves=10 ** 9, max_seq_len=max_seq_len))
+    assert result.frontier_exhausted
+    oracle_map = dict(oracle_set.leaves)
+    assert len(result.leaves) == len(oracle_map)
+    assert {l.tokens for l in result.leaves} == set(oracle_map)
+    for leaf in result.leaves:
+        assert abs(leaf.q - oracle_map[leaf.tokens]) <= 1e-9
+        assert (leaf.stop_reason == STOP_EOS) == (leaf.tokens[-1] == model.vocab.eos_id)
 
 
 def test_leaves_are_pairwise_distinct(random_model_factory):

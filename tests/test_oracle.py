@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
+from dle import oracle
 from dle.baseline import sample_sequences
-from dle.errors import DepthExceeded
+from dle.errors import ConfigError
 from dle.metrics import coverage, expected_coverage_closed_form
 from dle.model import TableModel
 from dle.oracle import enumerate_all_leaves
@@ -50,12 +51,28 @@ def test_binary_branching_counts_leaves():
     assert oracle_set.total_mass == pytest.approx(1.0, abs=1e-9)
 
 
-def test_depth_limit_raises():
+def test_depth_limit_raises(monkeypatch):
+    # A path that reaches the cap is a leaf, as in the engine; the bound on
+    # the nodes of a tree with such a leaf raises.
     model = TableModel.from_dict({
-        "vocab": ["a", "<eos>"], "eos": "<eos>",
-        "transitions": {}, "default": {"a": 1.0}})
-    with pytest.raises(DepthExceeded):
-        enumerate_all_leaves(model, TopK(k=1), max_seq_len=10)
+        "vocab": ["a", "b", "<eos>"], "eos": "<eos>",
+        "transitions": {}, "default": {"a": 0.5, "b": 0.5}})
+    oracle_set = enumerate_all_leaves(model, TopK(k=1), max_seq_len=10)
+    assert oracle_set.leaves == (((0,) * 10, 1.0),)
+    assert oracle_set.node_count == 10
+    assert len(enumerate_all_leaves(model, TopK(k=2), max_seq_len=5).leaves) == 2 ** 5
+    monkeypatch.setattr(oracle, "MAX_CAPPED_NODES", 30)
+    with pytest.raises(ConfigError, match=r"^oracle walk past 30 nodes with paths cut at "
+                                          r"--max-seq-len 5: lower it or narrow --rule$"):
+        enumerate_all_leaves(model, TopK(k=2), max_seq_len=5)
+
+
+def test_node_bound_spares_trees_without_a_capped_leaf(fig_tree_model, monkeypatch):
+    # Every path of the fig tree's 8 nodes ends in eos, so a bound of 1 never applies.
+    expected = enumerate_all_leaves(fig_tree_model, FIG_RULE)
+    monkeypatch.setattr(oracle, "MAX_CAPPED_NODES", 1)
+    assert enumerate_all_leaves(fig_tree_model, FIG_RULE) == expected
+    assert expected.node_count == 8
 
 
 def test_enumeration_leaves_no_reference_cycle(fig_tree_model):

@@ -1,8 +1,10 @@
 import random
 
-from hypothesis import given
+import pytest
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from dle.errors import ConfigError
 from dle.rng import substream_family
 from reference import mix, np_substream
 
@@ -27,15 +29,25 @@ def test_substreams_are_independent_and_reproducible():
     assert a != c
 
 
-_SEEDS = st.one_of(st.integers(-2 ** 70, 2 ** 70), st.integers(2 ** 64, 2 ** 80))
+_SEEDS = st.integers(-2 ** 63, 2 ** 63 - 1)
 _PARTS = st.lists(st.one_of(_SEEDS, st.text(max_size=4), st.binary(max_size=4)), max_size=3)
 
 
 @given(seed=_SEEDS, prefix=_PARTS, tail=_PARTS)
+@example(seed=-2 ** 63, prefix=[-5, -1, 0], tail=[5, 2 ** 63 - 1])
 def test_substream_family_matches_direct_derivation(seed, prefix, tail):
-    # Negative ints and ints >= 2**64 are reduced modulo 2**64.
+    # An int's two's-complement bytes are those of its value modulo 2**64.
     stream = substream_family(seed, *prefix)(*tail)
     assert stream.getstate() == random.Random(mix(seed, *prefix, *tail)).getstate()
+
+
+@pytest.mark.parametrize("seed", [2 ** 63, 2 ** 64, -2 ** 64, -2 ** 63 - 1])
+def test_seeds_outside_64_bits_raise_instead_of_aliasing(seed):
+    # Masked, 2**64 and -2**64 would give seed 0's stream.
+    for derive in (lambda: substream_family(seed), lambda: substream_family(0, "x", seed),
+                   lambda: substream_family(0)(seed)):
+        with pytest.raises(ConfigError, match=rf"^seed {seed} is outside -2\*\*63\.\.2\*\*63-1$"):
+            derive()
 
 
 def test_np_substream_reproducible():
