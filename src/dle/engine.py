@@ -56,6 +56,8 @@ class BranchPolicy:
             raise ConfigError(f"unknown policy {self.kind!r} (choose from {', '.join(POLICIES)})")
         if self.kind == "randbranch" and self.seed is None:
             raise ConfigError("randbranch policy requires a seed")
+        if self.seed is not None:
+            substream_family(self.seed)  # a seed out of range raises here, before any walk
 
     @classmethod
     def parse(cls, text: str) -> "BranchPolicy":

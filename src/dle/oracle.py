@@ -15,7 +15,7 @@ from .errors import ConfigError
 from .tree import DEFAULT_MAX_SEQ_LEN
 from .truncation import TruncationRule, active_set
 
-MAX_CAPPED_NODES = 2 ** 16  # nodes a walk may expand once it has found a length-capped leaf
+MAX_CAPPED_TOKENS = 2 ** 18  # leaf tokens a walk may hold once it has found a length-capped leaf
 
 
 @dataclass(frozen=True)
@@ -31,8 +31,8 @@ class OracleLeafSet:
 def enumerate_all_leaves(model, rule: TruncationRule, prompt: Sequence[int] = (),
                          max_seq_len: int = DEFAULT_MAX_SEQ_LEN) -> OracleLeafSet:
     """Exhaustive depth-first traversal of every active-set child. As in the
-    engine, a path ends at eos or at `max_seq_len` tokens; past MAX_CAPPED_NODES
-    nodes, a walk that has found a length-capped leaf raises ConfigError.
+    engine, a path ends at eos or at `max_seq_len` tokens. Once the walk has a
+    capped leaf, leaves holding over MAX_CAPPED_TOKENS tokens raise ConfigError.
 
     The walk uses an explicit stack rather than a self-referencing closure,
     so no reference cycle keeps the leaf list alive after the call. Children
@@ -41,7 +41,7 @@ def enumerate_all_leaves(model, rule: TruncationRule, prompt: Sequence[int] = ()
     prompt = tuple(prompt)
     eos_id = model.vocab.eos_id
     leaves: list[tuple[tuple[int, ...], float]] = []
-    node_count = 0
+    node_count = held = 0
     capped = False
     stack: list[tuple[tuple[int, ...], float]] = [((), 1.0)]
     while stack:
@@ -49,12 +49,13 @@ def enumerate_all_leaves(model, rule: TruncationRule, prompt: Sequence[int] = ()
         ended = generated and generated[-1] == eos_id
         if ended or len(generated) >= max_seq_len:
             leaves.append((generated, mass))
+            held += len(generated)
             capped = capped or not ended
+            if capped and held > MAX_CAPPED_TOKENS:
+                raise ConfigError(f"oracle walk past {MAX_CAPPED_TOKENS} leaf tokens with paths "
+                                  f"cut at --max-seq-len {max_seq_len}: lower it or narrow --rule")
             continue
         node_count += 1
-        if capped and node_count > MAX_CAPPED_NODES:
-            raise ConfigError(f"oracle walk past {MAX_CAPPED_NODES} nodes with paths cut at "
-                              f"--max-seq-len {max_seq_len}: lower it or narrow --rule")
         active = active_set(model.next_distribution(prompt, generated), rule)
         stack.extend(reversed([(generated + (token,), mass * weight)
                                for token, weight in zip(active.token_ids, active.weights)]))

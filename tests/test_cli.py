@@ -18,6 +18,7 @@ from dle.cli import _compare_rows, main
 from dle.engine import BranchPolicy
 from dle.errors import EmptyFrontier, InvariantViolation
 from dle.model import TableModel, train_ngram_model
+from dle.tree import DEFAULT_MAX_SEQ_LEN
 from dle.truncation import parse_rule
 from reference import reference_compare_rows
 
@@ -672,12 +673,15 @@ def test_oracle_max_depth_is_an_unrecognized_argument(chain_path, tmp_path, caps
     ("enumerate --model ngram:{eos_corpus} --rule top_k:2 --k 2",
      "corpus must not contain the reserved token '<eos>'\n"),
     ("vote --in {rows} --extract bogus:x", "unknown extractor 'bogus'\n"),
+    (f"compare --model table:{{fig}} --rule top_k:2 --k 2 --policy randbranch:{2 ** 64}",
+     f"seed {2 ** 64} is outside -2**63..2**63-1\n"),
     ("vote --in {not_json}", "cannot read {not_json}: Expecting value: line 1 column 1"),
     ("cache-sim --in {not_json}", "cannot read {not_json}: Expecting value: line 1 column 1"),
     ("vote --in {blank}", "no sequences found in {blank}\n"),
     ("cache-sim --in {blank}", "no sequences found in {blank}\n"),
 ], ids=["prompt-file-is-a-directory", "k-range-reversed", "randbranch-x", "randbranch-2**64",
-        "seed-2**64", "seed-below-2**63", "corpus-with-eos", "extract-bogus", "vote-not-json",
+        "seed-2**64", "seed-below-2**63", "corpus-with-eos", "extract-bogus",
+        "compare-randbranch-2**64", "vote-not-json",
         "cache-sim-not-json", "vote-blank", "cache-sim-blank"])
 def test_bad_run_inputs_exit_2_without_traceback(argv, message, fig_tree_path, tmp_path, capsys):
     paths = {"fig": fig_tree_path, "tmp": tmp_path, "eos_corpus": tmp_path / "eos.txt",
@@ -804,14 +808,28 @@ def test_compare_on_a_looping_ngram_lists_its_capped_leaves(looping_ngram, tmp_p
 
 def test_compare_on_a_looping_ngram_exits_2_without_traceback(looping_ngram, tmp_path,
                                                               monkeypatch, capsys):
-    # At cap 40 the tree has 8,184 nodes, past a bound lowered to 1,000.
-    monkeypatch.setattr(oracle, "MAX_CAPPED_NODES", 1000)
+    # At cap 40 the leaves hold 112,650 tokens, past a bound lowered to 1,000.
+    monkeypatch.setattr(oracle, "MAX_CAPPED_TOKENS", 1000)
     code = main(["compare", *looping_ngram, "--k", "1..4", "--max-seq-len", "40",
                  "--out", str(tmp_path / "c.csv")])
     assert code == 2
     err = capsys.readouterr().err
-    assert err == ("error: oracle walk past 1000 nodes with paths cut at --max-seq-len 40: "
+    assert err == ("error: oracle walk past 1000 leaf tokens with paths cut at --max-seq-len 40: "
                    "lower it or narrow --rule\n")
+
+
+@pytest.mark.parametrize("command", [["oracle"], ["compare", "--k", "1..4"]])
+def test_a_wide_rule_at_the_default_cap_exits_2_at_the_token_bound(command, looping_ngram,
+                                                                    tmp_path, capsys):
+    # Each leaf holds 512 tokens, so the walk stops after about 512 of them.
+    out = tmp_path / "out"
+    code = main([command[0], *looping_ngram[:2], "--rule", "top_k:8", *command[1:],
+                 "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: oracle walk past {oracle.MAX_CAPPED_TOKENS} leaf tokens with paths cut at "
+        f"--max-seq-len {DEFAULT_MAX_SEQ_LEN}: lower it or narrow --rule\n")
+    assert not out.exists()
 
 
 @settings(max_examples=60, deadline=None)

@@ -158,6 +158,8 @@ def test_empty_frontier_raises():
 
 def test_policy_parsing():
     assert BranchPolicy.parse("randbranch:42").seed == 42
+    with pytest.raises(ConfigError, match=rf"^seed {2 ** 64} is outside -2\*\*63\.\.2\*\*63-1$"):
+        BranchPolicy.parse(f"randbranch:{2 ** 64}")
     with pytest.raises(ConfigError):
         BranchPolicy.parse("randbranch")
     with pytest.raises(ConfigError):

@@ -53,7 +53,7 @@ def test_binary_branching_counts_leaves():
 
 def test_depth_limit_raises(monkeypatch):
     # A path that reaches the cap is a leaf, as in the engine; the bound on
-    # the nodes of a tree with such a leaf raises.
+    # the leaf tokens of a tree with such a leaf raises.
     model = TableModel.from_dict({
         "vocab": ["a", "b", "<eos>"], "eos": "<eos>",
         "transitions": {}, "default": {"a": 0.5, "b": 0.5}})
@@ -61,16 +61,16 @@ def test_depth_limit_raises(monkeypatch):
     assert oracle_set.leaves == (((0,) * 10, 1.0),)
     assert oracle_set.node_count == 10
     assert len(enumerate_all_leaves(model, TopK(k=2), max_seq_len=5).leaves) == 2 ** 5
-    monkeypatch.setattr(oracle, "MAX_CAPPED_NODES", 30)
-    with pytest.raises(ConfigError, match=r"^oracle walk past 30 nodes with paths cut at "
+    monkeypatch.setattr(oracle, "MAX_CAPPED_TOKENS", 30)
+    with pytest.raises(ConfigError, match=r"^oracle walk past 30 leaf tokens with paths cut at "
                                           r"--max-seq-len 5: lower it or narrow --rule$"):
         enumerate_all_leaves(model, TopK(k=2), max_seq_len=5)
 
 
-def test_node_bound_spares_trees_without_a_capped_leaf(fig_tree_model, monkeypatch):
+def test_token_bound_spares_trees_without_a_capped_leaf(fig_tree_model, monkeypatch):
     # Every path of the fig tree's 8 nodes ends in eos, so a bound of 1 never applies.
     expected = enumerate_all_leaves(fig_tree_model, FIG_RULE)
-    monkeypatch.setattr(oracle, "MAX_CAPPED_NODES", 1)
+    monkeypatch.setattr(oracle, "MAX_CAPPED_TOKENS", 1)
     assert enumerate_all_leaves(fig_tree_model, FIG_RULE) == expected
     assert expected.node_count == 8
 
