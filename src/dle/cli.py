@@ -1,8 +1,9 @@
 """Command-line entry point.
 
-Commands: enumerate, sample, compare, coverage-curve, cache-sim, vote,
-ngram-train, oracle. Exit codes: 0 ok, 2 configuration error, 3 model or
-transport error, 4 internal invariant violation.
+Commands: enumerate, sample, compare (the per-k coverage curve), cache-sim,
+vote, ngram-train, oracle. Exit codes: 0 ok, 2 configuration error (an input
+file that cannot be read or is not UTF-8 is one), 3 model or transport
+error, 4 internal invariant violation.
 
 Deterministic runs are byte-reproducible: output rows carry no timestamps,
 JSON keys are sorted, and every random component draws from a named
@@ -33,7 +34,7 @@ from .engine import (Budget, BranchPolicy, EarlyStopConfig, EnumerationResult,
 from .errors import ConfigError, DleError, InvariantViolation, ModelError
 from .metrics import (check_coverage, compensated_prefix_sums, coverage, coverage_curve,
                       expected_coverage_closed_form, population_std)
-from .model import parse_model_spec, read_corpus, train_ngram_model
+from .model import parse_model_spec, read_input, train_ngram_model
 from .oracle import enumerate_all_leaves
 from .tree import DEFAULT_MAX_SEQ_LEN, STOP_EOS, STOP_LENGTH_CAP
 from .truncation import parse_rule
@@ -44,12 +45,7 @@ def _read_prompts(path: str | None, model) -> list[tuple[int, ...]]:
     when there is no file or it holds only blank lines."""
     if path is None:
         return [()]
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = [line.rstrip("\n") for line in fh]
-    except OSError as exc:
-        raise ConfigError(f"cannot read prompt file {path}: {exc}") from exc
-    lines = [line for line in lines if line.strip()] or [""]
+    lines = [line for line in read_input(path, "prompt file").split("\n") if line.strip()] or [""]
     return [model.encode_prompt(line) for line in lines]
 
 
@@ -70,14 +66,10 @@ def _parse_k_range(text: str) -> list[int]:
         raise ConfigError(f"bad k range {text!r}: {exc}") from None
     if stop < start:
         raise ConfigError(f"bad k range {text!r}")
-    return _k_list("--k", start, stop)
-
-
-def _k_list(flag: str, start: int, stop: int) -> list[int]:
     try:  # within sys.maxsize, yet maybe past any address space at 8 bytes a slot
         return list(range(start, stop + 1))
     except MemoryError:
-        raise ConfigError(f"{flag}: k range {start}..{stop} is too long to hold") from None
+        raise ConfigError(f"--k: k range {start}..{stop} is too long to hold") from None
 
 
 def _count(text: str, minimum: int = 1) -> int:
@@ -178,13 +170,16 @@ def _write_jsonl(path: Path, rows) -> None:
 
 
 def _read_jsonl(path: str) -> list[tuple[int, dict]]:
-    """(line number, row) for each non-blank line of a JSONL file."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return [(lineno, json.loads(line)) for lineno, line in enumerate(fh, 1)
-                    if line.strip()]
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read {path}: {exc}") from exc
+    """(line number, row) for each non-blank line of a JSONL file; a line
+    that is not JSON is a configuration error naming it."""
+    rows = []
+    for lineno, line in enumerate(read_input(path, "leaves file").split("\n"), 1):
+        if line.strip():
+            try:
+                rows.append((lineno, json.loads(line)))
+            except ValueError as exc:
+                raise ConfigError(f"{path} line {lineno}: not JSON: {exc}") from None
+    return rows
 
 
 def _column(path: str, rows: list[tuple[int, dict]], key: str, convert,
@@ -234,14 +229,10 @@ def _index(value) -> int:
 def _manifest_prompts(infile: str) -> dict[int, tuple]:
     """Prompt index -> prompt tokens, from the `prompt_tokens` list of the
     manifest next to `infile`; empty when there is no manifest."""
-    path = Path(infile + ".manifest.json")
-    if not path.exists():
+    path = infile + ".manifest.json"
+    if not Path(path).exists():
         return {}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            manifest = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read {path}: {exc}") from exc
+    manifest = read_input(path, "manifest", json.loads)
     prompts = manifest.get("prompt_tokens", []) if isinstance(manifest, dict) else None
     malformed = ConfigError(f"{path}: 'prompt_tokens' must be an array of token arrays")
     if not isinstance(prompts, list):
@@ -373,8 +364,7 @@ def _sampled_curve(run, ks) -> tuple[list[float], list[int]]:
     return covs, [tokens[h] for h in heads]
 
 
-def _compare_rows(model, rule, prompt_ids, ks, policy, seeds, max_seq_len,
-                  with_tokens) -> list[dict]:
+def _compare_rows(model, rule, prompt_ids, ks, policy, seeds, max_seq_len) -> list[dict]:
     oracle_set = enumerate_all_leaves(model, rule, prompt_ids, max_seq_len)
     masses = np.asarray(oracle_set.masses(), dtype=np.float64)
     max_k = max(ks)
@@ -394,17 +384,15 @@ def _compare_rows(model, rule, prompt_ids, ks, policy, seeds, max_seq_len,
     for i, k in enumerate(ks):
         idx = min(k, len(dle_curve)) - 1
         covs = [cov[i] for cov, _ in sampled]
-        row = {
+        rows.append({
             "k": k,
             "coverage_dle": dle_curve[idx] if dle_curve else 0.0,
             "expected_coverage_closed": closed[i],
             "coverage_sampled_mean": math.fsum(covs) / seeds,
             "coverage_sampled_std": population_std(covs),
-        }
-        if with_tokens:
-            row["dle_new_tokens"] = dle_tokens[idx] if dle_tokens else 0
-            row["sampled_new_tokens"] = math.fsum(tok[i] for _, tok in sampled) / seeds
-        rows.append(row)
+            "dle_new_tokens": dle_tokens[idx] if dle_tokens else 0,
+            "sampled_new_tokens": math.fsum(tok[i] for _, tok in sampled) / seeds,
+        })
     return rows
 
 
@@ -416,16 +404,12 @@ def _write_csv(path: Path, rows: list[dict]) -> None:
 
 
 def cmd_compare(args) -> int:
-    """`compare` (a k range, with token accounting) and `coverage-curve`
-    (k = 1..k_max, coverage only)."""
     model = parse_model_spec(args.model)
     rule = parse_rule(args.rule)
     policy = BranchPolicy.parse(args.policy)
     prompt_ids = _single_prompt(args, model)
-    with_tokens = args.command == "compare"
-    ks = _parse_k_range(args.k) if with_tokens else _k_list("--k-max", 1, args.k_max)
-    rows = _compare_rows(model, rule, prompt_ids, ks, policy, args.sample_seeds,
-                         args.max_seq_len, with_tokens)
+    rows = _compare_rows(model, rule, prompt_ids, _parse_k_range(args.k), policy,
+                         args.sample_seeds, args.max_seq_len)
     out = Path(args.out)
     _write_csv(out, rows)
     _write_manifest(out, args)
@@ -465,8 +449,8 @@ def cmd_vote(args) -> int:
 
 
 def cmd_ngram_train(args) -> int:
-    model = train_ngram_model(read_corpus(args.corpus), order=args.order, alpha=args.alpha,
-                              tokenization=args.tokenize)
+    model = train_ngram_model(read_input(args.corpus, "corpus"), order=args.order,
+                              alpha=args.alpha, tokenization=args.tokenize)
     _write_json(Path(args.out), model.to_dict())
     print(f"trained order-{args.order} model over {model.vocab.size} tokens -> {args.out}")
     return 0
@@ -520,18 +504,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sample)
 
-    p = sub.add_parser("compare", help="enumeration vs sampling coverage and tokens")
+    p = sub.add_parser("compare", help="per-k coverage and tokens, enumeration vs sampling")
     add_model_args(p)
     p.add_argument("--policy", default="probfirst")
     p.add_argument("--k", required=True, help=f"k range, e.g. 1..32 or 8; ends <= {sys.maxsize}")
-    p.add_argument("--sample-seeds", type=_count, default=10)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_compare)
-
-    p = sub.add_parser("coverage-curve", help="per-k coverage CSV")
-    add_model_args(p)
-    p.add_argument("--policy", default="probfirst")
-    p.add_argument("--k-max", type=_count, required=True, help=f"largest k, <= {sys.maxsize}")
     p.add_argument("--sample-seeds", type=_count, default=10)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_compare)

@@ -171,23 +171,19 @@ class TableModel:
 
     @classmethod
     def from_file(cls, path: str) -> "TableModel":
-        return cls.from_dict(_load_json(path, "table model"))
+        return cls.from_dict(read_input(path, "table model", json.loads))
 
 
-def _load_json(path: str, what: str):
+def read_input(path: str, what: str, parse=str):
+    """`parse(text)` for the UTF-8 text of the input file at `path`. A file
+    that cannot be opened or decoded, or whose text `parse` rejects with a
+    ValueError (a JSONDecodeError is one), is a configuration error naming
+    `what` and the path."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot load {what} from {path}: {exc}") from exc
-
-
-def read_corpus(path: str) -> str:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read corpus {path}: {exc}") from exc
+            return parse(fh.read())
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
 
 
 _JSON_KINDS = {
@@ -442,7 +438,7 @@ class NgramModel:
 
     @classmethod
     def from_file(cls, path: str) -> "NgramModel":
-        return cls.from_dict(_load_json(path, "ngram model"))
+        return cls.from_dict(read_input(path, "ngram model", json.loads))
 
 
 def _check_order_alpha(order: int, alpha: float) -> None:
@@ -570,7 +566,7 @@ def parse_model_spec(spec: str) -> TableModel | NgramModel | RemoteModel:
             return NgramModel.from_file(path)
         options = _parse_options(query, "&", ("order", "alpha", "tokenize"))
         return train_ngram_model(
-            read_corpus(path),
+            read_input(path, "corpus"),
             order=_number(options, "order", int, 1),
             alpha=_number(options, "alpha", float, 1.0),
             tokenization=options.get("tokenize", "whitespace"),

@@ -95,7 +95,7 @@ class RemoteModel:
                 if exc.code < 500:
                     raise RemoteError(f"endpoint rejected request: HTTP {exc.code}",
                                       attempts=attempt + 1, last_status=exc.code) from exc
-            except (urllib.error.URLError, TimeoutError, OSError, json.JSONDecodeError):
+            except (urllib.error.URLError, TimeoutError, OSError, ValueError):
                 pass
         raise RemoteError(f"endpoint unreachable after {self.max_retries + 1} attempts",
                           attempts=self.max_retries + 1, last_status=last_status)

@@ -41,7 +41,7 @@ class Leaf:
 
 
 class PrunedTree:
-    """One decoding tree per prompt, mutated by exactly one worker.
+    """One decoding tree per prompt, mutated only by the enumeration that grows it.
 
     The lists are changed in place and never rebound, so a reader may keep them.
     """

@@ -147,7 +147,7 @@ class _StubHandler(BaseHTTPRequestHandler):
             top_n = int(body.get("logprobs", 1))
             ranked = sorted(table.items(), key=lambda kv: -kv[1])[:top_n]
             payload = {"choices": [{"logprobs": {"top_logprobs": [dict(ranked)]}}]}
-        data = json.dumps(payload).encode("utf-8")
+        data = payload if isinstance(payload, bytes) else json.dumps(payload).encode("utf-8")
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
@@ -175,7 +175,9 @@ class StubServer:
         return self.httpd.state
 
     def configure(self, responses: dict[str, dict[str, float]], fail_first: int = 0,
-                  payload: dict | None = None):
+                  payload: dict | bytes | None = None):
+        """Answer each prompt from `responses`, or every request with
+        `payload`: a JSON document, or bytes served verbatim."""
         self.state.responses = responses
         self.state.payload = payload
         self.state.fail_first = fail_first

@@ -633,9 +633,8 @@ def neumaier_loop_sum(values) -> float:
     return total + comp
 
 
-def reference_compare_rows(model, rule, prompt_ids, ks, policy, seeds, max_seq_len,
-                           with_tokens) -> list[dict]:
-    """`compare`/`coverage-curve` rows with the closed form and the sampled
+def reference_compare_rows(model, rule, prompt_ids, ks, policy, seeds, max_seq_len) -> list[dict]:
+    """`compare` rows with the closed form and the sampled
     coverage summed by the loop for every k, re-deduplicating each seed's
     first k draws."""
     masses = np.asarray(enumerate_all_leaves(model, rule, prompt_ids,
@@ -665,17 +664,15 @@ def reference_compare_rows(model, rule, prompt_ids, ks, policy, seeds, max_seq_l
     rows = []
     for k in ks:
         idx = min(k, len(dle_curve)) - 1
-        row = {
+        rows.append({
             "k": k,
             "coverage_dle": dle_curve[idx] if dle_curve else 0.0,
             "expected_coverage_closed": neumaier_loop_sum(masses * (1.0 - (1.0 - masses) ** k)),
             "coverage_sampled_mean": statistics.fmean(sampled_cov[k]),
             "coverage_sampled_std": statistics.pstdev(sampled_cov[k]) if seeds > 1 else 0.0,
-        }
-        if with_tokens:
-            row["dle_new_tokens"] = dle_tokens[idx] if dle_tokens else 0
-            row["sampled_new_tokens"] = statistics.fmean(sampled_tok[k])
-        rows.append(row)
+            "dle_new_tokens": dle_tokens[idx] if dle_tokens else 0,
+            "sampled_new_tokens": statistics.fmean(sampled_tok[k]),
+        })
     return rows
 
 

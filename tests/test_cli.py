@@ -1,6 +1,7 @@
 import concurrent.futures
 import csv
 import hashlib
+import inspect
 import json
 import math
 import random
@@ -18,6 +19,7 @@ from dle.cli import _compare_rows, main
 from dle.engine import BranchPolicy
 from dle.errors import EmptyFrontier, InvariantViolation
 from dle.model import TableModel, train_ngram_model
+from dle.remote import RemoteModel
 from dle.tree import DEFAULT_MAX_SEQ_LEN
 from dle.truncation import parse_rule
 from reference import reference_compare_rows
@@ -111,7 +113,6 @@ def test_dump_tree_with_several_prompts_exits_2_before_running(fig_tree_path, tm
 
 @pytest.mark.parametrize("command, extra", [
     ("compare", ["--k", "1..2", "--sample-seeds", "1"]),
-    ("coverage-curve", ["--k-max", "2", "--sample-seeds", "1"]),
     ("oracle", []),
 ])
 def test_single_prompt_commands_exit_2_on_several_prompts(command, extra, fig_tree_path,
@@ -138,8 +139,6 @@ _COMMON_CONFIG = {"model", "rule", "max_seq_len", "prompt_file"}
      {"policy", "k", "token_budget", "early_stop_n"}),
     ("sample", ["--k", "2"], {"k", "seed", "temperature"}),
     ("compare", ["--k", "1..2", "--sample-seeds", "1"], {"policy", "k", "sample_seeds"}),
-    ("coverage-curve", ["--k-max", "2", "--sample-seeds", "1"],
-     {"policy", "k_max", "sample_seeds"}),
 ])
 def test_manifest_config_echoes_every_option_that_shapes_the_output(command, extra, keys,
                                                                     fig_tree_path, tmp_path):
@@ -235,6 +234,31 @@ def test_rejected_request_or_malformed_payload_exits_3_after_one_attempt(
     assert len(stub_server.state.requests) == 1
 
 
+def test_undecodable_response_is_retried_then_exits_3(tmp_path, monkeypatch, stub_server,
+                                                      capsys):
+    # A body that is not UTF-8 is retried like any non-JSON body.
+    stub_server.configure({}, payload=b"\xff\xfe{")
+    monkeypatch.setenv("DLE_REMOTE_URL", stub_server.url)
+    code = main(["enumerate", "--model", "remote:top_n=2", "--rule", "epsilon:0.1",
+                 "--k", "2", "--out", str(tmp_path / "x.jsonl")])
+    assert code == 3
+    retries = inspect.signature(RemoteModel).parameters["max_retries"].default
+    assert capsys.readouterr().err == \
+        f"model error: endpoint unreachable after {retries + 1} attempts\n"
+    assert len(stub_server.state.requests) == retries + 1
+
+
+def test_remote_spec_options_set_the_url_and_the_eos_token(tmp_path, monkeypatch, stub_server):
+    stub_server.configure({"": {"x": -0.2, "</s>": -1.7}, "x": {"</s>": 0.0}})
+    monkeypatch.delenv("DLE_REMOTE_URL", raising=False)
+    out = tmp_path / "leaves.jsonl"
+    code = main(["enumerate", "--model", f"remote:url={stub_server.url},eos=</s>",
+                 "--rule", "epsilon:0.05", "--k", "4", "--out", str(out)])
+    assert code == 0
+    assert [(r["text"], r["stop_reason"]) for r in read_jsonl(out)] == \
+        [("x</s>", "eos"), ("</s>", "eos")]
+
+
 @pytest.mark.parametrize("error, message", [
     (InvariantViolation("sums disagree"), "internal invariant violated: sums disagree"),
     (EmptyFrontier("no branch points"), "internal error: no branch points"),
@@ -292,8 +316,7 @@ def test_sample_at_a_tiny_temperature_draws_the_greedy_sequence(tmp_path):
     assert [(r["text"], r["q"]) for r in read_jsonl(out)] == [("b c <eos>", 1.0)] * 3
 
 
-@pytest.mark.parametrize("command, extra", [("compare", ["--k", "1..2"]),
-                                            ("coverage-curve", ["--k-max", "2"])])
+@pytest.mark.parametrize("command, extra", [("compare", ["--k", "1..2"])])
 def test_compare_takes_no_temperature(command, extra, fig_tree_path, tmp_path, capsys):
     # Coverage is T=1 mass, so draws at another temperature would mix units:
     # at T=0.001 the one greedy draw read as coverage 1.0, its T=1 mass 0.504.
@@ -324,17 +347,19 @@ def test_compare_reports_closed_form(two_leaf_path, tmp_path):
     assert 0.3 <= float(rows[0]["coverage_sampled_mean"]) <= 1.0
 
 
-def test_coverage_curve_columns(two_leaf_path, tmp_path):
+def test_compare_curve_columns(two_leaf_path, tmp_path):
     out = tmp_path / "curve.csv"
-    code = main(["coverage-curve", "--model", f"table:{two_leaf_path}",
-                 "--rule", "epsilon:0.05", "--k-max", "3", "--sample-seeds", "4",
+    code = main(["compare", "--model", f"table:{two_leaf_path}",
+                 "--rule", "epsilon:0.05", "--k", "1..3", "--sample-seeds", "4",
                  "--out", str(out)])
     assert code == 0
     with open(out, encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         assert reader.fieldnames == ["k", "coverage_dle", "expected_coverage_closed",
-                                     "coverage_sampled_mean", "coverage_sampled_std"]
+                                     "coverage_sampled_mean", "coverage_sampled_std",
+                                     "dle_new_tokens", "sampled_new_tokens"]
         rows = list(reader)
+    assert [int(r["k"]) for r in rows] == [1, 2, 3]
     dle_values = [float(r["coverage_dle"]) for r in rows]
     closed = [float(r["expected_coverage_closed"]) for r in rows]
     assert dle_values == sorted(dle_values)
@@ -465,7 +490,8 @@ def test_vote_rejects_non_finite_or_negative_masses(q, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("row, manifest, message", [
-    ({"tokens": [1], "prompt": 0}, '{"prompt_tokens": [[5, 6]', "cannot read {manifest}: "),
+    ({"tokens": [1], "prompt": 0}, '{"prompt_tokens": [[5, 6]',
+     "cannot read manifest {manifest}: "),
     ({"tokens": [1], "prompt": [0]}, '{"prompt_tokens": [[5, 6]]}',
      "{rows} line 1: bad 'prompt' value [0]\n"),
     ({"tokens": [1], "prompt": 0}, '{"prompt_tokens": [7]}',
@@ -675,8 +701,9 @@ def test_oracle_max_depth_is_an_unrecognized_argument(chain_path, tmp_path, caps
     ("vote --in {rows} --extract bogus:x", "unknown extractor 'bogus'\n"),
     (f"compare --model table:{{fig}} --rule top_k:2 --k 2 --policy randbranch:{2 ** 64}",
      f"seed {2 ** 64} is outside -2**63..2**63-1\n"),
-    ("vote --in {not_json}", "cannot read {not_json}: Expecting value: line 1 column 1"),
-    ("cache-sim --in {not_json}", "cannot read {not_json}: Expecting value: line 1 column 1"),
+    ("vote --in {not_json}", "{not_json} line 2: not JSON: Expecting value: line 1 column 1"),
+    ("cache-sim --in {not_json}",
+     "{not_json} line 2: not JSON: Expecting value: line 1 column 1"),
     ("vote --in {blank}", "no sequences found in {blank}\n"),
     ("cache-sim --in {blank}", "no sequences found in {blank}\n"),
 ], ids=["prompt-file-is-a-directory", "k-range-reversed", "randbranch-x", "randbranch-2**64",
@@ -697,6 +724,33 @@ def test_bad_run_inputs_exit_2_without_traceback(argv, message, fig_tree_path, t
     assert err.startswith("error: " + message.format(**paths))
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, name, what", [
+    ("enumerate --model table:{fig} --rule top_k:2 --k 2 --prompt-file {bad}", "prompts.txt",
+     "prompt file"),
+    ("ngram-train --corpus {bad}", "corpus.txt", "corpus"),
+    ("enumerate --model ngram:{bad} --rule top_k:2 --k 2", "corpus.txt", "corpus"),
+    ("enumerate --model table:{bad} --rule top_k:2 --k 2", "table.json", "table model"),
+    ("enumerate --model ngram:{bad} --rule top_k:2 --k 2", "ngram.json", "ngram model"),
+    ("vote --in {bad}", "rows.jsonl", "leaves file"),
+    ("cache-sim --in {bad}", "rows.jsonl", "leaves file"),
+    ("cache-sim --in {rows}", "good.jsonl.manifest.json", "manifest"),
+], ids=["prompt-file", "ngram-train-corpus", "ngram-corpus", "table-model", "ngram-json",
+        "vote-in", "cache-sim-in", "cache-sim-manifest"])
+def test_non_utf8_input_files_exit_2_without_traceback(argv, name, what, fig_tree_path, tmp_path,
+                                                      capsys):
+    rows = tmp_path / "good.jsonl"
+    rows.write_text('{"text": "a", "q": 0.5, "tokens": [0]}\n')
+    bad = tmp_path / name
+    bad.write_bytes(b"a \xff b\n")
+    inputs = sorted(tmp_path.iterdir())
+    out = tmp_path / "out"
+    code = main([*argv.format(fig=fig_tree_path, bad=bad, rows=rows).split(), "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == (f"error: cannot read {what} {bad}: 'utf-8' codec can't "
+                                       "decode byte 0xff in position 2: invalid start byte\n")
+    assert sorted(tmp_path.iterdir()) == inputs
 
 
 def test_console_script_is_installed():
@@ -731,7 +785,7 @@ def test_non_positive_counts_exit_2_without_traceback(command, flag, fig_tree_pa
 # allocating (test_k_ranges_no_address_space_holds_exit_2_without_traceback).
 @pytest.mark.parametrize("command, flag, value", [
     (["cache-sim"], "--block", "99999999999999999999"),
-    (["coverage-curve"], "--k-max", "99999999999999999999"),
+    (["compare"], "--k", "99999999999999999999"),
     (["compare"], "--k", "1..99999999999999999999"),
     (["compare"], "--k", "99999999999999999999..99999999999999999999"),
     (["enumerate"], "--k", "99999999999999999999"),
@@ -763,7 +817,6 @@ def test_counts_past_sys_maxsize_exit_2_without_traceback(command, flag, value, 
 
 
 @pytest.mark.parametrize("command, flag, value", [
-    ("coverage-curve", "--k-max", str(10**17)),
     ("compare", "--k", f"1..{10**17}"),
 ])
 def test_k_ranges_no_address_space_holds_exit_2_without_traceback(command, flag, value,
@@ -779,8 +832,7 @@ def test_k_ranges_no_address_space_holds_exit_2_without_traceback(command, flag,
 
 
 def test_count_flags_document_their_bound(capsys):
-    for command, flag in [("cache-sim", "--block"), ("coverage-curve", "--k-max"),
-                          ("compare", "--k"), ("enumerate", "--k"),
+    for command, flag in [("cache-sim", "--block"), ("compare", "--k"), ("enumerate", "--k"),
                           ("enumerate", "--token-budget"), ("ngram-train", "--order")]:
         with pytest.raises(SystemExit):
             main([command, "--help"])
@@ -837,13 +889,11 @@ def test_a_wide_rule_at_the_default_cap_exits_2_at_the_token_bound(command, loop
        rule=st.sampled_from(["epsilon:0.05", "top_k:2", "top_p:0.9", "min_p:0.3"]),
        policy=st.sampled_from(["probfirst", "divfirst", "randbranch:3"]),
        k_lo=st.integers(1, 12), k_span=st.integers(0, 12),
-       seeds=st.integers(1, 3), with_tokens=st.booleans())
-def test_compare_rows_match_the_per_k_reference(model_seed, rule, policy, k_lo, k_span, seeds,
-                                                with_tokens):
-    # with_tokens=True gives compare's rows, False coverage-curve's.
+       seeds=st.integers(1, 3))
+def test_compare_rows_match_the_per_k_reference(model_seed, rule, policy, k_lo, k_span, seeds):
     model = make_random_table_model(model_seed)
     args = (model, parse_rule(rule), (), list(range(k_lo, k_lo + k_span + 1)),
-            BranchPolicy.parse(policy), seeds, 8, with_tokens)
+            BranchPolicy.parse(policy), seeds, 8)
     rows = _compare_rows(*args)
     expected = reference_compare_rows(*args)
     assert rows == expected
@@ -882,7 +932,7 @@ def test_compare_sample_seeds_query_each_context_once(model_seed, monkeypatch):
         return run
 
     monkeypatch.setattr(cli, "sample_sequences", counting_sample)
-    args = (model, parse_rule("top_p:0.9"), (), [1, 4, 16], BranchPolicy("probfirst"), 6, 8, True)
+    args = (model, parse_rule("top_p:0.9"), (), [1, 4, 16], BranchPolicy("probfirst"), 6, 8)
     rows = _compare_rows(*args)
     assert len(runs) == 6
     drawn = {model.context((), tokens[:i]) for run, _ in runs
@@ -894,10 +944,8 @@ def test_compare_sample_seeds_query_each_context_once(model_seed, monkeypatch):
 
 
 @pytest.mark.parametrize("command, message", [
-    (["enumerate", "--model", "table:{missing}.json"],
-     "cannot load table model from {missing}.json: "),
-    (["enumerate", "--model", "ngram:{missing}.json"],
-     "cannot load ngram model from {missing}.json: "),
+    (["enumerate", "--model", "table:{missing}.json"], "cannot read table model {missing}.json: "),
+    (["enumerate", "--model", "ngram:{missing}.json"], "cannot read ngram model {missing}.json: "),
     (["enumerate", "--model", "ngram:{missing}.txt"], "cannot read corpus {missing}.txt: "),
     (["ngram-train", "--corpus", "{missing}.txt"], "cannot read corpus {missing}.txt: "),
 ])
@@ -988,7 +1036,7 @@ def test_malformed_model_documents_exit_2_without_traceback(kind, doc, message, 
     (["cache-sim"], "--capacity", "-1", "must be >= 0, got -1"),
     (["sample", "--k", "3"], "--temperature", "nan", "must be a number >= 0, got nan"),
     (["compare", "--k", "1..3"], "--sample-seeds", "0", "must be >= 1, got 0"),
-    (["coverage-curve", "--k-max", "3"], "--sample-seeds", "nan", "expected an integer, got 'nan'"),
+    (["compare", "--k", "1..3"], "--sample-seeds", "nan", "expected an integer, got 'nan'"),
     (["sample", "--k", "3"], "--max-seq-len", "0", "must be >= 1, got 0"),
     (["enumerate", "--k", "3"], "--max-seq-len", "-2", "must be >= 1, got -2"),
     (["compare", "--k", "1..3"], "--max-seq-len", "x", "expected an integer, got 'x'"),
@@ -1030,6 +1078,7 @@ def test_out_of_range_values_exit_2_without_traceback(command, flag, value, mess
      "unknown model option 'topn' (allowed: top_n, eos, url)"),
     ("ngram:", "ngram model spec needs a path"),
     ("ngram:{corpus}?order", "bad option 'order', expected key=value"),
+    ("remote:top_n=0,url=http://127.0.0.1:9", "top_n must be >= 1, got 0"),
 ])
 def test_bad_model_spec_options_exit_2_without_traceback(spec, message, tmp_path, capsys):
     corpus = tmp_path / "corpus.txt"

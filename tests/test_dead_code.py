@@ -102,3 +102,25 @@ def test_every_reference_is_used_by_a_test():
             reached.add(name)
             pending += [other for other in reads if other in reads[name]]
     assert sorted(set(reads) - reached) == []
+
+
+def _callers_of(tree: ast.Module, names: set[str]) -> list[str]:
+    """The function around each call of a name or method in `names`, '' at
+    module level."""
+    parent = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    callers = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and (getattr(node.func, "id", None) in names
+                                           or getattr(node.func, "attr", None) in names):
+            while node in parent and not isinstance(node, ast.FunctionDef):
+                node = parent[node]
+            callers.append(getattr(node, "name", ""))
+    return callers
+
+
+def test_input_files_are_opened_in_one_place():
+    # `model.read_input` turns a file that cannot be opened or decoded into a
+    # configuration error; the only other open is `cli._open_out`'s, for writing.
+    opens = sorted((module, caller) for module, tree in _modules().items()
+                   for caller in _callers_of(tree, {"open", "read_text", "read_bytes"}))
+    assert opens == [("cli", "_open_out"), ("model", "read_input")]

@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 
 from conftest import make_random_table_model, memo_models, ngram_memo_models
 from dle import engine
+from dle.cache_sim import PrefixCache, simulate
 from dle.baseline import sample_sequences
 from dle.engine import (POLICIES, Budget, BranchPolicy, EarlyStopConfig, Frontier, TokenStats,
                         enumerate_leaves, greedy_rollout, select_branch)
 from dle.errors import ConfigError, EmptyFrontier, ModelError
+from dle.metrics import coverage_curve
 from dle.model import TableModel, train_ngram_model
 from dle.oracle import enumerate_all_leaves
 from dle.tree import DEFAULT_MAX_SEQ_LEN, STOP_EOS, UNEXPANDED, PrunedTree
@@ -280,6 +282,45 @@ def test_running_coverage_is_monotone(random_model_factory):
             assert leaf.q > 0.0
             running += leaf.q
         assert running <= 1.0 + 1e-6
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), model=memo_models(),
+       rule=st.sampled_from(["epsilon:0.05", "top_k:2", "top_p:0.9", "min_p:0.3",
+                             "top_p:0.8+top_k:3"]),
+       policy=st.sampled_from(["probfirst", "divfirst", "randbranch:7", "globalprob", "dfs"]),
+       max_leaves=st.one_of(st.none(), st.integers(1, 12)), max_new_tokens=st.integers(1, 40),
+       max_seq_len=st.integers(1, 4), early_stop_n=st.one_of(st.none(), st.integers(1, 3)),
+       block_size=st.integers(1, 3), capacity=st.one_of(st.none(), st.integers(0, 12)),
+       eviction=st.sampled_from(["none", "lru"]))
+def test_leaves_masses_curves_and_cache_stats_keep_their_bounds(
+        data, model, rule, policy, max_leaves, max_new_tokens, max_seq_len, early_stop_n,
+        block_size, capacity, eviction):
+    # Over random table and n-gram models: distinct leaves, total mass at
+    # most 1, a coverage curve that never decreases, and the same for the
+    # oracle; a cache replay of the leaves builds its CacheStats, which
+    # checks actual <= theoretical <= flat.
+    prompt = tuple(data.draw(st.lists(st.integers(0, model.vocab.size - 1), max_size=2)))
+    rule = parse_rule(rule)
+    budget = Budget(max_leaves=max_leaves,
+                    max_new_tokens=None if data.draw(st.booleans()) and max_leaves else max_new_tokens,
+                    max_seq_len=max_seq_len)
+    early_stop = None if early_stop_n is None else EarlyStopConfig(n=early_stop_n)
+    result = enumerate_leaves(model, rule, prompt, BranchPolicy.parse(policy), budget, early_stop)
+    tokens = [leaf.tokens for leaf in result.leaves]
+    assert len(set(tokens)) == len(tokens)
+    assert math.fsum(leaf.q for leaf in result.leaves) <= 1 + 1e-9
+    curve = coverage_curve([(leaf.tokens, leaf.q) for leaf in result.leaves])
+    assert curve == sorted(curve)
+
+    oracle_set = enumerate_all_leaves(model, rule, prompt, max_seq_len)
+    assert len(dict(oracle_set.leaves)) == len(oracle_set.leaves)
+    assert oracle_set.total_mass <= 1 + 1e-9
+
+    streams = [prompt + leaf_tokens for leaf_tokens in tokens]
+    if streams:  # a token budget may end the run before its first leaf
+        stats = simulate(streams, PrefixCache(block_size, capacity, eviction))
+        assert stats.flat_length == sum(map(len, streams))
 
 
 def test_deterministic_runs_hash_identical(fig_tree_model, random_model_factory):

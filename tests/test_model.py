@@ -399,10 +399,13 @@ def test_remote_gives_up_after_retries(stub_server):
 
 
 def test_remote_rejects_malformed_payload(stub_server):
-    stub_server.configure({"": {}})
-    model = RemoteModel(base_url=stub_server.url, top_n=1, max_retries=0)
-    with pytest.raises(RemoteError):
-        model.next_distribution((), ())
+    # A payload without a top_logprobs entry, then an empty top_logprobs entry.
+    for payload, message in [({"choices": []}, "malformed endpoint payload"),
+                             (None, "endpoint returned no log-probabilities")]:
+        stub_server.configure({"": {}}, payload=payload)
+        model = RemoteModel(base_url=stub_server.url, top_n=1, max_retries=0)
+        with pytest.raises(RemoteError, match=message):
+            model.next_distribution((), ())
 
 
 def test_remote_request_carries_prompt_and_generated_text(stub_server):
